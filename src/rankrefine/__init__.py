@@ -33,7 +33,7 @@ from .query import (
     render_sql,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AnnotatedTuple",

@@ -4,7 +4,8 @@
         --constraints c.json --distance pred --epsilon 0.5 --engine milp+opt
 
 Exit codes: 0 a refinement was found, 2 no refinement exists, 3 timed out,
-1 invalid input.
+1 invalid input, 4 internal error (a result failed exact re-verification,
+or the solver ended in an unexpected state).
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from .constraints import parse_constraints
 from .data import Database, Schema, load_csv, parse_number
 from .distances import JACCARD, KENDALL, PRED, DistanceKind
 from .engine import NO_REFINEMENT, REFINED, TIMEOUT, RunConfig, result_to_dict, run
-from .errors import RankRefineError
+from .errors import InternalConsistencyError, RankRefineError
 from .query import parse_query
 
 EXIT_REFINED = 0
 EXIT_INVALID = 1
 EXIT_NO_REFINEMENT = 2
 EXIT_TIMEOUT = 3
+EXIT_INTERNAL = 4
 
 _STATUS_EXIT = {REFINED: EXIT_REFINED, NO_REFINEMENT: EXIT_NO_REFINEMENT,
                 TIMEOUT: EXIT_TIMEOUT}
@@ -137,6 +139,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_bench(args)
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (RankRefineError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

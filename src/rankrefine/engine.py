@@ -8,6 +8,7 @@ its reported distance is the exact one.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,8 +61,18 @@ class RefineResult:
     model_stats: dict = field(default_factory=dict)
 
 
-def _verified_result(config: RunConfig, ref: Refinement, status: str) -> RefineResult:
-    """Re-evaluate the refined query exactly and package the certificate."""
+def _verified_result(config: RunConfig, ref: Refinement, status: str,
+                     timing: dict, stats: dict) -> RefineResult:
+    """Re-evaluate the refined query exactly and package the certificate.
+
+    A failed check raises InternalConsistencyError whose message carries
+    the refinement and the model stats.
+    """
+    def inconsistent(message: str) -> InternalConsistencyError:
+        detail = json.dumps({"refinement": _refinement_dict(ref),
+                             "model_stats": _public_stats(stats)}, sort_keys=True)
+        return InternalConsistencyError(f"{message}; {detail}")
+
     q, d, cs = config.query, config.db, config.constraints
     q2 = apply_refinement(q, ref)
     ann = annotate(q, d)
@@ -71,11 +82,11 @@ def _verified_result(config: RunConfig, ref: Refinement, status: str) -> RefineR
     ranking = filter_annotated(ann, q2, key_attrs)
     k_star = cs.k_star
     if len(ranking) < k_star:
-        raise InternalConsistencyError(
+        raise inconsistent(
             f"refined query returns {len(ranking)} tuples, fewer than k*={k_star}")
     dev = deviation(ranking, tuples_by_id, cs)
     if dev > config.epsilon:
-        raise InternalConsistencyError(
+        raise inconsistent(
             f"refined query deviates by {dev}, above epsilon {config.epsilon}")
     if config.kind.name == PRED:
         dist = dis_pred(q, q2)
@@ -96,6 +107,8 @@ def _verified_result(config: RunConfig, ref: Refinement, status: str) -> RefineR
         distance=dist,
         deviation=dev,
         topk=topk,
+        timing_ms=timing,
+        model_stats=stats,
     )
 
 
@@ -125,10 +138,8 @@ def _run_oracle(config: RunConfig) -> RefineResult:
     if oracle.status == NO_REFINEMENT:
         return RefineResult(status=NO_REFINEMENT, model_stats=stats,
                             timing_ms={"setup_ms": 0.0, "solve_ms": solve_ms})
-    result = _verified_result(config, oracle.refinement, REFINED)
-    result.model_stats = stats
-    result.timing_ms = {"setup_ms": 0.0, "solve_ms": solve_ms}
-    return result
+    return _verified_result(config, oracle.refinement, REFINED,
+                            {"setup_ms": 0.0, "solve_ms": solve_ms}, stats)
 
 
 def _run_milp(config: RunConfig) -> RefineResult:
@@ -157,10 +168,22 @@ def _run_milp(config: RunConfig) -> RefineResult:
         return RefineResult(status=TIMEOUT, timing_ms=timing, model_stats=stats)
     ref = extract_refinement(built, solution)
     status = TIMEOUT if solution.status == "timeout" else REFINED
-    result = _verified_result(config, ref, status)
-    result.timing_ms = timing
-    result.model_stats = stats
-    return result
+    return _verified_result(config, ref, status, timing, stats)
+
+
+def _public_stats(stats: dict) -> dict:
+    """Model stats as reported: everything but the solver's wall time."""
+    return {k: v for k, v in stats.items() if k != "wall_s"}
+
+
+def _refinement_dict(ref: Refinement) -> dict:
+    return {
+        "numeric": {
+            f"{attr} {op}": format_number(v)
+            for (attr, op), v in sorted(ref.numeric_constants.items())
+        },
+        "categorical": {attr: sorted(vals) for attr, vals in sorted(ref.cat_values.items())},
+    }
 
 
 def result_to_dict(result: RefineResult, include_timing: bool = True) -> dict:
@@ -170,26 +193,16 @@ def result_to_dict(result: RefineResult, include_timing: bool = True) -> dict:
             return format_number(x)
         return x
 
-    stats = {k: v for k, v in result.model_stats.items() if k != "wall_s"}
     out = {
         "status": result.status,
         "refined_sql": result.refined_sql,
         "distance": num(result.distance),
         "deviation": num(result.deviation),
         "topk": result.topk,
-        "model_stats": stats,
+        "model_stats": _public_stats(result.model_stats),
     }
     if result.refinement is not None:
-        out["refinement"] = {
-            "numeric": {
-                f"{attr} {op}": format_number(v)
-                for (attr, op), v in sorted(result.refinement.numeric_constants.items())
-            },
-            "categorical": {
-                attr: sorted(vals)
-                for attr, vals in sorted(result.refinement.cat_values.items())
-            },
-        }
+        out["refinement"] = _refinement_dict(result.refinement)
     if include_timing:
         out["timing_ms"] = {k: round(v, 3) for k, v in result.timing_ms.items()}
     return out

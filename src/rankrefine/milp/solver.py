@@ -1,135 +1,102 @@
-"""Deterministic branch-and-bound MILP solver over scipy's HiGHS LP backend.
+"""Exact MILP solving through HiGHS (``scipy.optimize.milp``).
 
-Best-first search on the LP relaxation bound, with ties broken by node
-creation order so runs are reproducible.  Incumbents come from integral LP
-solutions and from a rounding heuristic at each node.
+:func:`solve` hands the whole model to HiGHS's branch and cut in one call.
+The relative gap is pinned to zero, so "optimal" means optimal rather than
+within HiGHS's default 1e-4.  The outcome maps onto :class:`Solution`:
+``optimal``; ``infeasible``; or ``timeout`` when a time or node limit stops
+the search, carrying the best integral solution found so far, if any.  Any
+other HiGHS outcome raises :class:`InternalConsistencyError`, so it can
+never be mistaken for "no refinement exists".
+
+:func:`solve_lp_relaxation` solves the same rows with the binaries relaxed
+to [0, 1] through ``linprog``.  Both read the model through one CSR builder.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csr_array, vstack
 
+from ..errors import InternalConsistencyError
 from .model import BINARY, MILPModel, Solution
 
-INT_TOL = 1e-6
-OBJ_TOL = 1e-9
+# scipy's milp status codes, and the raw HiGHS model status that scipy
+# passes through as "not recognized" when the node limit stops the search.
+_OPTIMAL, _LIMIT, _INFEASIBLE = 0, 1, 2
+_HIGHS_SOLUTION_LIMIT = 16
 
 
 @dataclass
 class SolveOptions:
     timeout_s: float | None = None
     node_limit: int | None = None
-    int_tol: float = INT_TOL
 
 
-@dataclass
-class _Matrices:
-    c: np.ndarray
-    a_ub: np.ndarray | None
-    b_ub: np.ndarray | None
-    a_eq: np.ndarray | None
-    b_eq: np.ndarray | None
-    lb: np.ndarray
-    ub: np.ndarray
-    names: list[str]
-    bin_idx: list[int]
-
-
-def _build_matrices(model: MILPModel) -> _Matrices:
+def _arrays(model: MILPModel):
+    """Objective, CSR row matrix, row bounds (lo <= A x <= hi), variable bounds."""
     index = model.var_index()
-    n = len(model.variables)
-    c = np.zeros(n)
+    c = np.zeros(len(index))
     for name, coef in model.objective.items():
         c[index[name]] = coef
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+    indptr, indices, data = [0], [], []
     for row in model.rows:
-        vec = np.zeros(n)
-        for name, coef in row.coeffs.items():
-            vec[index[name]] = coef
-        if row.sense == "<=":
-            ub_rows.append(vec)
-            ub_rhs.append(row.rhs)
-        elif row.sense == ">=":
-            ub_rows.append(-vec)
-            ub_rhs.append(-row.rhs)
-        else:
-            eq_rows.append(vec)
-            eq_rhs.append(row.rhs)
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([v.ub for v in model.variables])
-    bin_idx = [i for i, v in enumerate(model.variables) if v.kind == BINARY]
-    return _Matrices(
-        c=c,
-        a_ub=np.array(ub_rows) if ub_rows else None,
-        b_ub=np.array(ub_rhs) if ub_rhs else None,
-        a_eq=np.array(eq_rows) if eq_rows else None,
-        b_eq=np.array(eq_rhs) if eq_rhs else None,
-        lb=lb,
-        ub=ub,
-        names=[v.name for v in model.variables],
-        bin_idx=bin_idx,
-    )
-
-
-def _solve_lp(m: _Matrices, lb: np.ndarray, ub: np.ndarray):
-    res = linprog(
-        m.c,
-        A_ub=m.a_ub,
-        b_ub=m.b_ub,
-        A_eq=m.a_eq,
-        b_eq=m.b_eq,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-    )
-    return res
+        indices.extend(index[name] for name in row.coeffs)
+        data.extend(row.coeffs.values())
+        indptr.append(len(indices))
+    a = csr_array((np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
+                  shape=(len(model.rows), len(index)))
+    rhs = np.array([row.rhs for row in model.rows], dtype=float)
+    senses = [row.sense for row in model.rows]
+    lo = np.where([s == "<=" for s in senses], -np.inf, rhs)
+    hi = np.where([s == ">=" for s in senses], np.inf, rhs)
+    bounds = Bounds([v.lb for v in model.variables], [v.ub for v in model.variables])
+    return c, a, lo, hi, bounds
 
 
 def solve_lp_relaxation(model: MILPModel) -> Solution:
     """Solve the LP relaxation of ``model`` (binaries relaxed to [0, 1])."""
-    m = _build_matrices(model)
-    res = _solve_lp(m, m.lb, m.ub)
+    c, a, lo, hi, bounds = _arrays(model)
+    eq = lo == hi
+    upper, lower = ~eq & (hi < np.inf), ~eq & (lo > -np.inf)
+    res = linprog(
+        c,
+        A_ub=vstack([a[upper], -a[lower]]),
+        b_ub=np.concatenate([hi[upper], -lo[lower]]),
+        A_eq=a[eq],
+        b_eq=hi[eq],
+        bounds=np.column_stack([bounds.lb, bounds.ub]),
+        method="highs",
+    )
     if not res.success:
         return Solution(status="infeasible", stats={"lp_status": res.status})
-    assignment = dict(zip(m.names, (float(x) for x in res.x)))
     return Solution(
         status="optimal",
-        assignment=assignment,
+        assignment={v.name: float(x) for v, x in zip(model.variables, res.x)},
         objective_value=float(res.fun) + model.objective_constant,
         stats={"lp_iterations": int(getattr(res, "nit", 0))},
     )
 
 
-@dataclass(order=True)
-class _Node:
-    bound: float
-    serial: int
-    lb: np.ndarray = field(compare=False)
-    ub: np.ndarray = field(compare=False)
-    x: np.ndarray = field(compare=False)
+def _status(res) -> str:
+    if res.status == _OPTIMAL and res.x is not None:
+        return "optimal"
+    if res.status == _INFEASIBLE:
+        return "infeasible"
+    raw = re.search(r"HiGHS Status (\d+)", res.message or "")
+    if res.status == _LIMIT or (raw and int(raw.group(1)) == _HIGHS_SOLUTION_LIMIT):
+        return "timeout"
+    raise InternalConsistencyError(f"HiGHS ended with scipy status {res.status}: {res.message}")
 
 
-def _fractional(x: np.ndarray, bin_idx: list[int], tol: float) -> int | None:
-    """Most-fractional binary index, ties broken by lowest variable index."""
-    best, best_gap = None, tol
-    for i in bin_idx:
-        gap = abs(x[i] - round(x[i]))
-        if gap > best_gap + 1e-15:
-            best, best_gap = i, gap
-    return best
-
-
-def _check_feasible(m: _Matrices, x: np.ndarray) -> bool:
-    if m.a_ub is not None and np.any(m.a_ub @ x > m.b_ub + 1e-7):
-        return False
-    if m.a_eq is not None and np.any(np.abs(m.a_eq @ x - m.b_eq) > 1e-7):
-        return False
-    return bool(np.all(x >= m.lb - 1e-9) and np.all(x <= m.ub + 1e-9))
+def _finite(x) -> float | None:
+    """HiGHS's gap and bound as JSON-safe floats; None when unknown or infinite."""
+    return float(x) if x is not None and math.isfinite(x) else None
 
 
 def solve(model: MILPModel, options: SolveOptions | None = None) -> Solution:
@@ -137,83 +104,32 @@ def solve(model: MILPModel, options: SolveOptions | None = None) -> Solution:
     options = options or SolveOptions()
     start = time.monotonic()
     model.validate()
-    m = _build_matrices(model)
-
-    nodes_explored = 0
-    lp_iterations = 0
-    incumbent_x: np.ndarray | None = None
-    incumbent_obj = math.inf
-
-    def timed_out() -> bool:
-        return options.timeout_s is not None and time.monotonic() - start > options.timeout_s
-
-    root = _solve_lp(m, m.lb, m.ub)
-    lp_iterations += int(getattr(root, "nit", 0))
-    if not root.success:
-        return Solution(status="infeasible", stats={"nodes": 1, "lp_iterations": lp_iterations,
-                                                    "wall_s": time.monotonic() - start})
-
-    serial = 0
-    heap: list[_Node] = [_Node(float(root.fun), serial, m.lb.copy(), m.ub.copy(),
-                               np.asarray(root.x))]
-    hit_timeout = False
-
-    while heap:
-        if timed_out():
-            hit_timeout = True
-            break
-        if options.node_limit is not None and nodes_explored >= options.node_limit:
-            hit_timeout = True
-            break
-        node = heapq.heappop(heap)
-        if node.bound >= incumbent_obj - OBJ_TOL:
-            break  # best-first: remaining nodes cannot improve
-        nodes_explored += 1
-        branch = _fractional(node.x, m.bin_idx, options.int_tol)
-        if branch is None:
-            if node.bound < incumbent_obj - OBJ_TOL:
-                incumbent_obj = node.bound
-                incumbent_x = node.x.copy()
-            continue
-        # Rounding heuristic: snap binaries, keep continuous values.
-        rounded = node.x.copy()
-        for i in m.bin_idx:
-            rounded[i] = round(rounded[i])
-        if _check_feasible(m, rounded):
-            obj = float(m.c @ rounded)
-            if obj < incumbent_obj - OBJ_TOL:
-                incumbent_obj = obj
-                incumbent_x = rounded
-        for fixed in (0.0, 1.0):
-            lb, ub = node.lb.copy(), node.ub.copy()
-            lb[branch] = ub[branch] = fixed
-            res = _solve_lp(m, lb, ub)
-            lp_iterations += int(getattr(res, "nit", 0))
-            if not res.success:
-                continue
-            bound = float(res.fun)
-            if bound >= incumbent_obj - OBJ_TOL:
-                continue
-            serial += 1
-            heapq.heappush(heap, _Node(bound, serial, lb, ub, np.asarray(res.x)))
-
+    c, a, lo, hi, bounds = _arrays(model)
+    limits = {"time_limit": options.timeout_s, "node_limit": options.node_limit}
+    res = milp(
+        c,
+        integrality=[v.kind == BINARY for v in model.variables],
+        bounds=bounds,
+        constraints=LinearConstraint(a, lo, hi),
+        options={"mip_rel_gap": 0.0, **{k: v for k, v in limits.items() if v is not None}},
+    )
+    status = _status(res)
+    dual_bound = _finite(res.get("mip_dual_bound"))
     stats = {
-        "nodes": nodes_explored,
-        "lp_iterations": lp_iterations,
+        "nodes": int(res.get("mip_node_count") or 0),
+        "mip_gap": _finite(res.get("mip_gap")),
+        "dual_bound": None if dual_bound is None else dual_bound + model.objective_constant,
         "wall_s": time.monotonic() - start,
     }
-    if incumbent_x is None:
-        return Solution(status="timeout" if hit_timeout else "infeasible", stats=stats)
-    binset = set(m.bin_idx)
-    assignment = {}
-    for i, name in enumerate(m.names):
-        x = float(incumbent_x[i])
-        if i in binset:
-            x = float(round(x))
-        assignment[name] = x
+    if res.x is None:
+        return Solution(status=status, stats=stats)
+    assignment = {
+        v.name: float(round(x)) if v.kind == BINARY else float(x)
+        for v, x in zip(model.variables, res.x)
+    }
     return Solution(
-        status="timeout" if hit_timeout else "optimal",
+        status=status,
         assignment=assignment,
-        objective_value=incumbent_obj + model.objective_constant,
+        objective_value=float(res.fun) + model.objective_constant,
         stats=stats,
     )

@@ -3,12 +3,16 @@ from pathlib import Path
 
 import pytest
 
+from rankrefine import engine
 from rankrefine.cli import (
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_NO_REFINEMENT,
     EXIT_REFINED,
+    EXIT_TIMEOUT,
     main,
 )
+from rankrefine.milp import Solution
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DATA = SCENARIOS / "data"
@@ -39,15 +43,17 @@ def test_run_refined_exit_zero(capsys):
     assert "timing_ms" in payload
 
 
+NO_PERFECT_ARGS = [
+    "run",
+    "--data", f"Jobs={DATA / 'no_perfect.csv'}",
+    "--query", str(SCENARIOS / "no_perfect" / "query.sql"),
+    "--constraints", str(SCENARIOS / "no_perfect" / "constraints.json"),
+    "--epsilon", "0",
+]
+
+
 def test_run_no_refinement_exit_two(capsys):
-    args = [
-        "run",
-        "--data", f"Jobs={DATA / 'no_perfect.csv'}",
-        "--query", str(SCENARIOS / "no_perfect" / "query.sql"),
-        "--constraints", str(SCENARIOS / "no_perfect" / "constraints.json"),
-        "--epsilon", "0",
-    ]
-    assert main(args) == EXIT_NO_REFINEMENT
+    assert main(NO_PERFECT_ARGS) == EXIT_NO_REFINEMENT
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "no_refinement"
 
@@ -136,3 +142,33 @@ def test_bench_subcommand(tmp_path, capsys):
 def test_bench_empty_suite_fails(tmp_path, capsys):
     assert main(["bench", "--suite", str(tmp_path)]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+
+
+def test_solver_timeout_exit_three(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "solve",
+                        lambda model, options: Solution(status="timeout"))
+    assert main(_run_args()) == EXIT_TIMEOUT
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "timeout"
+    assert "refinement" not in payload
+    assert payload["distance"] is None
+
+
+def test_failed_reverification_exit_four(monkeypatch, capsys):
+    # Every value selected: the whole table, whose top 3 holds no X = 'B'
+    # tuple, so the exact re-check must reject it at epsilon 0.
+    def select_everything(model, options):
+        return Solution(status="optimal",
+                        assignment={v.name: 1.0 for v in model.variables},
+                        objective_value=0.0, stats={"nodes": 0})
+
+    monkeypatch.setattr(engine, "solve", select_everything)
+    assert main(NO_PERFECT_ARGS) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("internal error: refined query deviates by 1")
+    detail = json.loads(err.split("; ", 1)[1])
+    assert detail["refinement"]["categorical"] == {"X": ["A", "B"], "Y": ["C", "D"]}
+    assert detail["model_stats"]["nodes"] == 0
+    assert detail["model_stats"]["variables"] > 0

@@ -3,16 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from rankrefine import engine
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.engine import (
     ENGINES,
     NO_REFINEMENT,
     REFINED,
+    TIMEOUT,
     RefineResult,
     RunConfig,
     result_to_dict,
     run,
 )
+from rankrefine.milp import Solution, solve
 from rankrefine.errors import PreconditionError
 
 
@@ -131,3 +134,30 @@ def test_epsilon_relaxation_never_increases_distance(students_db,
         assert result.status == REFINED
         dists.append(result.distance)
     assert dists == sorted(dists, reverse=True)
+
+
+def test_timeout_with_incumbent_is_verified(monkeypatch, students_db,
+                                            scholarship_query,
+                                            scholarship_constraints):
+    # a limit that stops HiGHS after it found an incumbent: the incumbent is
+    # extracted and re-checked, and the status stays "timeout"
+    def stopped_early(model, options):
+        found = solve(model, options)
+        return Solution(status="timeout", assignment=found.assignment,
+                        objective_value=found.objective_value, stats=found.stats)
+
+    monkeypatch.setattr(engine, "solve", stopped_early)
+    result = run(_config(students_db, scholarship_query, scholarship_constraints))
+    assert result.status == TIMEOUT
+    assert result.distance == Fraction(1, 2)
+    assert result.deviation == 0
+    assert "GPA >= 3.7" in result.refined_sql
+
+
+def test_solver_stats_in_model_stats(students_db, scholarship_query,
+                                     scholarship_constraints):
+    result = run(_config(students_db, scholarship_query, scholarship_constraints))
+    stats = result_to_dict(result)["model_stats"]
+    assert {"nodes", "mip_gap", "dual_bound"} <= set(stats)
+    assert stats["mip_gap"] == 0.0
+    assert "lp_iterations" not in stats and "wall_s" not in stats

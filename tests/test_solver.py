@@ -3,7 +3,11 @@ import math
 import random
 
 import numpy as np
+import pytest
+from scipy.optimize import OptimizeResult
 
+from rankrefine.errors import InternalConsistencyError
+from rankrefine.milp import solver
 from rankrefine.milp.model import BINARY, CONTINUOUS, MILPModel, Row, Variable
 from rankrefine.milp.solver import SolveOptions, solve, solve_lp_relaxation
 
@@ -146,12 +150,41 @@ def test_deterministic_resolve():
         assert first.assignment == second.assignment
 
 
+def _knapsack(n=30, seed=1):
+    """Three-row multi-knapsack that HiGHS cannot close at the root node."""
+    rng = random.Random(seed)
+    names = [f"b{i}" for i in range(n)]
+    rows = [Row(f"k{j}", {b: float(rng.randint(5, 40)) for b in names}, "<=",
+                float(10 * n)) for j in range(3)]
+    return MILPModel(variables=[Variable(b, BINARY, 0.0, 1.0) for b in names],
+                     rows=rows,
+                     objective={b: -float(rng.randint(5, 40)) for b in names})
+
+
+def _satisfies_rows(model, sol):
+    for row in model.rows:
+        lhs = sum(c * sol.value(n) for n, c in row.coeffs.items())
+        if row.sense == "<=" and lhs > row.rhs + 1e-6:
+            return False
+        if row.sense == ">=" and lhs < row.rhs - 1e-6:
+            return False
+        if row.sense == "=" and abs(lhs - row.rhs) > 1e-6:
+            return False
+    return True
+
+
 def test_stats_reported():
     rng = random.Random(9)
-    model = _random_model(rng, n_bin=5, n_cont=1)
-    sol = solve(model)
-    assert sol.stats["nodes"] >= 1
+    sol = solve(_random_model(rng, n_bin=5, n_cont=1))
+    assert {"nodes", "mip_gap", "dual_bound", "wall_s"} <= set(sol.stats)
+    assert "lp_iterations" not in sol.stats
     assert sol.stats["wall_s"] >= 0.0
+    branched = solve(_knapsack())
+    assert branched.status == "optimal"
+    assert branched.stats["nodes"] >= 1
+    assert branched.stats["mip_gap"] == 0.0
+    assert math.isclose(branched.stats["dual_bound"], branched.objective_value,
+                        abs_tol=1e-6)
 
 
 def test_timeout_returns_best_incumbent_or_timeout():
@@ -159,3 +192,39 @@ def test_timeout_returns_best_incumbent_or_timeout():
     model = _random_model(rng, n_bin=10, n_cont=2)
     sol = solve(model, SolveOptions(timeout_s=0.0))
     assert sol.status in ("timeout", "infeasible", "optimal")
+
+
+def test_node_limit_keeps_the_incumbent():
+    model = _knapsack()
+    full = solve(model)
+    capped = solve(model, SolveOptions(node_limit=1))
+    assert capped.status == "timeout"
+    assert capped.assignment, "HiGHS finds an incumbent before the first branch"
+    assert capped.objective_value >= full.objective_value - 1e-6
+    assert capped.stats["dual_bound"] <= full.objective_value + 1e-6
+    assert all(capped.value(v.name) in (0.0, 1.0) for v in model.binaries)
+    assert _satisfies_rows(model, capped)
+
+
+@pytest.mark.parametrize("options", [SolveOptions(node_limit=0),
+                                     SolveOptions(timeout_s=0.0)])
+def test_limit_without_incumbent_is_timeout(options):
+    sol = solve(_knapsack(), options)
+    assert sol.status == "timeout"
+    assert sol.assignment == {}
+    assert sol.objective_value is None
+
+
+@pytest.mark.parametrize("status, message", [
+    (3, "The problem is unbounded. (HiGHS Status 10: Unbounded)"),
+    (4, "The problem is unbounded or infeasible. (HiGHS Status 9: ...)"),
+    (4, "HiGHS did not provide a status code. (HiGHS Status None: None)"),
+])
+def test_unexpected_highs_outcome_raises(monkeypatch, status, message):
+    def fake_milp(*args, **kwargs):
+        return OptimizeResult(status=status, message=message, x=None, fun=None,
+                              mip_node_count=None, mip_gap=None, mip_dual_bound=None)
+
+    monkeypatch.setattr(solver, "milp", fake_milp)
+    with pytest.raises(InternalConsistencyError, match="HiGHS"):
+        solve(_knapsack(n=4))
