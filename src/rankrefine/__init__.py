@@ -1,7 +1,7 @@
 """rankrefine: minimally refine an SPJ query's predicates so its top-k
 ranking meets cardinality (diversity) constraints."""
 
-from .annotate import AnnotatedTuple, annotate, evaluate, filter_annotated
+from .annotate import AnnotatedTuple, Instance, annotate, evaluate, filter_annotated
 from .constraints import (
     LOWER,
     UPPER,
@@ -37,6 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnnotatedTuple",
+    "Instance",
     "CardinalityConstraint",
     "CatPredicate",
     "ConstraintSet",

@@ -1,23 +1,30 @@
-"""Ranking evaluation and provenance annotation.
+"""The prepared instance: one query's ranked, provenance-annotated universe.
 
-``annotate`` materializes the predicate-free, DISTINCT-free version of the
-query over the database, ranked, and labels every tuple with:
+``annotate`` joins the query's tables once, ranks the predicate-free,
+DISTINCT-free result by the ``ORDER BY`` attribute and returns an
+:class:`Instance` holding
 
-* its base rank (position in that unrestricted ranking),
-* its lineage (the predicate atoms its attribute values instantiate),
-* its shadow set (better-ranked tuples sharing its DISTINCT key),
-* its lineage equivalence class.
+* the annotated tuples in base-rank order, each labelled with its base rank
+  (position in that unrestricted ranking), its lineage (the predicate atoms
+  its attribute values instantiate), its shadow set (better-ranked tuples
+  sharing its DISTINCT key) and its lineage equivalence class;
+* the DISTINCT key attributes and a tuple-id index;
+* the original query's ranking.
 
 The annotated universe contains the output of every refinement, and
-filtering it is how both the exhaustive engine and the MILP avoid
-re-running joins per candidate.
+filtering it (``filter_annotated``) is how the MILP builder, the exhaustive
+oracle and the exact verifier evaluate refinements without re-running the
+join.  One request prepares one instance and hands it to all three.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import attrgetter
+from typing import Iterable
 
 from .data import Database, Relation, Tuple, NUMERICAL, natural_join
 from .errors import KindMismatchError, PreconditionError
@@ -39,25 +46,27 @@ class AnnotatedTuple:
     lineage_class: int
 
 
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """``query``'s annotated universe over one database; iterating it yields
+    the annotated tuples in base-rank order."""
+
+    query: Query
+    annotated: tuple[AnnotatedTuple, ...]
+    key_attrs: tuple[str, ...]
+    tuples_by_id: dict[int, Tuple]
+    original_ranking: Ranking
+
+    def __iter__(self):
+        return iter(self.annotated)
+
+    def __len__(self) -> int:
+        return len(self.annotated)
+
+
 def joined_relation(q: Query, d: Database) -> Relation:
     rels = [d.get(name) for name in q.tables]
     return reduce(natural_join, rels)
-
-
-def _order_key(rel: Relation, q: Query):
-    attr, direction = q.order_by
-    if not rel.schema.has(attr):
-        raise PreconditionError(f"ORDER BY attribute {attr!r} not in joined schema")
-    if rel.schema.kind_of(attr) != NUMERICAL:
-        raise KindMismatchError(f"ORDER BY attribute {attr!r} is not numerical")
-    sign = -1 if direction == "DESC" else 1
-
-    def key(t: Tuple):
-        # ties broken by ascending tuple id, everywhere, so that ranks,
-        # positions and deviations agree across evaluator, oracle and MILP
-        return (sign * t[attr], t.tid)
-
-    return key
 
 
 def distinct_key_attrs(rel: Relation, q: Query) -> tuple[str, ...]:
@@ -68,12 +77,29 @@ def distinct_key_attrs(rel: Relation, q: Query) -> tuple[str, ...]:
     return q.select_attrs
 
 
-def _ranked_universe(q: Query, d: Database) -> tuple[Relation, list[Tuple]]:
-    rel = joined_relation(q, d)
+def _ranked(rel: Relation, q: Query) -> list[Tuple]:
+    """``rel``'s rows in ``q``'s order, ties broken by ascending tuple id,
+    everywhere, so that ranks, positions and deviations agree across
+    evaluator, oracle and MILP.
+
+    The sort key is exact and integral: every value scaled to the lcm of
+    the column's denominators.
+    """
+    attr, direction = q.order_by
+    if not rel.schema.has(attr):
+        raise PreconditionError(f"ORDER BY attribute {attr!r} not in joined schema")
+    if rel.schema.kind_of(attr) != NUMERICAL:
+        raise KindMismatchError(f"ORDER BY attribute {attr!r} is not numerical")
     for p in q.numeric_preds + q.cat_preds:
         if not rel.schema.has(p.attribute):
             raise PreconditionError(f"predicate attribute {p.attribute!r} not in joined schema")
-    return rel, sorted(rel.rows, key=_order_key(rel, q))
+    rows = sorted(rel.rows, key=attrgetter("tid"))
+    values = [t[attr] for t in rows]
+    scale = math.lcm(*{v.denominator for v in values})
+    sign = -1 if direction == "DESC" else 1
+    keys = [sign * v.numerator * (scale // v.denominator) for v in values]
+    # a stable sort, so equal values keep ascending tuple-id order
+    return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
 
 
 def lineage_of(t: Tuple, q: Query) -> frozenset[Atom]:
@@ -85,16 +111,23 @@ def lineage_of(t: Tuple, q: Query) -> frozenset[Atom]:
     return frozenset(atoms)
 
 
-def annotate(q: Query, d: Database) -> list[AnnotatedTuple]:
-    rel, ranked = _ranked_universe(q, d)
+def annotate(q: Query, source: Database | Relation) -> Instance:
+    """Prepare ``q``'s instance from the database, or from ``q``'s natural
+    join over it when the caller has computed that already."""
+    rel = source if isinstance(source, Relation) else joined_relation(q, source)
     key_attrs = distinct_key_attrs(rel, q)
+    pred_attrs = tuple(p.attribute for p in q.cat_preds + q.numeric_preds)
     seen_keys: dict[tuple, list[int]] = {}
-    class_ids: dict[frozenset, int] = {}
+    # the predicate attributes' values determine the lineage, so one
+    # frozenset and one class id serve every tuple that shares them
+    classes: dict[tuple, tuple[frozenset[Atom], int]] = {}
     out: list[AnnotatedTuple] = []
-    for rank, t in enumerate(ranked, start=1):
-        lineage = lineage_of(t, q)
-        if lineage not in class_ids:
-            class_ids[lineage] = len(class_ids)
+    for rank, t in enumerate(_ranked(rel, q), start=1):
+        pred_values = tuple(t.values[a] for a in pred_attrs)
+        entry = classes.get(pred_values)
+        if entry is None:
+            entry = classes[pred_values] = (lineage_of(t, q), len(classes))
+        lineage, class_id = entry
         shadow: tuple[int, ...] = ()
         if key_attrs:
             key = tuple(t[a] for a in key_attrs)
@@ -106,30 +139,44 @@ def annotate(q: Query, d: Database) -> list[AnnotatedTuple]:
                 base_rank=rank,
                 lineage=lineage,
                 shadow=shadow,
-                lineage_class=class_ids[lineage],
+                lineage_class=class_id,
             )
         )
-    return out
+    return Instance(
+        query=q,
+        annotated=tuple(out),
+        key_attrs=key_attrs,
+        tuples_by_id={at.tuple.tid: at.tuple for at in out},
+        original_ranking=filter_annotated(out, q, key_attrs),
+    )
 
 
-def lineage_classes(annotated: list[AnnotatedTuple]) -> dict[int, list[AnnotatedTuple]]:
-    """Partition by equal lineage; each class internally in base-rank order."""
-    if not annotated:
-        raise PreconditionError("no annotated tuples")
-    classes: dict[int, list[AnnotatedTuple]] = {}
-    for at in sorted(annotated, key=lambda a: a.base_rank):
-        classes.setdefault(at.lineage_class, []).append(at)
-    return classes
+def prepared(q: Query, d: Database, instance: Instance | None) -> Instance:
+    """``instance`` when the caller prepared one (it must be ``q``'s),
+    otherwise a fresh ``annotate(q, d)``."""
+    if instance is None:
+        return annotate(q, d)
+    if instance.query != q:
+        raise PreconditionError("the prepared instance belongs to another query")
+    return instance
 
 
-def filter_annotated(annotated: list[AnnotatedTuple], q: Query, key_attrs: tuple[str, ...]) -> Ranking:
-    """Provenance-accelerated evaluation: filter the annotated universe by the
-    (refined) predicates, then dedup on the DISTINCT key in base-rank order.
-    Agrees exactly with `evaluate`."""
+def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query,
+                     key_attrs: tuple[str, ...]) -> Ranking:
+    """Provenance-accelerated evaluation: filter the annotated universe (an
+    Instance or its tuples) by a refinement of its query, then dedup on the
+    DISTINCT key in base-rank order.  Agrees exactly with `evaluate`.
+
+    Tuples of one lineage class hold equal values in every predicate
+    attribute, so the predicates are tested once per class."""
     seen: set[tuple] = set()
     ranking: Ranking = []
+    verdicts: dict[int, bool] = {}
     for at in annotated:  # already in base_rank order
-        if not satisfies(at.tuple, q):
+        selected = verdicts.get(at.lineage_class)
+        if selected is None:
+            selected = verdicts[at.lineage_class] = satisfies(at.tuple, q)
+        if not selected:
             continue
         if key_attrs:
             key = tuple(at.tuple[a] for a in key_attrs)
@@ -143,11 +190,11 @@ def filter_annotated(annotated: list[AnnotatedTuple], q: Query, key_attrs: tuple
 def evaluate(q: Query, d: Database) -> Ranking:
     """Direct evaluation: join, filter, rank, DISTINCT-dedup keeping the
     best-ranked representative."""
-    rel, ranked = _ranked_universe(q, d)
+    rel = joined_relation(q, d)
     key_attrs = distinct_key_attrs(rel, q)
     seen: set[tuple] = set()
     ranking: Ranking = []
-    for t in ranked:
+    for t in _ranked(rel, q):
         if not satisfies(t, q):
             continue
         if key_attrs:
@@ -159,9 +206,9 @@ def evaluate(q: Query, d: Database) -> Ranking:
     return ranking
 
 
-def numeric_domain(annotated: list[AnnotatedTuple], attr: str) -> list[Fraction]:
+def numeric_domain(annotated: Iterable[AnnotatedTuple], attr: str) -> list[Fraction]:
     return sorted({at.tuple[attr] for at in annotated})
 
 
-def cat_domain(annotated: list[AnnotatedTuple], attr: str) -> list[str]:
+def cat_domain(annotated: Iterable[AnnotatedTuple], attr: str) -> list[str]:
     return sorted({at.tuple[attr] for at in annotated})

@@ -11,7 +11,9 @@ or the solver ended in an unexpected state).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -113,7 +115,7 @@ def _cmd_run(args) -> int:
         relax=not args.no_relax,
         lp_dump=args.lp_dump,
     )
-    result = run(config)
+    result = _run_with_stdout_on_stderr(config)
     report = json.dumps(result_to_dict(result), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(report + "\n", encoding="utf-8")
@@ -123,6 +125,24 @@ def _cmd_run(args) -> int:
     else:
         print(report)
     return _STATUS_EXIT[result.status]
+
+
+def _run_with_stdout_on_stderr(config: RunConfig):
+    """``run(config)`` with ``sys.stdout`` and file descriptor 1 pointed at
+    stderr.
+
+    HiGHS can print straight to descriptor 1 from inside scipy, and stdout
+    must carry nothing but the JSON report.
+    """
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        with contextlib.redirect_stdout(sys.stderr):
+            return run(config)
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 def _cmd_bench(args) -> int:

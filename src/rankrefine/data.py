@@ -120,8 +120,9 @@ class Relation:
         tids = [t.tid for t in self.rows]
         if len(set(tids)) != len(tids):
             raise LoadError(f"duplicate tuple ids in relation {self.name!r}")
+        names = set(self.schema.names)
         for t in self.rows:
-            if set(t.values) != set(self.schema.names):
+            if set(t.values) != names:
                 raise LoadError(
                     f"row {t.tid} of {self.name!r} does not match the schema"
                 )

@@ -24,13 +24,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..annotate import (
-    AnnotatedTuple,
-    annotate,
-    distinct_key_attrs,
-    filter_annotated,
-    joined_relation,
-)
+from ..annotate import AnnotatedTuple, Instance, prepared
+# not called here; kept importable because perfbench's traced run wraps them
+from ..annotate import annotate, filter_annotated, joined_relation  # noqa: F401
 from ..constraints import LOWER, ConstraintSet
 from ..data import Database, format_number
 from ..distances import JACCARD, KENDALL, PRED, DistanceKind
@@ -115,11 +111,11 @@ class ModelBuilder:
         epsilon: Fraction,
         kind: DistanceKind,
         options: BuildOptions | None = None,
+        instance: Instance | None = None,
     ):
         if epsilon < 0:
             raise PreconditionError("epsilon must be non-negative")
         self.query = query
-        self.db = db
         self.constraints = constraints
         self.epsilon = Fraction(epsilon)
         self.kind = kind
@@ -128,10 +124,9 @@ class ModelBuilder:
         self.namer = _Namer()
         self.k_star = constraints.k_star
 
-        rel = joined_relation(query, db)
-        self.key_attrs = distinct_key_attrs(rel, query)
-        self.annotated = annotate(query, db)
-        original_ranking = filter_annotated(self.annotated, query, self.key_attrs)
+        instance = prepared(query, db, instance)
+        self.key_attrs = instance.key_attrs
+        original_ranking = instance.original_ranking
         self.original_topk = original_ranking[: self.k_star]
         if kind.name in (JACCARD, KENDALL) and len(original_ranking) < self.k_star:
             raise PreconditionError(
@@ -139,7 +134,7 @@ class ModelBuilder:
                 f"k*={self.k_star} tuples, got {len(original_ranking)}"
             )
 
-        self.encoded: list[AnnotatedTuple] = list(self.annotated)
+        self.encoded: list[AnnotatedTuple] = list(instance.annotated)
         self.pruned_tids: set[int] = set()
 
         self.num_families: dict[tuple[str, str], NumericFamily] = {}
@@ -571,8 +566,11 @@ def build_model(
     epsilon: Fraction,
     kind: DistanceKind,
     options: BuildOptions | None = None,
+    instance: Instance | None = None,
 ) -> BuildResult:
-    return ModelBuilder(query, db, constraints, epsilon, kind, options).build()
+    """``instance``, when given, is ``query``'s prepared universe over ``db``
+    and saves preparing it again."""
+    return ModelBuilder(query, db, constraints, epsilon, kind, options, instance).build()
 
 
 def _interval(sub: str, selected: list[Fraction], unselected: list[Fraction],

@@ -17,15 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotate import (
-    annotate,
-    cat_domain,
-    distinct_key_attrs,
-    evaluate,
-    filter_annotated,
-    joined_relation,
-    numeric_domain,
-)
+from .annotate import Instance, cat_domain, evaluate, filter_annotated, numeric_domain, prepared
 from .constraints import ConstraintSet, deviation
 from .data import Database
 from .distances import JACCARD, KENDALL, PRED, DistanceKind, dis_jaccard, dis_kendall, dis_pred
@@ -97,15 +89,16 @@ class RefinementSpace:
             )
 
 
-def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP) -> RefinementSpace:
-    ann = annotate(q, d)
+def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP,
+                     instance: Instance | None = None) -> RefinementSpace:
+    instance = prepared(q, d, instance)
     numeric = [
         ((p.attribute, p.op),
-         numeric_candidates(numeric_domain(ann, p.attribute), p.constant))
+         numeric_candidates(numeric_domain(instance, p.attribute), p.constant))
         for p in q.numeric_preds
     ]
     categorical = [
-        (p.attribute, cat_candidates(cat_domain(ann, p.attribute), p.values))
+        (p.attribute, cat_candidates(cat_domain(instance, p.attribute), p.values))
         for p in q.cat_preds
     ]
     space = RefinementSpace(q, numeric, categorical)
@@ -124,18 +117,18 @@ def exhaustive_solve(
     kind: DistanceKind,
     use_provenance: bool = True,
     cap: int = DEFAULT_CAP,
+    instance: Instance | None = None,
 ) -> OracleResult:
     """Scan the whole refinement space; return the minimum-distance candidate
     whose top-k prefixes deviate from the constraints by at most epsilon.
-    Distance ties break on the lexicographically smallest refinement."""
-    space = refinement_space(q, d, cap)
-    k_star = constraints.k_star
+    Distance ties break on the lexicographically smallest refinement.
 
-    ann = annotate(q, d)
-    rel = joined_relation(q, d)
-    key_attrs = distinct_key_attrs(rel, q)
-    tuples_by_id = {at.tuple.tid: at.tuple for at in ann}
-    original_ranking = filter_annotated(ann, q, key_attrs)
+    ``instance``, when given, is ``q``'s prepared universe over ``d``.
+    Without provenance every candidate is still evaluated from ``d``."""
+    instance = prepared(q, d, instance)
+    space = refinement_space(q, d, cap, instance)
+    k_star = constraints.k_star
+    original_ranking = instance.original_ranking
     if kind.name in (JACCARD, KENDALL) and len(original_ranking) < k_star:
         raise PreconditionError(
             "outcome distances need the original query to return at least "
@@ -147,12 +140,12 @@ def exhaustive_solve(
         checked += 1
         q2 = apply_refinement(q, ref)
         if use_provenance:
-            ranking = filter_annotated(ann, q2, key_attrs)
+            ranking = filter_annotated(instance, q2, instance.key_attrs)
         else:
             ranking = evaluate(q2, d)
         if len(ranking) < k_star:
             continue
-        if deviation(ranking, tuples_by_id, constraints) > epsilon:
+        if deviation(ranking, instance.tuples_by_id, constraints) > epsilon:
             continue
         if kind.name == PRED:
             dist = dis_pred(q, q2)

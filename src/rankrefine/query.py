@@ -12,6 +12,7 @@ case-insensitive, strings single-quoted, identifiers may be double-quoted):
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -20,6 +21,8 @@ from .data import Tuple, compare_kinds, format_number, parse_number
 from .errors import KindMismatchError, QuerySyntaxError, UnsupportedQueryError
 
 NUM_OPS = ("<", "<=", "=", ">", ">=")
+_COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+            ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -34,13 +37,7 @@ class NumPredicate:
 
     def holds(self, value: Fraction) -> bool:
         compare_kinds(value, self.constant)
-        return {
-            "<": value < self.constant,
-            "<=": value <= self.constant,
-            "=": value == self.constant,
-            ">": value > self.constant,
-            ">=": value >= self.constant,
-        }[self.op]
+        return _COMPARE[self.op](value, self.constant)
 
 
 @dataclass(frozen=True)

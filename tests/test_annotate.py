@@ -1,4 +1,9 @@
+import itertools
+import operator
+import random
 from fractions import Fraction
+
+import pytest
 
 from rankrefine.annotate import (
     annotate,
@@ -6,9 +11,16 @@ from rankrefine.annotate import (
     evaluate,
     filter_annotated,
     joined_relation,
-    lineage_classes,
 )
-from rankrefine.query import apply_refinement
+from rankrefine.data import Database, Relation, Schema, Tuple
+from rankrefine.query import (
+    NUM_OPS,
+    CatPredicate,
+    NumPredicate,
+    Query,
+    Refinement,
+    apply_refinement,
+)
 
 
 def _students_of(db, q, ranking):
@@ -76,15 +88,6 @@ def test_lineage_class_of_student_14(students_db, scholarship_query):
     assert sorted(int(a.tuple["ID"]) for a in classmates) == [7, 10, 14]
 
 
-def test_lineage_classes_partition(students_db, scholarship_query):
-    ann = annotate(scholarship_query, students_db)
-    classes = lineage_classes(ann)
-    assert sum(len(v) for v in classes.values()) == len(ann)
-    for members in classes.values():
-        assert len({m.lineage for m in members}) == 1
-        assert [m.base_rank for m in members] == sorted(m.base_rank for m in members)
-
-
 def test_filter_agrees_with_evaluate(students_db, scholarship_query,
                                      ref_prime, ref_double_prime, ref_triple_prime):
     ann = annotate(scholarship_query, students_db)
@@ -94,3 +97,102 @@ def test_filter_agrees_with_evaluate(students_db, scholarship_query,
     for ref in (Refinement(), ref_prime, ref_double_prime, ref_triple_prime):
         q2 = apply_refinement(scholarship_query, ref)
         assert filter_annotated(ann, q2, ka) == evaluate(q2, students_db)
+
+
+# -- exact ranking and predicate tests on hard magnitudes ---------------------
+
+_REFERENCE_OPS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+                  ">": operator.gt, ">=": operator.ge}
+
+
+def _near(base, gap):
+    # a dozen values on a grid of `gap`, so that some repeat
+    return lambda rng: base + gap * rng.randint(0, 12)
+
+
+VALUE_FAMILIES = {
+    "1e12-step-0.1": _near(Fraction(10**12), Fraction(1, 10)),
+    "1e6-step-0.001": _near(Fraction(10**6), Fraction(1, 1000)),
+    "negative": _near(Fraction(-10**6), Fraction(1, 1000)),
+    # gaps below float resolution: a float key would tie these values
+    "1e17-step-1": _near(Fraction(10**17), Fraction(1)),
+    "third-plus-1e-20": _near(Fraction(1, 3), Fraction(1, 10**20)),
+    "thirds-and-sevenths": lambda rng: Fraction(rng.randint(-9, 9), rng.choice((1, 3, 7))),
+    "mixed": lambda rng: rng.choice((
+        Fraction(10**12) + Fraction(rng.randint(0, 3), 10),
+        -Fraction(10**6) - Fraction(rng.randint(0, 3), 1000),
+        Fraction(rng.randint(-3, 3), 3),
+        Fraction(0),
+    )),
+}
+
+
+def _table(family, rng, n=40):
+    """Relation T(v, x, c) with rows in shuffled tid order and many ties."""
+    draw = VALUE_FAMILIES[family]
+    tids = list(range(1, n + 1))
+    rng.shuffle(tids)
+    rows = tuple(Tuple(tid, {"v": draw(rng), "x": draw(rng), "c": rng.choice("ab")})
+                 for tid in tids)
+    schema = Schema.from_pairs([("v", "numerical"), ("x", "numerical"),
+                                ("c", "categorical")])
+    db = Database()
+    db.add(Relation("T", schema, rows))
+    return db
+
+
+def _query(direction, num_preds=(), cat_preds=(), distinct=False, select=("*",)):
+    return Query(tables=("T",), select_attrs=select, distinct=distinct,
+                 numeric_preds=tuple(num_preds), cat_preds=tuple(cat_preds),
+                 order_by=("v", direction))
+
+
+@pytest.mark.parametrize("family", sorted(VALUE_FAMILIES))
+@pytest.mark.parametrize("direction", ["ASC", "DESC"])
+def test_rank_matches_fraction_reference(family, direction):
+    rng = random.Random(f"{family}-{direction}")
+    db = _table(family, rng)
+    q = _query(direction)
+    sign = -1 if direction == "DESC" else 1
+    rows = db.get("T").rows
+    want = [t.tid for t in sorted(rows, key=lambda t: (sign * t["v"], t.tid))]
+    assert len({t["v"] for t in rows}) < len(rows), "the family should produce ties"
+    instance = annotate(q, db)
+    assert [at.tuple.tid for at in instance] == want
+    assert [at.base_rank for at in instance] == list(range(1, len(rows) + 1))
+    assert evaluate(q, db) == want
+    assert instance.original_ranking == want
+
+
+@pytest.mark.parametrize("family", sorted(VALUE_FAMILIES))
+def test_holds_every_operator_at_and_around_the_constant(family):
+    rng = random.Random(family)
+    draw = VALUE_FAMILIES[family]
+    for _ in range(10):
+        constant = draw(rng)
+        for gap in (Fraction(1, 10), Fraction(1, 10**20)):
+            for value, op in itertools.product((constant - gap, constant, constant + gap),
+                                               NUM_OPS):
+                got = NumPredicate("x", op, constant).holds(value)
+                assert got == _REFERENCE_OPS[op](value, constant), (op, value, constant)
+
+
+@pytest.mark.parametrize("family", sorted(VALUE_FAMILIES))
+@pytest.mark.parametrize("distinct", [False, True])
+def test_filter_matches_evaluate_on_hard_magnitudes(family, distinct):
+    rng = random.Random(f"{family}-filter-{distinct}")
+    db = _table(family, rng)
+    xs = sorted({t["x"] for t in db.get("T").rows})
+    for op in NUM_OPS:
+        for direction in ("ASC", "DESC"):
+            base = _query(direction, [NumPredicate("x", op, xs[0])],
+                          [CatPredicate("c", frozenset("a"))],
+                          distinct=distinct, select=("c",) if distinct else ("*",))
+            instance = annotate(base, db)
+            for constant in (xs[0], xs[len(xs) // 2], xs[-1]):
+                for values in (frozenset("a"), frozenset("ab")):
+                    q2 = apply_refinement(base, Refinement(
+                        numeric_constants={("x", op): constant},
+                        cat_values={"c": values}))
+                    assert filter_annotated(instance, q2, instance.key_attrs) == \
+                        evaluate(q2, db), (op, direction, constant, values)

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -172,3 +173,18 @@ def test_failed_reverification_exit_four(monkeypatch, capsys):
     assert detail["refinement"]["categorical"] == {"X": ["A", "B"], "Y": ["C", "D"]}
     assert detail["model_stats"]["nodes"] == 0
     assert detail["model_stats"]["variables"] > 0
+
+
+def test_solver_output_on_descriptor_one_stays_off_stdout(monkeypatch, capfd):
+    real_solve = engine.solve
+
+    def chatty_solve(model, options):
+        os.write(1, b"solver chatter written to descriptor 1\n")
+        print("solver chatter written through sys.stdout")
+        return real_solve(model, options)
+
+    monkeypatch.setattr(engine, "solve", chatty_solve)
+    assert main(_run_args()) == EXIT_REFINED
+    out, err = capfd.readouterr()
+    assert json.loads(out)["status"] == "refined"
+    assert "descriptor 1" in err and "sys.stdout" in err

@@ -1,3 +1,4 @@
+import importlib
 import json
 from fractions import Fraction
 
@@ -161,3 +162,31 @@ def test_solver_stats_in_model_stats(students_db, scholarship_query,
     assert {"nodes", "mip_gap", "dual_bound"} <= set(stats)
     assert stats["mip_gap"] == 0.0
     assert "lp_iterations" not in stats and "wall_s" not in stats
+
+
+@pytest.mark.parametrize("engine_name", ["milp+opt", "naive+prov"])
+def test_one_join_and_one_annotate_pass_per_run(monkeypatch, students_db,
+                                                scholarship_query,
+                                                scholarship_constraints,
+                                                engine_name):
+    # the package re-exports the function `annotate` under the module's name
+    annotate = importlib.import_module("rankrefine.annotate")
+    build = importlib.import_module("rankrefine.milp.build")
+    oracle = importlib.import_module("rankrefine.oracle")
+    calls = {"natural_join": 0, "joined_relation": 0, "annotate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (engine, build, oracle, annotate):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    result = run(_config(students_db, scholarship_query, scholarship_constraints,
+                         engine=engine_name))
+    assert result.status == REFINED
+    # Students NATURAL JOIN Activities is one natural_join
+    assert calls == {"natural_join": 1, "joined_relation": 1, "annotate": 1}
