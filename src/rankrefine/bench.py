@@ -34,7 +34,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .constraints import LOWER, UPPER, CardinalityConstraint, ConstraintSet
-from .data import Database, Relation, Schema, load_csv, parse_number
+from .data import Database, Relation, load_csv, parse_number, read_sidecar
 from .distances import DistanceKind
 from .engine import RunConfig, run
 from .errors import PreconditionError, RankRefineError
@@ -141,10 +141,8 @@ class Scenario:
         db = Database()
         schemas = self.raw.get("schemas", {})
         for name, rel_path in self.raw["data"].items():
-            schema = None
-            if name in schemas:
-                schema = Schema.from_sidecar(self._resolve(schemas[name]))
-            rel = load_csv(self._resolve(rel_path), schema=schema, name=name)
+            kinds = read_sidecar(self._resolve(schemas[name])) if name in schemas else None
+            rel = load_csv(self._resolve(rel_path), kinds, name=name)
             if scale is not None:
                 rel = _scaled(rel, scale)
             db.add(rel)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .bench import DEFAULT_REPEATS, run_suite
 from .constraints import parse_constraints
-from .data import Database, Schema, load_csv, parse_number
+from .data import Database, load_csv, parse_number, read_sidecar
 from .distances import JACCARD, KENDALL, PRED, DistanceKind
 from .engine import NO_REFINEMENT, REFINED, TIMEOUT, RunConfig, result_to_dict, run
 from .errors import InternalConsistencyError, RankRefineError
@@ -93,8 +93,8 @@ def _cmd_run(args) -> int:
     schemas = _parse_pairs(args.schema, "--schema")
     db = Database()
     for name, path in data.items():
-        schema = Schema.from_sidecar(schemas[name]) if name in schemas else None
-        db.add(load_csv(path, schema=schema, name=name))
+        kinds = read_sidecar(schemas[name]) if name in schemas else None
+        db.add(load_csv(path, kinds, name=name))
     query = parse_query(Path(args.query).read_text(encoding="utf-8"))
     constraints = parse_constraints(Path(args.constraints).read_text(encoding="utf-8"))
     k = args.k if args.k is not None else constraints.k_star

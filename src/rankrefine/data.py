@@ -85,17 +85,6 @@ class Schema:
     def from_pairs(pairs: Iterable[tuple[str, str]]) -> "Schema":
         return Schema(tuple((str(n), str(k)) for n, k in pairs))
 
-    @staticmethod
-    def from_sidecar(path: str | Path) -> "Schema":
-        """Sidecar schema file: JSON list of ``{"name": ..., "kind": ...}``."""
-        try:
-            spec = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise LoadError(f"cannot read schema file {path}: {exc}") from exc
-        if not isinstance(spec, list):
-            raise LoadError(f"schema file {path} must hold a JSON array")
-        return Schema.from_pairs((e["name"], e["kind"]) for e in spec)
-
 
 @dataclass(frozen=True)
 class Tuple:
@@ -149,11 +138,32 @@ class Database:
         return self.relations[name]
 
 
-def infer_schema(header: list[str], records: list[list[str]]) -> Schema:
-    """Without a sidecar: a column is numerical iff every non-empty cell
-    parses as a number."""
-    kinds = []
+_SIDECAR_FORM = ('a JSON object mapping CSV columns to "numerical" or '
+                 '"categorical", e.g. {"ID": "numerical", "Gender": "categorical"}')
+
+
+def read_sidecar(path: str | Path) -> dict[str, str]:
+    """Sidecar schema file: column kinds that override the inferred ones."""
+    try:
+        spec = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise LoadError(f"cannot read schema file {path}: {exc}") from exc
+    if not isinstance(spec, dict) or not all(
+            k in (CATEGORICAL, NUMERICAL) for k in spec.values()):
+        raise LoadError(f"schema file {path} must hold {_SIDECAR_FORM}")
+    return spec
+
+
+def infer_schema(header: list[str], records: list[list[str]],
+                 kinds: Mapping[str, str] | None = None) -> Schema:
+    """A column listed in ``kinds`` takes the kind given there; any other
+    is numerical iff every non-empty cell parses as a number."""
+    kinds = kinds or {}
+    pairs = []
     for col, name in enumerate(header):
+        if name in kinds:
+            pairs.append((name, kinds[name]))
+            continue
         numeric = True
         for rec in records:
             cell = rec[col].strip()
@@ -164,15 +174,17 @@ def infer_schema(header: list[str], records: list[list[str]]) -> Schema:
             except (ValueError, ZeroDivisionError):
                 numeric = False
                 break
-        kinds.append((name, NUMERICAL if numeric else CATEGORICAL))
-    return Schema.from_pairs(kinds)
+        pairs.append((name, NUMERICAL if numeric else CATEGORICAL))
+    return Schema.from_pairs(pairs)
 
 
-def load_csv(path: str | Path, schema: Schema | None = None, name: str | None = None) -> Relation:
+def load_csv(path: str | Path, kinds: Mapping[str, str] | None = None,
+             name: str | None = None) -> Relation:
     """Load a comma separated UTF-8 file with a header row.
 
-    Tuple ids follow file order starting at 1.  Errors name the offending
-    row and column.
+    Column kinds are inferred from the values, except for the columns that
+    ``kinds`` lists (see :func:`read_sidecar`).  Tuple ids follow file order
+    starting at 1.  Errors name the offending row and column.
     """
     path = Path(path)
     if not path.exists():
@@ -191,19 +203,16 @@ def load_csv(path: str | Path, schema: Schema | None = None, name: str | None = 
         if len(rec) != len(header):
             raise LoadError(f"{path}: row {i} has {len(rec)} cells, expected {len(header)}")
 
-    if schema is None:
-        schema = infer_schema(header, records)
-    else:
-        missing = set(schema.names) - set(header)
-        if missing:
-            raise LoadError(f"{path}: missing column(s) {sorted(missing)}")
+    missing = set(kinds or ()) - set(header)
+    if missing:
+        raise LoadError(f"{path}: schema lists column(s) {sorted(missing)} "
+                        f"not in the header; expected {_SIDECAR_FORM}")
+    schema = infer_schema(header, records, kinds)
 
-    col_index = {n: header.index(n) for n in schema.names}
     rows = []
     for i, rec in enumerate(records, start=1):
         values: dict[str, Value] = {}
-        for attr, kind in schema.attributes:
-            cell = rec[col_index[attr]]
+        for (attr, kind), cell in zip(schema.attributes, rec):
             if kind == NUMERICAL:
                 try:
                     values[attr] = parse_number(cell)
@@ -215,19 +224,6 @@ def load_csv(path: str | Path, schema: Schema | None = None, name: str | None = 
                 values[attr] = cell
         rows.append(Tuple(tid=i, values=values))
     return Relation(name=name or path.stem, schema=schema, rows=tuple(rows))
-
-
-def write_csv(rel: Relation, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rel.schema.names)
-        for t in rel.rows:
-            writer.writerow(
-                [
-                    format_number(t[a]) if rel.schema.kind_of(a) == NUMERICAL else t[a]
-                    for a in rel.schema.names
-                ]
-            )
 
 
 def natural_join(left: Relation, right: Relation, name: str | None = None) -> Relation:

@@ -30,10 +30,6 @@ class DistanceKind:
         if self.name != PRED and self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
 
-    @property
-    def outcome_based(self) -> bool:
-        return self.name != PRED
-
 
 def dis_pred(q: Query, q2: Query) -> Fraction:
     """Sum of normalized numeric constant shifts plus per-attribute Jaccard
@@ -92,8 +88,3 @@ def dis_kendall(rank_q: Ranking, rank_q2: Ranking, k: int) -> int:
         total += sum(1 for t2 in retained if pos2[t2] > pos2[t])
     total += len(departed) * len(entered)
     return total
-
-
-def weighted_distance(pred_part: Fraction, outcome_part, weight: Fraction) -> Fraction:
-    """Optional combination PRED + weight * outcome; disabled by default."""
-    return pred_part + weight * Fraction(outcome_part)

@@ -12,7 +12,6 @@ from .model import (
     Row,
     Solution,
     Variable,
-    parse_lp_text,
     to_lp_text,
 )
 from .solver import SolveOptions, solve
@@ -30,7 +29,6 @@ __all__ = [
     "Solution",
     "SolveOptions",
     "Variable",
-    "parse_lp_text",
     "solve",
     "to_lp_text",
 ]

@@ -2,14 +2,19 @@
 
 The encoding follows the provenance of the ranked, predicate-free universe:
 
-* one continuous variable per numeric predicate constant,
 * one binary per (predicate, attribute value) deciding whether that value
-  satisfies the refined predicate,
+  satisfies the refined predicate; a numeric predicate's selected values
+  form a monotone chain over its sorted domain (an upper set for ``>=``/``>``,
+  a lower set for ``<=``/``<``, at most one value for ``=``), and no row
+  holds a constant or a data value,
 * one binary per encoded tuple for output membership (with DISTINCT handled
   through shadow sets), a continuous refined-rank variable, top-k membership
   binaries, and per-constraint deficit variables feeding a single deviation
   budget row,
-* a distance objective (predicate-space, or a top-k outcome surrogate).
+* a distance objective (predicate-space, or a top-k outcome surrogate).  A
+  numeric predicate's distance telescopes along its chain (the incremental
+  formulation of Vielma, Ahmed & Nemhauser, 2010) over the constant that
+  each selection maps to: the candidate closest to the original one.
 
 Optional optimizations: relevancy pruning of tuples that can never reach the
 top-k* positions, sharing one membership binary across a lineage class, and
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,12 +37,12 @@ from ..constraints import LOWER, ConstraintSet
 from ..data import Database, format_number
 from ..distances import JACCARD, KENDALL, PRED, DistanceKind
 from ..errors import BuildError, InternalConsistencyError, PreconditionError
+from ..oracle import numeric_candidates
 from ..query import Query, Refinement
 from .model import BINARY, CONTINUOUS, MILPModel, Row, Solution, Variable
 
-# operator -> indicator sub-families; "=" needs a lower- and an upper-side
-# indicator per value, both tied to the same constant variable
-_SUB_OPS = {">=": ("ge",), ">": ("gt",), "<=": ("le",), "<": ("lt",), "=": ("ge", "le")}
+_UPPER_OPS = (">=", ">")  # selected values form an upper set of the domain
+_LOWER_OPS = ("<=", "<")  # ... a lower set; "=" selects at most one value
 
 
 @dataclass
@@ -50,15 +56,26 @@ class BuildOptions:
 class NumericFamily:
     attr: str
     op: str
-    var_name: str
     original: Fraction
     domain: list[Fraction]  # sorted values among encoded tuples
-    delta: Fraction
-    lb: Fraction
-    ub: Fraction
-    big_m: Fraction
-    # sub_op -> {value -> indicator variable name}
-    indicators: dict[str, dict[Fraction, str]]
+    indicators: dict[Fraction, str]  # value -> variable name
+    # selection (positions in domain) -> candidate constant closest to the
+    # original among those that select exactly these values
+    constants: dict[range, Fraction]
+
+
+def _selection(op: str, domain: list[Fraction], c: Fraction) -> range:
+    """Positions of the ``domain`` values that satisfy ``value op c``."""
+    if op == ">=":
+        return range(bisect_left(domain, c), len(domain))
+    if op == ">":
+        return range(bisect_right(domain, c), len(domain))
+    if op == "<=":
+        return range(bisect_right(domain, c))
+    if op == "<":
+        return range(bisect_left(domain, c))
+    i = bisect_left(domain, c)
+    return range(i, i + 1) if domain[i:i + 1] == [c] else range(0)
 
 
 @dataclass
@@ -193,52 +210,29 @@ class ModelBuilder:
             values = sorted({at.tuple[p.attribute] for at in self.encoded})
             if not values:
                 raise BuildError(f"no encoded values for numeric predicate on {p.attribute!r}")
-            gaps = [b - a for a, b in zip(values, values[1:])]
-            delta = min(gaps) / 2 if gaps else Fraction(1, 2)
-            lo, hi = values[0] - 1, values[-1] + 1
-            big_m = max(max(abs(v) for v in values) + 1, values[-1] - values[0] + 2)
-            cname = self._var(self.namer.fresh("C", p.attribute, _OP_CODE[p.op]),
-                              CONTINUOUS, lo, hi)
-            fam = NumericFamily(p.attribute, p.op, cname, p.constant, values,
-                                delta, lo, hi, big_m, {})
-            for sub in _SUB_OPS[p.op]:
-                fam.indicators[sub] = {}
-                for v in values:
-                    a = self._var(
-                        self.namer.fresh("A", p.attribute, _OP_CODE[p.op], sub,
-                                         format_number(v)),
-                        BINARY)
-                    fam.indicators[sub][v] = a
-                    self._indicator_rows(fam, sub, v, a)
+            names = [self._var(self.namer.fresh("A", p.attribute, _OP_CODE[p.op],
+                                                format_number(v)), BINARY)
+                     for v in values]
+            fam = NumericFamily(p.attribute, p.op, p.constant, values,
+                                dict(zip(values, names)), {})
+            if p.op == "=":
+                self._row(self.namer.fresh("eq_one", p.attribute),
+                          {a: 1 for a in names}, "<=", 1)
+            else:
+                # a selected value implies its outer neighbour is selected
+                if p.op in _LOWER_OPS:
+                    names.reverse()
+                for inner, outer in zip(names, names[1:]):
+                    self._row(self.namer.fresh("chain", inner), {inner: 1, outer: -1}, "<=", 0)
+            # pruning keeps a tuple of every lineage class, so these are the
+            # oracle's candidates; ascending, so the smaller of two equally
+            # close constants wins
+            for c in numeric_candidates(values, p.constant):
+                sel = _selection(p.op, values, c)
+                best = fam.constants.get(sel)
+                if best is None or abs(c - p.constant) < abs(best - p.constant):
+                    fam.constants[sel] = c
             self.num_families[(p.attribute, p.op)] = fam
-
-    def _indicator_rows(self, fam: NumericFamily, sub: str, v: Fraction, a: str) -> None:
-        """Tie indicator ``a`` to "value v satisfies the refined bound".
-
-        ge: v >= C    gt: v > C    le: v <= C    lt: v < C
-        Strictness is realized with a half-gap margin so the constant can sit
-        strictly between adjacent domain values.
-        """
-        c, m, d = fam.var_name, fam.big_m, fam.delta
-        n = self.namer
-        if sub == "ge":
-            # a=1 -> C <= v ; a=0 -> C >= v + delta
-            self._row(n.fresh("ind1", a), {c: 1, a: m}, "<=", m + v)
-            self._row(n.fresh("ind0", a), {c: 1, a: m}, ">=", v + d)
-        elif sub == "gt":
-            # a=1 -> C <= v - delta ; a=0 -> C >= v
-            self._row(n.fresh("ind1", a), {c: 1, a: m}, "<=", m + v - d)
-            self._row(n.fresh("ind0", a), {c: 1, a: m}, ">=", v)
-        elif sub == "le":
-            # a=1 -> C >= v ; a=0 -> C <= v - delta
-            self._row(n.fresh("ind1", a), {c: 1, a: -m}, ">=", v - m)
-            self._row(n.fresh("ind0", a), {c: 1, a: -m}, "<=", v - d)
-        elif sub == "lt":
-            # a=1 -> C >= v + delta ; a=0 -> C <= v
-            self._row(n.fresh("ind1", a), {c: 1, a: -m}, ">=", v + d - m)
-            self._row(n.fresh("ind0", a), {c: 1, a: -m}, "<=", v)
-        else:  # pragma: no cover
-            raise BuildError(f"unknown sub-operator {sub!r}")
 
     def gen_categorical_vars(self) -> None:
         for p in sorted(self.query.cat_preds, key=lambda p: p.attribute):
@@ -258,9 +252,7 @@ class ModelBuilder:
         out = []
         for p in self.query.numeric_preds:
             fam = self.num_families[(p.attribute, p.op)]
-            v = at.tuple[p.attribute]
-            for sub in _SUB_OPS[p.op]:
-                out.append(fam.indicators[sub][v])
+            out.append(fam.indicators[at.tuple[p.attribute]])
         for p in self.query.cat_preds:
             fam = self.cat_families[p.attribute]
             out.append(fam.indicators[at.tuple[p.attribute]])
@@ -406,19 +398,28 @@ class ModelBuilder:
                 raise PreconditionError(
                     f"predicate distance needs a positive original constant on "
                     f"{attr!r} {op}")
-            c0 = fam.original
-            spread = max(abs(fam.lb - c0), abs(fam.ub - c0)) / c0
-            d = self._var(self.namer.fresh("d", attr, _OP_CODE[op]),
-                          CONTINUOUS, 0, spread)
-            # d >= |C - c0| / c0
-            self._row(self.namer.fresh("absp", d),
-                      {d: -1, fam.var_name: 1 / c0}, "<=", 1)
-            self._row(self.namer.fresh("absm", d),
-                      {d: -1, fam.var_name: -1 / c0}, "<=", -1)
-            self.model.objective[d] = self.model.objective.get(d, 0.0) + 1.0
+            self._objective_pred_numeric(fam)
 
         for attr, fam in sorted(self.cat_families.items()):
             self._objective_jaccard_cat(attr, fam)
+
+    def _objective_pred_numeric(self, fam: NumericFamily) -> None:
+        """|C - c0| / c0 of the selection's constant, telescoped along the
+        chain: the empty selection's cost plus, per indicator, the exact cost
+        step that switching it on adds."""
+        cost = {sel: abs(c - fam.original) / fam.original
+                for sel, c in fam.constants.items()}
+        m = len(fam.domain)
+        self.model.objective_constant += float(cost[range(0)])
+        for i, v in enumerate(fam.domain):
+            # the selections just before and after position i switches on
+            if fam.op in _UPPER_OPS:
+                before, after = range(i + 1, m), range(i, m)
+            elif fam.op in _LOWER_OPS:
+                before, after = range(i), range(i + 1)
+            else:
+                before, after = range(0), range(i, i + 1)
+            self.model.objective[fam.indicators[v]] = float(cost[after] - cost[before])
 
     def _objective_jaccard_cat(self, attr: str, fam: CatFamily) -> None:
         """Jaccard distance of the refined value set from the original one,
@@ -573,39 +574,19 @@ def build_model(
     return ModelBuilder(query, db, constraints, epsilon, kind, options, instance).build()
 
 
-def _interval(sub: str, selected: list[Fraction], unselected: list[Fraction],
-              fam: NumericFamily) -> tuple[Fraction, Fraction]:
-    d = fam.delta
-    if sub == "ge":  # selected v have v >= C
-        lo = max(unselected) + d if unselected else fam.lb
-        hi = min(selected) if selected else fam.ub
-    elif sub == "gt":
-        lo = max(unselected) if unselected else fam.lb
-        hi = min(selected) - d if selected else fam.ub
-    elif sub == "le":
-        lo = max(selected) if selected else fam.lb
-        hi = min(unselected) - d if unselected else fam.ub
-    else:  # lt
-        lo = max(selected) + d if selected else fam.lb
-        hi = min(unselected) if unselected else fam.ub
-    return lo, hi
-
-
 def extract_refinement(result: BuildResult, solution: Solution) -> Refinement:
-    """Read the indicator pattern out of a solved model and pick, for every
-    numeric predicate, the feasible constant closest to the original one."""
+    """Read the indicator pattern out of a solved model and look up, for
+    every numeric predicate, the constant its selection maps to."""
     numeric: dict[tuple[str, str], Fraction] = {}
-    for key, fam in result.num_families.items():
-        lo, hi = fam.lb, fam.ub
-        for sub, table in fam.indicators.items():
-            sel = [v for v, name in table.items() if round(solution.value(name)) == 1]
-            unsel = [v for v, name in table.items() if round(solution.value(name)) == 0]
-            sub_lo, sub_hi = _interval(sub, sel, unsel, fam)
-            lo, hi = max(lo, sub_lo), min(hi, sub_hi)
-        if lo > hi:
+    for pred, fam in result.num_families.items():
+        on = [i for i, v in enumerate(fam.domain)
+              if round(solution.value(fam.indicators[v])) == 1]
+        sel = range(on[0], on[-1] + 1) if on else range(0)
+        if len(sel) != len(on) or sel not in fam.constants:
             raise InternalConsistencyError(
-                f"empty constant interval for predicate {key}")
-        numeric[key] = min(max(fam.original, lo), hi)
+                f"selected values {[fam.domain[i] for i in on]} of predicate {pred} "
+                "match no refined constant")
+        numeric[pred] = fam.constants[sel]
     cats: dict[str, frozenset[str]] = {}
     for attr, fam in result.cat_families.items():
         chosen = {v for v, name in fam.indicators.items()

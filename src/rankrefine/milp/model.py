@@ -1,12 +1,11 @@
-"""Mixed-integer linear program container and LP text import/export.
+"""Mixed-integer linear program container and LP text export.
 
-The LP text form is a debug surface for cross-checking models with external
-solvers; the emitted subset round-trips through :func:`parse_lp_text`.
+The LP text form (``--lp-dump``) is a debug surface for cross-checking models
+with external solvers such as HiGHS.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 BINARY = "binary"
@@ -116,84 +115,3 @@ def to_lp_text(model: MILPModel) -> str:
             lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-_TERM_RE = re.compile(r"([+-]?)\s*(\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*([A-Za-z_][\w.\-]*)?")
-
-
-def _parse_expr(text: str) -> tuple[dict[str, float], float]:
-    coeffs: dict[str, float] = {}
-    constant = 0.0
-    pos = 0
-    text = text.strip()
-    if text == "0":
-        return coeffs, constant
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse expression near {text[pos:pos + 30]!r}")
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        value = sign * float(m.group(2))
-        if m.group(3):
-            coeffs[m.group(3)] = coeffs.get(m.group(3), 0.0) + value
-        else:
-            constant += value
-        pos = m.end()
-        while pos < len(text) and text[pos] in " \t":
-            pos += 1
-    return coeffs, constant
-
-
-def parse_lp_text(text: str) -> MILPModel:
-    """Parse the LP subset emitted by :func:`to_lp_text`."""
-    section = None
-    objective: dict[str, float] = {}
-    obj_const = 0.0
-    rows: list[Row] = []
-    bounds: dict[str, tuple[float, float]] = {}
-    binaries: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        lower = line.lower()
-        if lower in ("minimize", "subject to", "bounds", "binaries", "end"):
-            section = lower
-            continue
-        if section == "minimize":
-            body = line.split(":", 1)[1] if ":" in line else line
-            objective, obj_const = _parse_expr(body)
-        elif section == "subject to":
-            name, body = line.split(":", 1)
-            m = re.search(r"(<=|>=|=)\s*([+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)\s*$", body)
-            if not m:
-                raise ValueError(f"row without sense/rhs: {line!r}")
-            coeffs, const = _parse_expr(body[: m.start()])
-            rows.append(Row(name.strip(), coeffs, m.group(1), float(m.group(2)) - const))
-        elif section == "bounds":
-            m = re.match(r"([+-]?[\d.eE+-]+)\s*<=\s*([\w.\-]+)\s*<=\s*([+-]?[\d.eE+-]+)$", line)
-            if not m:
-                raise ValueError(f"cannot parse bound {line!r}")
-            bounds[m.group(2)] = (float(m.group(1)), float(m.group(3)))
-        elif section == "binaries":
-            binaries.append(line)
-
-    order: list[str] = []
-    seen = set()
-    for source in ([*bounds], binaries, [*objective], *[[*r.coeffs] for r in rows]):
-        for name in source:
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-    variables = []
-    binset = set(binaries)
-    for name in order:
-        if name in binset:
-            variables.append(Variable(name, BINARY, 0.0, 1.0))
-        else:
-            lb, ub = bounds.get(name, (0.0, 0.0))
-            variables.append(Variable(name, CONTINUOUS, lb, ub))
-    model = MILPModel(variables=variables, rows=rows, objective=objective,
-                      objective_constant=obj_const)
-    model.validate()
-    return model

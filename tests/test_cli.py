@@ -188,3 +188,21 @@ def test_solver_output_on_descriptor_one_stays_off_stdout(monkeypatch, capfd):
     out, err = capfd.readouterr()
     assert json.loads(out)["status"] == "refined"
     assert "descriptor 1" in err and "sys.stdout" in err
+
+
+@pytest.mark.parametrize("sidecar", [
+    {"ID": "numerical", "Gender": "categorical"},  # the README's example
+    {"Income": "categorical"},                     # GPA and SAT unlisted
+])
+def test_schema_sidecar_overrides_listed_columns(tmp_path, capsys, sidecar):
+    side = tmp_path / "students.schema.json"
+    side.write_text(json.dumps(sidecar))
+    assert main(_run_args() + ["--schema", f"Students={side}"]) == EXIT_REFINED
+    assert json.loads(capsys.readouterr().out)["distance"] == "0.5"
+
+
+def test_schema_sidecar_of_the_wrong_form_is_invalid_input(tmp_path, capsys):
+    side = tmp_path / "students.schema.json"
+    side.write_text('[{"name": "GPA", "kind": "numerical"}]')
+    assert main(_run_args() + ["--schema", f"Students={side}"]) == EXIT_INVALID
+    assert "JSON object mapping CSV columns" in capsys.readouterr().err

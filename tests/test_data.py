@@ -14,7 +14,7 @@ from rankrefine.data import (
     load_csv,
     natural_join,
     parse_number,
-    write_csv,
+    read_sidecar,
 )
 from rankrefine.errors import JoinError, KindMismatchError, LoadError
 
@@ -40,19 +40,10 @@ def test_empty_file_with_header(tmp_path):
 def test_bad_numeric_cell_reports_position(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("GPA\n3.5\nabc\n")
-    schema = Schema.from_pairs([("GPA", "numerical")])
     with pytest.raises(LoadError) as exc:
-        load_csv(p, schema=schema)
+        load_csv(p, {"GPA": "numerical"})
     assert "GPA" in str(exc.value)
     assert "2" in str(exc.value)
-
-
-def test_csv_round_trip(tmp_path, students_db):
-    students = students_db.get("Students")
-    out = tmp_path / "again.csv"
-    write_csv(students, out)
-    again = load_csv(out, schema=students.schema, name="Students")
-    assert again == students
 
 
 def test_schema_inference_mixed_column(tmp_path):
@@ -67,9 +58,38 @@ def test_sidecar_schema_overrides_inference(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a\n1\n2\n")
     side = tmp_path / "t.schema.json"
-    side.write_text('[{"name": "a", "kind": "categorical"}]')
-    rel = load_csv(p, schema=Schema.from_sidecar(side))
+    side.write_text('{"a": "categorical"}')
+    rel = load_csv(p, read_sidecar(side))
     assert rel.rows[0]["a"] == "1"
+
+
+def test_sidecar_keeps_inferred_kinds_of_unlisted_columns(tmp_path):
+    side = tmp_path / "students.schema.json"
+    side.write_text('{"ID": "categorical", "Gender": "categorical"}')
+    rel = load_csv(DATA / "students.csv", read_sidecar(side))
+    assert rel.schema.attributes == (
+        ("ID", "categorical"), ("Gender", "categorical"),
+        ("Income", "categorical"), ("GPA", "numerical"), ("SAT", "numerical"))
+    assert rel.rows[0]["ID"] == "1" and rel.rows[0]["GPA"] == Fraction("3.7")
+
+
+def test_sidecar_column_missing_from_csv(tmp_path):
+    side = tmp_path / "s.json"
+    side.write_text('{"ID": "numerical", "Grade": "numerical"}')
+    with pytest.raises(LoadError, match=r"\['Grade'\].*JSON object"):
+        load_csv(DATA / "students.csv", read_sidecar(side))
+
+
+@pytest.mark.parametrize("text", [
+    '[{"name": "ID", "kind": "numerical"}]',  # not an object
+    '{"ID": "integer"}',                     # unknown kind
+    '"numerical"',
+])
+def test_sidecar_of_the_wrong_form(tmp_path, text):
+    side = tmp_path / "s.json"
+    side.write_text(text)
+    with pytest.raises(LoadError, match="JSON object mapping CSV columns"):
+        read_sidecar(side)
 
 
 def test_join_duplicates_student_four(students_db):

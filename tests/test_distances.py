@@ -7,13 +7,10 @@ import pytest
 from rankrefine.annotate import evaluate
 from rankrefine.distances import (
     JACCARD,
-    KENDALL,
-    PRED,
     DistanceKind,
     dis_jaccard,
     dis_kendall,
     dis_pred,
-    weighted_distance,
 )
 from rankrefine.errors import PreconditionError
 from rankrefine.query import NumPredicate, Query, apply_refinement
@@ -163,14 +160,7 @@ def test_kendall_matches_pair_oracle_on_random_rankings():
 
 
 def test_distance_kind_validation():
-    assert DistanceKind(PRED).outcome_based is False
-    assert DistanceKind(JACCARD, 3).outcome_based is True
-    assert DistanceKind(KENDALL, 3).outcome_based is True
     with pytest.raises(ValueError):
         DistanceKind("spearman")
     with pytest.raises(ValueError):
         DistanceKind(JACCARD, 0)
-
-
-def test_weighted_distance():
-    assert weighted_distance(Fraction(1, 2), 3, Fraction(1, 4)) == Fraction(5, 4)

@@ -1,10 +1,13 @@
 import importlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from rankrefine import engine
+from rankrefine.constraints import CardinalityConstraint, ConstraintSet
+from rankrefine.data import Database, Relation, Schema, Tuple
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.engine import (
     ENGINES,
@@ -18,6 +21,7 @@ from rankrefine.engine import (
 )
 from rankrefine.milp import Solution, solve
 from rankrefine.errors import PreconditionError
+from rankrefine.query import NumPredicate, Query, parse_query
 
 
 def _config(db, q, cs, **kw):
@@ -190,3 +194,61 @@ def test_one_join_and_one_annotate_pass_per_run(monkeypatch, students_db,
     assert result.status == REFINED
     # Students NATURAL JOIN Activities is one natural_join
     assert calls == {"natural_join": 1, "joined_relation": 1, "annotate": 1}
+
+
+TOL = 1e-6  # as in the acceptance suite
+
+
+def _assert_engines_agree(db, q, cs):
+    milp = run(_config(db, q, cs, engine="milp+opt"))
+    oracle = run(_config(db, q, cs, engine="naive+prov"))
+    assert milp.status == oracle.status
+    if oracle.status == REFINED:
+        assert abs(float(milp.distance - oracle.distance)) <= TOL
+    return milp, oracle
+
+
+@pytest.mark.parametrize("pred", ["GPA >= 2.5", "GPA >= 1", "GPA <= 9"])
+def test_original_constant_far_outside_the_domain(students_db,
+                                                  scholarship_constraints, pred):
+    # the refined constant may stay at the original one however far it lies
+    # from the joined GPA values (3.5 to 4.0)
+    q = parse_query("SELECT DISTINCT ID, Gender, Income FROM Students NATURAL JOIN "
+                    f"Activities WHERE {pred} AND Activity = 'RB' ORDER BY SAT DESC")
+    milp, oracle = _assert_engines_agree(students_db, q, scholarship_constraints)
+    assert oracle.distance == milp.distance == Fraction(1, 2)
+    assert pred in milp.refined_sql
+
+
+def _large_magnitude_instance(seed: int, base: Fraction, gap: Fraction):
+    """40 rows whose predicate values are base + gap * i, one predicate with
+    each of the five operators in turn, one lower-bound constraint."""
+    rng = random.Random(seed)
+    rows = tuple(Tuple(tid, {"g": rng.choice("ab"), "x": base + gap * rng.randrange(40),
+                             "score": Fraction(rng.randrange(100))})
+                 for tid in range(1, 41))
+    schema = Schema.from_pairs([("g", "categorical"), ("x", "numerical"),
+                                ("score", "numerical")])
+    db = Database()
+    db.add(Relation("T", schema, rows))
+    op = ("<", "<=", "=", ">", ">=")[seed % 5]
+    pred = NumPredicate("x", op, base + gap * rng.randrange(40))
+    q = Query(("T",), ("*",), False, (pred,), (), ("score", "DESC"))
+    k = rng.randint(3, 6)
+    cs = ConstraintSet((CardinalityConstraint((("g", "a"),), k, rng.randint(1, k),
+                                              "lower"),))
+    return db, q, cs
+
+
+@pytest.mark.parametrize("base, gap", [
+    (Fraction(10**12), Fraction(1, 10)),
+    (Fraction(10**6), Fraction(1, 1000)),
+])
+def test_large_magnitudes_match_the_oracle(base, gap):
+    # no row of the model carries a data value, so neither magnitude nor
+    # gap size can make a feasible refinement look infeasible
+    refined = 0
+    for seed in range(20):
+        _, oracle = _assert_engines_agree(*_large_magnitude_instance(seed, base, gap))
+        refined += oracle.status == REFINED
+    assert refined > 0

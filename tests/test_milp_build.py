@@ -5,15 +5,16 @@ import pytest
 
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_pred
-from rankrefine.errors import PreconditionError
+from rankrefine.errors import InternalConsistencyError, PreconditionError
 from rankrefine.milp.build import (
     BuildOptions,
     build_model,
     extract_refinement,
 )
-from rankrefine.milp.model import MILPModel, to_lp_text
+from rankrefine.milp.model import CONTINUOUS, MILPModel, Row, Solution, to_lp_text
 from rankrefine.milp.solver import solve
-from rankrefine.query import apply_refinement, parse_query
+from rankrefine.oracle import numeric_candidates
+from rankrefine.query import NumPredicate, Refinement, apply_refinement, parse_query
 
 
 def _build(q, db, cs, eps, kind=None, **opts):
@@ -25,85 +26,135 @@ def _gpa_values(result):
     return sorted({at.tuple["GPA"] for at in result.encoded})
 
 
-def test_numeric_family_parameters(students_db, scholarship_query,
-                                   scholarship_constraints):
-    result = _build(scholarship_query, students_db, scholarship_constraints, 0)
-    fam = result.num_families[("GPA", ">=")]
+def _gpa_query(op):
+    return parse_query(f"SELECT * FROM Students WHERE GPA {op} 3.7 ORDER BY SAT DESC")
+
+
+_ONE_LOWER = ConstraintSet((CardinalityConstraint((("Gender", "F"),), 2, 1, "lower"),))
+
+
+def test_numeric_family_parameters(students_db):
+    for op in ("<", "<=", "=", ">", ">="):
+        _check_numeric_family(students_db, op)
+
+
+def _check_numeric_family(students_db, op):
+    q = _gpa_query(op)
+    result = _build(q, students_db, _ONE_LOWER, 1)
+    fam = result.num_families[("GPA", op)]
     values = _gpa_values(result)
     assert fam.domain == values
-    gaps = [b - a for a, b in zip(values, values[1:])]
-    assert fam.delta == min(gaps) / 2
-    assert fam.lb == values[0] - 1
-    assert fam.ub == values[-1] + 1
-    assert fam.big_m == max(max(abs(v) for v in values) + 1,
-                            values[-1] - values[0] + 2)
-    assert set(fam.indicators) == {"ge"}
-    assert sorted(fam.indicators["ge"]) == values
+    assert sorted(fam.indicators) == values
+    # every selection the chain allows has a constant ...
+    m = len(values)
+    if op in (">", ">="):
+        allowed = {range(i, m) for i in range(m + 1)}
+    elif op in ("<", "<="):
+        allowed = {range(i) for i in range(m + 1)}
+    else:
+        allowed = {range(i, i + 1) for i in range(m)} | {range(0)}
+    assert set(fam.constants) == allowed
+    cands = numeric_candidates(values, q.numeric_preds[0].constant)
+    model = result.model
+    for positions, c in fam.constants.items():
+        selected = {values[i] for i in positions}
+        assert {v for v in values if NumPredicate("GPA", op, c).holds(v)} == selected
+        # ... the closest candidate to the original that makes it ...
+        same = [x for x in cands
+                if {v for v in values if NumPredicate("GPA", op, x).holds(v)} == selected]
+        assert c == min(same, key=lambda x: (abs(x - Fraction("3.7")), x))
+        # ... and the objective prices it at its exact predicate distance
+        refined = apply_refinement(q, Refinement(numeric_constants={("GPA", op): c}))
+        priced = model.objective_constant + sum(
+            model.objective.get(fam.indicators[v], 0.0) for v in selected)
+        assert priced == pytest.approx(float(dis_pred(q, refined)), abs=1e-12)
 
 
-def _rows_between(model, a, b):
-    return [r for r in model.rows if set(r.coeffs) == {a, b}]
+def _rows_touching(model, names):
+    return [r for r in model.rows if set(r.coeffs) & set(names)]
 
 
-def test_indicator_row_shapes(students_db, scholarship_query,
-                              scholarship_constraints):
-    result = _build(scholarship_query, students_db, scholarship_constraints, 0)
-    fam = result.num_families[("GPA", ">=")]
-    m, d = float(fam.big_m), float(fam.delta)
-    for v, a in fam.indicators["ge"].items():
-        pair = _rows_between(result.model, fam.var_name, a)
-        assert len(pair) == 2
-        upper = next(r for r in pair if r.sense == "<=")
-        lower = next(r for r in pair if r.sense == ">=")
-        # a=1 forces C <= v; a=0 forces C >= v + delta
-        assert upper.coeffs == {fam.var_name: 1.0, a: m}
-        assert upper.rhs == pytest.approx(m + float(v))
-        assert lower.coeffs == {fam.var_name: 1.0, a: m}
-        assert lower.rhs == pytest.approx(float(v) + d)
+def test_indicator_row_shapes(students_db):
+    for op in ("<", "<=", ">", ">="):
+        result = _build(_gpa_query(op), students_db, _ONE_LOWER, 1)
+        fam = result.num_families[("GPA", op)]
+        # inner to outer: ascending for upper sets, descending for lower sets
+        names = [fam.indicators[v] for v in fam.domain]
+        if op in ("<", "<="):
+            names.reverse()
+        chain = [r for r in _rows_touching(result.model, names)
+                 if r.name.startswith("chain")]
+        # a selected value implies its outer neighbour: one row per pair
+        assert [(r.coeffs, r.sense, r.rhs) for r in chain] == [
+            ({inner: 1.0, outer: -1.0}, "<=", 0.0)
+            for inner, outer in zip(names, names[1:])]
+        # no row carries a data value
+        for row in _rows_touching(result.model, names):
+            assert {row.coeffs[a] for a in names if a in row.coeffs} <= {1.0, -1.0}
+            assert row.rhs == int(row.rhs)
+        assert not any(v.kind == CONTINUOUS and v.name.startswith(("C_", "d_"))
+                       for v in result.model.variables)
 
 
-def _indicator_submodel(result, fam, pin_c):
-    """Just the constant, its indicators, and their linking rows."""
-    keep_vars = {fam.var_name} | {a for tbl in fam.indicators.values()
-                                  for a in tbl.values()}
-    sub = MILPModel(
-        variables=[v for v in result.model.variables if v.name in keep_vars],
-        rows=[r for r in result.model.rows if set(r.coeffs) <= keep_vars],
-        objective={},
-    )
-    from rankrefine.milp.model import Row
-    sub.rows.append(Row("pin", {fam.var_name: 1.0}, "=", float(pin_c)))
-    return sub
+def _chain_submodel(result, fam, selected):
+    """The family's indicators and the rows among them, with the indicator
+    of every domain value pinned to whether it is in ``selected``."""
+    names = set(fam.indicators.values())
+    rows = [r for r in result.model.rows if set(r.coeffs) <= names]
+    rows += [Row(f"pin_{a}", {a: 1.0}, "=", float(v in selected))
+             for v, a in fam.indicators.items()]
+    return MILPModel(
+        variables=[v for v in result.model.variables if v.name in names],
+        rows=rows, objective={})
 
 
 @pytest.mark.parametrize("pin, satisfied", [
-    (Fraction("3.65"), True),   # 3.7 >= 3.65
-    (Fraction("3.75"), False),  # 3.7 <  3.75
-    (Fraction("3.7"), True),    # boundary is inclusive for >=
+    (("3.7", "3.8", "3.9", "4.0"), True),  # GPA >= 3.7
+    (("3.6", "3.8", "3.9", "4.0"), False),  # 3.6 on but 3.7 off
+    ((), True),                            # nothing passes
 ])
 def test_indicator_semantics(students_db, scholarship_query,
                              scholarship_constraints, pin, satisfied):
     result = _build(scholarship_query, students_db, scholarship_constraints, 0)
     fam = result.num_families[("GPA", ">=")]
-    a = fam.indicators["ge"][Fraction("3.7")]
-    sub = _indicator_submodel(result, fam, pin)
-    for sign, want in ((1.0, satisfied), (-1.0, satisfied)):
-        sub.objective = {a: sign}
-        sol = solve(sub)
-        assert sol.status == "optimal"
-        assert round(sol.value(a)) == (1 if want else 0)
+    sub = _chain_submodel(result, fam, {Fraction(v) for v in pin})
+    assert solve(sub).status == ("optimal" if satisfied else "infeasible")
 
 
-def test_equality_predicate_shares_constant(students_db,
-                                            scholarship_constraints):
-    q = parse_query("SELECT * FROM Students WHERE GPA = 3.7 ORDER BY SAT DESC")
-    cs = ConstraintSet((CardinalityConstraint((("Gender", "F"),), 2, 1, "lower"),))
-    result = _build(q, students_db, cs, 1)
+@pytest.mark.parametrize("on", [
+    {"3.6"},                        # not an upper set
+    {"3.6", "3.7", "3.9", "4.0"},  # the whole domain but for 3.8
+])
+def test_non_chain_selection_is_rejected_on_extract(students_db, scholarship_query,
+                                                    scholarship_constraints, on):
+    result = _build(scholarship_query, students_db, scholarship_constraints, 0)
+    sol = solve(result.model)
+    fam = result.num_families[("GPA", ">=")]
+    bent = dict(sol.assignment)
+    bent.update({a: float(v in {Fraction(x) for x in on})
+                 for v, a in fam.indicators.items()})
+    with pytest.raises(InternalConsistencyError):
+        extract_refinement(result, Solution("optimal", bent))
+
+
+def test_equality_predicate_selects_at_most_one_value(students_db):
+    q = _gpa_query("=")
+    result = _build(q, students_db, _ONE_LOWER, 1)
     fam = result.num_families[("GPA", "=")]
-    assert set(fam.indicators) == {"ge", "le"}
-    # both directions gate the same constant variable
-    names = {r for tbl in fam.indicators.values() for r in tbl.values()}
-    assert len(names) == 2 * len(fam.domain)
+    names = [fam.indicators[v] for v in fam.domain]
+    assert len(set(names)) == len(fam.domain)
+    rows = _rows_touching(result.model, names)
+    at_most_one = [r for r in rows if set(r.coeffs) == set(names)]
+    assert [(r.sense, r.rhs) for r in at_most_one] == [("<=", 1.0)]
+    assert set(at_most_one[0].coeffs.values()) == {1.0}
+    sub = _chain_submodel(result, fam, {Fraction("3.7"), Fraction("3.8")})
+    assert solve(sub).status == "infeasible"
+    # selecting nothing picks the closer off-domain candidate, smaller first
+    none = {a: 0.0 for a in names}
+    empty = extract_refinement(result, Solution("optimal", {
+        **solve(result.model).assignment, **none}))
+    gap = min(b - a for a, b in zip(fam.domain, fam.domain[1:])) / 2
+    assert empty.numeric_constants[("GPA", "=")] == Fraction("3.7") - gap
 
 
 def test_selection_rows_for_conjunction(students_db, scholarship_query,
@@ -113,7 +164,7 @@ def test_selection_rows_for_conjunction(students_db, scholarship_query,
     r = result.r_name[at6.tuple.tid]
     gpa_fam = result.num_families[("GPA", ">=")]
     act_fam = result.cat_families["Activity"]
-    atoms = {gpa_fam.indicators["ge"][at6.tuple["GPA"]],
+    atoms = {gpa_fam.indicators[at6.tuple["GPA"]],
              act_fam.indicators["SO"]}
     up = next(row for row in result.model.rows
               if row.sense == "<=" and row.coeffs.get(r) == 2.0)

@@ -1,15 +1,16 @@
 import math
-import random
+from fractions import Fraction
 
 import pytest
 
+from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
+from rankrefine.milp.build import build_model
 from rankrefine.milp.model import (
     BINARY,
     CONTINUOUS,
     MILPModel,
     Row,
     Variable,
-    parse_lp_text,
     to_lp_text,
 )
 from rankrefine.milp.solver import SolveOptions, solve, solve_lp_relaxation
@@ -71,42 +72,24 @@ def test_unknown_sense_rejected():
         Row("r", {"x": 1.0}, "<", 0.0)
 
 
-def test_lp_text_round_trip():
-    m = _small_model()
-    text = to_lp_text(m)
-    m2 = parse_lp_text(text)
-    assert [ (v.name, v.kind, v.lb, v.ub) for v in m2.variables ] == \
-        [ (v.name, v.kind, v.lb, v.ub) for v in m.variables ]
-    assert [ (r.name, r.coeffs, r.sense, r.rhs) for r in m2.rows ] == \
-        [ (r.name, r.coeffs, r.sense, r.rhs) for r in m.rows ]
-    assert m2.objective == m.objective
-    assert m2.objective_constant == m.objective_constant
-    # and the text is a fixed point
-    assert to_lp_text(m2) == text
-
-
-def test_lp_text_round_trip_random_models():
-    rng = random.Random(11)
-    for _ in range(30):
-        variables = []
-        for i in range(rng.randint(1, 6)):
-            if rng.random() < 0.5:
-                variables.append(Variable(f"b{i}", BINARY, 0.0, 1.0))
-            else:
-                lo = rng.randint(-5, 0)
-                variables.append(Variable(f"x{i}", CONTINUOUS, float(lo),
-                                          float(lo + rng.randint(0, 9))))
-        rows = []
-        for j in range(rng.randint(0, 5)):
-            coeffs = {v.name: round(rng.uniform(-4, 4), 3)
-                      for v in rng.sample(variables, rng.randint(1, len(variables)))}
-            rows.append(Row(f"r{j}", coeffs, rng.choice(["<=", ">=", "="]),
-                            round(rng.uniform(-8, 8), 3)))
-        m = MILPModel(variables=variables, rows=rows,
-                      objective={variables[0].name: round(rng.uniform(-2, 2), 3)},
-                      objective_constant=round(rng.uniform(-1, 1), 3))
-        m2 = parse_lp_text(to_lp_text(m))
-        assert to_lp_text(m2) == to_lp_text(m)
+@pytest.mark.parametrize("kind", [
+    DistanceKind(PRED), DistanceKind(JACCARD, 6), DistanceKind(KENDALL, 6)])
+def test_lp_text_reads_back_through_highs(tmp_path, students_db, scholarship_query,
+                                          scholarship_constraints, kind):
+    highs = pytest.importorskip("scipy.optimize._highspy._core")
+    built = build_model(scholarship_query, students_db, scholarship_constraints,
+                        Fraction(0), kind)
+    path = tmp_path / "model.lp"
+    path.write_text(to_lp_text(built.model))
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.readModel(str(path)) == highs.HighsStatus.kOk
+    assert (h.getNumCol(), h.getNumRow()) == (len(built.model.variables),
+                                              len(built.model.rows))
+    h.run()
+    assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
+    want = solve(built.model).objective_value
+    assert h.getInfo().objective_function_value == pytest.approx(want, abs=1e-9)
 
 
 def test_trivial_lp_min_x_at_least_two():
