@@ -8,13 +8,15 @@ DISTINCT-free result by the ``ORDER BY`` attribute and returns an
   (position in that unrestricted ranking), its lineage (the predicate atoms
   its attribute values instantiate), its shadow set (better-ranked tuples
   sharing its DISTINCT key) and its lineage equivalence class;
-* the DISTINCT key attributes and a tuple-id index;
+* each lineage class's tuples in base-rank order;
+* the DISTINCT key attributes and tuple-id indexes;
 * the original query's ranking.
 
 The annotated universe contains the output of every refinement, and
 filtering it (``filter_annotated``) is how the MILP builder, the exhaustive
 oracle and the exact verifier evaluate refinements without re-running the
-join.  One request prepares one instance and hands it to all three.
+join.  ``prepared`` hands one instance to all three, and the database keeps
+it for the next request on the same query and relations.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import attrgetter
-from typing import Iterable
+from operator import attrgetter, is_
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .data import Database, Relation, Tuple, NUMERICAL, natural_join
 from .errors import KindMismatchError, PreconditionError
@@ -49,13 +52,16 @@ class AnnotatedTuple:
 @dataclass(frozen=True, eq=False)
 class Instance:
     """``query``'s annotated universe over one database; iterating it yields
-    the annotated tuples in base-rank order."""
+    the annotated tuples in base-rank order.  Requests share it, so every
+    field is read-only."""
 
     query: Query
     annotated: tuple[AnnotatedTuple, ...]
+    classes: tuple[tuple[AnnotatedTuple, ...], ...]  # by lineage class id
     key_attrs: tuple[str, ...]
-    tuples_by_id: dict[int, Tuple]
-    original_ranking: Ranking
+    tuples_by_id: Mapping[int, Tuple]
+    annotated_by_id: Mapping[int, AnnotatedTuple]
+    original_ranking: tuple[int, ...]
 
     def __iter__(self):
         return iter(self.annotated)
@@ -111,53 +117,66 @@ def lineage_of(t: Tuple, q: Query) -> frozenset[Atom]:
     return frozenset(atoms)
 
 
-def annotate(q: Query, source: Database | Relation) -> Instance:
-    """Prepare ``q``'s instance from the database, or from ``q``'s natural
-    join over it when the caller has computed that already."""
-    rel = source if isinstance(source, Relation) else joined_relation(q, source)
+def annotate(q: Query, d: Database) -> Instance:
+    """Prepare ``q``'s instance over the database afresh; ``prepared``
+    reuses one."""
+    rel = joined_relation(q, d)
     key_attrs = distinct_key_attrs(rel, q)
     pred_attrs = tuple(p.attribute for p in q.cat_preds + q.numeric_preds)
     seen_keys: dict[tuple, list[int]] = {}
     # the predicate attributes' values determine the lineage, so one
     # frozenset and one class id serve every tuple that shares them
     classes: dict[tuple, tuple[frozenset[Atom], int]] = {}
+    members: list[list[AnnotatedTuple]] = []  # by class id
     out: list[AnnotatedTuple] = []
     for rank, t in enumerate(_ranked(rel, q), start=1):
         pred_values = tuple(t.values[a] for a in pred_attrs)
         entry = classes.get(pred_values)
         if entry is None:
             entry = classes[pred_values] = (lineage_of(t, q), len(classes))
+            members.append([])
         lineage, class_id = entry
         shadow: tuple[int, ...] = ()
         if key_attrs:
             key = tuple(t[a] for a in key_attrs)
             shadow = tuple(seen_keys.get(key, ()))
             seen_keys.setdefault(key, []).append(t.tid)
-        out.append(
-            AnnotatedTuple(
-                tuple=t,
-                base_rank=rank,
-                lineage=lineage,
-                shadow=shadow,
-                lineage_class=class_id,
-            )
+        at = AnnotatedTuple(
+            tuple=t,
+            base_rank=rank,
+            lineage=lineage,
+            shadow=shadow,
+            lineage_class=class_id,
         )
+        out.append(at)
+        members[class_id].append(at)
     return Instance(
         query=q,
         annotated=tuple(out),
+        classes=tuple(map(tuple, members)),
         key_attrs=key_attrs,
-        tuples_by_id={at.tuple.tid: at.tuple for at in out},
-        original_ranking=filter_annotated(out, q, key_attrs),
+        tuples_by_id=MappingProxyType({at.tuple.tid: at.tuple for at in out}),
+        annotated_by_id=MappingProxyType({at.tuple.tid: at for at in out}),
+        original_ranking=tuple(filter_annotated(out, q, key_attrs)),
     )
 
 
-def prepared(q: Query, d: Database, instance: Instance | None) -> Instance:
-    """``instance`` when the caller prepared one (it must be ``q``'s),
-    otherwise a fresh ``annotate(q, d)``."""
-    if instance is None:
-        return annotate(q, d)
-    if instance.query != q:
-        raise PreconditionError("the prepared instance belongs to another query")
+def prepared(q: Query, d: Database, instance: Instance | None = None) -> Instance:
+    """``instance`` when the caller prepared one (it must be ``q``'s).
+    Otherwise the instance ``d`` kept from its last preparation, if that was
+    of ``q`` over the very relation objects ``q`` reads now; otherwise a
+    fresh ``annotate``, which ``d`` keeps instead."""
+    if instance is not None:
+        if instance.query != q:
+            raise PreconditionError("the prepared instance belongs to another query")
+        return instance
+    rels = tuple(d.get(name) for name in q.tables)
+    if d.last_prepared is not None:
+        last_rels, last = d.last_prepared
+        if last.query == q and all(map(is_, last_rels, rels)):
+            return last
+    instance = annotate(q, d)
+    d.last_prepared = (rels, instance)
     return instance
 
 

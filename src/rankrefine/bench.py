@@ -127,6 +127,9 @@ class Scenario:
     name: str
     path: Path
     raw: dict
+    # (scale, database) of the last sweep point, so that the points of one
+    # scale share one database and so one prepared instance
+    loaded: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
@@ -138,6 +141,11 @@ class Scenario:
         return self.path.parent / rel_path
 
     def database(self, scale: int | None = None) -> Database:
+        if self.loaded is None or self.loaded[0] != scale:
+            self.loaded = (scale, self._load(scale))
+        return self.loaded[1]
+
+    def _load(self, scale: int | None) -> Database:
         db = Database()
         schemas = self.raw.get("schemas", {})
         for name, rel_path in self.raw["data"].items():

@@ -127,10 +127,17 @@ class Relation:
 
 @dataclass
 class Database:
+    """Named relations.  ``last_prepared`` holds the instance last prepared
+    over them with the relation objects it read (see ``annotate.prepared``);
+    relations are immutable, so replacing one is the only way their data
+    changes."""
+
     relations: dict[str, Relation] = field(default_factory=dict)
+    last_prepared: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def add(self, rel: Relation) -> None:
         self.relations[rel.name] = rel
+        self.last_prepared = None
 
     def get(self, name: str) -> Relation:
         if name not in self.relations:

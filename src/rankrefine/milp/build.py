@@ -29,6 +29,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from ..annotate import AnnotatedTuple, Instance, prepared
 # not called here; kept importable because perfbench's traced run wraps them
@@ -151,8 +152,8 @@ class ModelBuilder:
                 f"k*={self.k_star} tuples, got {len(original_ranking)}"
             )
 
+        self.instance = instance
         self.encoded: list[AnnotatedTuple] = list(instance.annotated)
-        self.pruned_tids: set[int] = set()
 
         self.num_families: dict[tuple[str, str], NumericFamily] = {}
         self.cat_families: dict[str, CatFamily] = {}
@@ -177,31 +178,31 @@ class ModelBuilder:
         """Drop tuples that can never occupy a top-k* position.
 
         A tuple is droppable when at least k* better-ranked tuples share its
-        lineage (so any refinement selecting it also selects them above it).
-        With DISTINCT, better-ranked classmates are counted by distinct
-        DISTINCT keys, and shadow tuples of kept tuples are kept too so the
-        dedup rows stay complete.
+        lineage (so any refinement selecting it also selects them above it);
+        each lineage class therefore keeps a prefix of its members.  With
+        DISTINCT, better-ranked classmates are counted by distinct DISTINCT
+        keys, and shadow tuples of kept tuples are kept too so the dedup rows
+        stay complete.
         """
-        keep: set[int] = set()
-        per_class: dict[int, list] = {}
-        for at in self.encoded:  # base-rank order
-            earlier = per_class.setdefault(at.lineage_class, [])
-            if self.key_attrs:
+        k_star = self.k_star
+        keep: dict[int, AnnotatedTuple] = {}
+        for members in self.instance.classes:  # each in base-rank order
+            if not self.key_attrs:
+                keep.update((at.tuple.tid, at) for at in members[:k_star])
+                continue
+            keys: set[tuple] = set()
+            for at in members:
                 key = tuple(at.tuple[a] for a in self.key_attrs)
-                distinct_better = {k for k in earlier if k != key}
-                if len(distinct_better) < self.k_star:
-                    keep.add(at.tuple.tid)
-                earlier.append(key)
-            else:
-                if len(earlier) < self.k_star:
-                    keep.add(at.tuple.tid)
-                earlier.append(None)
+                if len(keys) - (key in keys) < k_star:
+                    keep[at.tuple.tid] = at
+                keys.add(key)
+                if len(keys) > k_star:
+                    break  # every later classmate has k* other keys above it
         if self.key_attrs:
-            shadow_of = {at.tuple.tid: at.shadow for at in self.encoded}
-            for tid in list(keep):
-                keep.update(shadow_of[tid])
-        self.pruned_tids = {at.tuple.tid for at in self.encoded} - keep
-        self.encoded = [at for at in self.encoded if at.tuple.tid in keep]
+            by_id = self.instance.annotated_by_id
+            for at in list(keep.values()):
+                keep.update((tid, by_id[tid]) for tid in at.shadow)
+        self.encoded = sorted(keep.values(), key=attrgetter("base_rank"))
 
     # -- predicate encoding ----------------------------------------------
 
@@ -551,7 +552,7 @@ class ModelBuilder:
                 "rows": len(self.model.rows),
                 "binaries": len(self.model.binaries),
                 "encoded_tuples": len(self.encoded),
-                "pruned_tuples": len(self.pruned_tids),
+                "pruned_tuples": len(self.instance) - len(self.encoded),
                 "lineage_classes": len({at.lineage_class for at in self.encoded}),
             },
         )

@@ -161,7 +161,7 @@ def test_rank_matches_fraction_reference(family, direction):
     assert [at.tuple.tid for at in instance] == want
     assert [at.base_rank for at in instance] == list(range(1, len(rows) + 1))
     assert evaluate(q, db) == want
-    assert instance.original_ranking == want
+    assert instance.original_ranking == tuple(want)
 
 
 @pytest.mark.parametrize("family", sorted(VALUE_FAMILIES))

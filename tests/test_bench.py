@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from rankrefine.bench import (
     run_scenario,
     run_suite,
 )
+from rankrefine.data import natural_join
 from rankrefine.errors import PreconditionError
 
 SUITE = Path(__file__).resolve().parent.parent / "scenarios"
@@ -87,6 +89,25 @@ def test_k_sweep_row_count_and_model_growth(tmp_path):
     assert len(rows) == 3
     assert [r.value for r in rows] == [2, 3, 4]
     assert all(r.status == "refined" for r in rows)
+
+
+def test_k_sweep_prepares_its_instance_once(tmp_path, monkeypatch):
+    annotate = importlib.import_module("rankrefine.annotate")
+    joins = []
+
+    def counted(left, right, name=None):
+        joins.append((left.name, right.name))
+        return natural_join(left, right, name)
+
+    monkeypatch.setattr(annotate, "natural_join", counted)
+    path = _write_mini_scenario(
+        tmp_path, epsilon="1", engines=["milp+opt", "naive+prov"],
+        distances=["pred", "jaccard"], sweep={"axis": "k", "values": [2, 3, 4]})
+    rows = run_scenario(Scenario.load(path), repeats=2)
+    assert len(rows) == 12 and all(r.status == "refined" for r in rows)
+    # every repeat, engine, distance and k shares one database and so one
+    # prepared instance: Students NATURAL JOIN Activities runs once
+    assert joins == [("Students", "Activities")]
 
 
 def test_constraint_count_sweep_grows_model(tmp_path):

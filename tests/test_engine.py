@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import DATA, SCENARIOS
+from test_golden import GOLDEN, RELATIONS
+
 from rankrefine import engine
-from rankrefine.constraints import CardinalityConstraint, ConstraintSet
-from rankrefine.data import Database, Relation, Schema, Tuple
+from rankrefine.annotate import prepared
+from rankrefine.constraints import CardinalityConstraint, ConstraintSet, parse_constraints
+from rankrefine.data import Database, Relation, Schema, Tuple, load_csv
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.engine import (
     ENGINES,
@@ -20,7 +24,7 @@ from rankrefine.engine import (
     run,
 )
 from rankrefine.milp import Solution, solve
-from rankrefine.errors import PreconditionError
+from rankrefine.errors import PreconditionError, RankRefineError
 from rankrefine.query import NumPredicate, Query, parse_query
 
 
@@ -168,11 +172,10 @@ def test_solver_stats_in_model_stats(students_db, scholarship_query,
     assert "lp_iterations" not in stats and "wall_s" not in stats
 
 
-@pytest.mark.parametrize("engine_name", ["milp+opt", "naive+prov"])
-def test_one_join_and_one_annotate_pass_per_run(monkeypatch, students_db,
-                                                scholarship_query,
-                                                scholarship_constraints,
-                                                engine_name):
+@pytest.fixture
+def prepare_calls(monkeypatch):
+    """Calls that prepare an instance, counted in every module that can
+    make one; reset it with ``.update``."""
     # the package re-exports the function `annotate` under the module's name
     annotate = importlib.import_module("rankrefine.annotate")
     build = importlib.import_module("rankrefine.milp.build")
@@ -189,11 +192,132 @@ def test_one_join_and_one_annotate_pass_per_run(monkeypatch, students_db,
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    result = run(_config(students_db, scholarship_query, scholarship_constraints,
+    return calls
+
+
+ONE_PREPARATION = {"natural_join": 1, "joined_relation": 1, "annotate": 1}
+NO_PREPARATION = {"natural_join": 0, "joined_relation": 0, "annotate": 0}
+
+
+def _students_db() -> Database:
+    """A freshly loaded scholarship database, with no prepared instance."""
+    db = Database()
+    db.add(load_csv(DATA / "students.csv", name="Students"))
+    db.add(load_csv(DATA / "activities.csv", name="Activities"))
+    return db
+
+
+def _report(result):
+    return result_to_dict(result, include_timing=False)
+
+
+@pytest.mark.parametrize("engine_name", ["milp+opt", "naive+prov"])
+def test_one_join_and_one_annotate_pass_per_run(prepare_calls, scholarship_query,
+                                                scholarship_constraints,
+                                                engine_name):
+    db = _students_db()
+    result = run(_config(db, scholarship_query, scholarship_constraints,
                          engine=engine_name))
     assert result.status == REFINED
     # Students NATURAL JOIN Activities is one natural_join
-    assert calls == {"natural_join": 1, "joined_relation": 1, "annotate": 1}
+    assert prepare_calls == ONE_PREPARATION
+
+    # later requests on the same query and relations reuse the instance
+    prepare_calls.update(NO_PREPARATION)
+    lower_only = ConstraintSet(scholarship_constraints.constraints[:1])
+    for other_engine in ("milp+opt", "naive+prov"):
+        for cs, eps in ((lower_only, Fraction(0)), (scholarship_constraints, Fraction(1, 2))):
+            warm = run(_config(db, scholarship_query, cs, engine=other_engine, epsilon=eps))
+            assert prepare_calls == NO_PREPARATION
+            cold = run(_config(_students_db(), scholarship_query, cs,
+                               engine=other_engine, epsilon=eps))
+            prepare_calls.update(NO_PREPARATION)
+            assert _report(warm) == _report(cold)
+    warm = run(_config(db, scholarship_query, scholarship_constraints,
+                       engine=engine_name))
+    assert prepare_calls == NO_PREPARATION
+    assert _report(warm) == _report(result)
+
+
+def _everyone_female_low_income(db: Database) -> Relation:
+    students = db.get("Students")
+    return Relation("Students", students.schema, tuple(
+        Tuple(t.tid, {**t.values, "Gender": "F", "Income": "Low"}) for t in students.rows))
+
+
+def test_added_relation_is_prepared_again(prepare_calls, scholarship_query,
+                                          scholarship_constraints):
+    db = _students_db()
+    before = run(_config(db, scholarship_query, scholarship_constraints))
+    assert before.distance == Fraction(1, 2)
+    db.add(_everyone_female_low_income(db))
+    prepare_calls.update(NO_PREPARATION)
+    after = run(_config(db, scholarship_query, scholarship_constraints))
+    assert prepare_calls == ONE_PREPARATION
+    # the original query now meets every constraint
+    assert after.status == REFINED and after.distance == 0
+    assert "Activity = 'RB' ORDER BY" in after.refined_sql
+
+
+def test_direct_relation_write_is_not_served_stale(prepare_calls, scholarship_query,
+                                                   scholarship_constraints):
+    db = _students_db()
+    run(_config(db, scholarship_query, scholarship_constraints))
+    db.relations["Students"] = _everyone_female_low_income(db)
+    prepare_calls.update(NO_PREPARATION)
+    after = run(_config(db, scholarship_query, scholarship_constraints))
+    assert prepare_calls == ONE_PREPARATION
+    assert after.distance == 0
+
+
+def test_other_query_is_prepared_again(prepare_calls, scholarship_query,
+                                       scholarship_constraints):
+    db = _students_db()
+    other = parse_query("SELECT * FROM Students NATURAL JOIN Activities "
+                        "WHERE GPA >= 3.7 AND Activity = 'RB' ORDER BY SAT DESC")
+    for q in (scholarship_query, other, scholarship_query):
+        prepare_calls.update(NO_PREPARATION)
+        result = run(_config(db, q, scholarship_constraints))
+        assert prepare_calls == ONE_PREPARATION
+        assert _report(result) == _report(run(_config(_students_db(), q,
+                                                      scholarship_constraints)))
+    # an equal query, parsed anew, is the same query
+    prepare_calls.update(NO_PREPARATION)
+    run(_config(db, parse_query((SCENARIOS / "scholarship" / "query.sql").read_text()),
+                scholarship_constraints))
+    assert prepare_calls == NO_PREPARATION
+
+
+def test_shared_instance_is_read_only(scholarship_query, scholarship_constraints):
+    db = _students_db()
+    instance = prepared(scholarship_query, db)
+    with pytest.raises(TypeError):
+        instance.tuples_by_id[1] = instance.tuples_by_id[2]
+    with pytest.raises(AttributeError):
+        instance.original_ranking.append(1)
+    assert prepared(scholarship_query, db) is instance
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids="/".join)
+def test_warm_reports_equal_cold_reports(case):
+    scenario, distance, epsilon = case
+    db = Database()
+    for name, csv in RELATIONS[scenario].items():
+        db.add(load_csv(DATA / csv, name=name))
+    q = parse_query((SCENARIOS / scenario / "query.sql").read_text())
+    cs = parse_constraints((SCENARIOS / scenario / "constraints.json").read_text())
+    config = _config(db, q, cs, epsilon=Fraction(epsilon),
+                     kind=DistanceKind(distance, cs.k_star))
+
+    def outcome():
+        try:
+            return _report(run(config))
+        except RankRefineError as exc:
+            return type(exc).__name__, str(exc)
+
+    cold = outcome()
+    assert db.last_prepared is not None
+    assert outcome() == cold
 
 
 TOL = 1e-6  # as in the acceptance suite

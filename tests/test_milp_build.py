@@ -1,13 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_instance
 
+from rankrefine.annotate import annotate
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_pred
 from rankrefine.errors import InternalConsistencyError, PreconditionError
 from rankrefine.milp.build import (
     BuildOptions,
+    ModelBuilder,
     build_model,
     extract_refinement,
 )
@@ -216,6 +220,41 @@ def test_relevancy_pruning_drops_hopeless_classmate(students_db,
     # the original top-k* always survives
     kept = {at.tuple.tid for at in pruned.encoded}
     assert set(pruned.original_topk) <= kept
+
+
+def _pruned_per_tuple(instance, k_star):
+    """Relevancy pruning as one walk over every tuple: the reference."""
+    keep, per_class = set(), {}
+    for at in instance:
+        earlier = per_class.setdefault(at.lineage_class, [])
+        if instance.key_attrs:
+            key = tuple(at.tuple[a] for a in instance.key_attrs)
+            better = len(set(earlier) - {key})
+        else:
+            key, better = None, len(earlier)
+        if better < k_star:
+            keep.add(at.tuple.tid)
+        earlier.append(key)
+    keep |= {tid for at in instance if at.tuple.tid in keep for tid in at.shadow}
+    return [at.tuple.tid for at in instance if at.tuple.tid in keep]
+
+
+def test_relevancy_pruning_per_class_matches_the_per_tuple_walk():
+    rng = random.Random(7)
+    distinct = dropped = 0
+    for _ in range(60):
+        q, db, _, eps = random_instance(rng, max_rows=40)
+        distinct += q.distinct
+        instance = annotate(q, db)
+        for k_star in range(1, 7):
+            cs = ConstraintSet((CardinalityConstraint((("g", "a"),), k_star, 1, "lower"),))
+            builder = ModelBuilder(q, db, cs, eps, DistanceKind(PRED),
+                                   BuildOptions(relevancy_prune=True), instance)
+            builder.relevancy_prune()
+            kept = [at.tuple.tid for at in builder.encoded]
+            assert kept == _pruned_per_tuple(instance, k_star)
+            dropped += len(kept) < len(instance)
+    assert 0 < distinct < 60 and dropped > 0
 
 
 def test_merge_lineage_collapses_classes(students_db):
