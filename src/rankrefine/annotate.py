@@ -5,9 +5,10 @@ DISTINCT-free result by the ``ORDER BY`` attribute and returns an
 :class:`Instance` holding
 
 * the annotated tuples in base-rank order, each labelled with its base rank
-  (position in that unrestricted ranking), its lineage (the predicate atoms
-  its attribute values instantiate), its shadow set (better-ranked tuples
-  sharing its DISTINCT key) and its lineage equivalence class;
+  (position in that unrestricted ranking), its shadow set (better-ranked
+  tuples sharing its DISTINCT key) and its lineage class (the tuples that
+  hold the same values in every predicate attribute, so every refinement
+  selects all of them or none);
 * each lineage class's tuples in base-rank order;
 * the DISTINCT key attributes and tuple-id indexes;
 * the original query's ranking.
@@ -33,10 +34,6 @@ from .data import Database, Relation, Tuple, NUMERICAL, natural_join
 from .errors import KindMismatchError, PreconditionError
 from .query import Query, satisfies
 
-# A lineage atom is ("cat", attr, value) or ("num", attr, op, value): the
-# indicator that a tuple's value instantiates for one predicate.
-Atom = tuple
-
 Ranking = list[int]  # tuple ids, positions 1..m
 
 
@@ -44,7 +41,6 @@ Ranking = list[int]  # tuple ids, positions 1..m
 class AnnotatedTuple:
     tuple: Tuple
     base_rank: int
-    lineage: frozenset[Atom]
     shadow: tuple[int, ...]
     lineage_class: int
 
@@ -108,15 +104,6 @@ def _ranked(rel: Relation, q: Query) -> list[Tuple]:
     return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
 
 
-def lineage_of(t: Tuple, q: Query) -> frozenset[Atom]:
-    atoms: set[Atom] = set()
-    for p in q.cat_preds:
-        atoms.add(("cat", p.attribute, t[p.attribute]))
-    for p in q.numeric_preds:
-        atoms.add(("num", p.attribute, p.op, t[p.attribute]))
-    return frozenset(atoms)
-
-
 def annotate(q: Query, d: Database) -> Instance:
     """Prepare ``q``'s instance over the database afresh; ``prepared``
     reuses one."""
@@ -124,18 +111,16 @@ def annotate(q: Query, d: Database) -> Instance:
     key_attrs = distinct_key_attrs(rel, q)
     pred_attrs = tuple(p.attribute for p in q.cat_preds + q.numeric_preds)
     seen_keys: dict[tuple, list[int]] = {}
-    # the predicate attributes' values determine the lineage, so one
-    # frozenset and one class id serve every tuple that shares them
-    classes: dict[tuple, tuple[frozenset[Atom], int]] = {}
+    # the predicate attributes' values determine the lineage class
+    classes: dict[tuple, int] = {}
     members: list[list[AnnotatedTuple]] = []  # by class id
     out: list[AnnotatedTuple] = []
     for rank, t in enumerate(_ranked(rel, q), start=1):
         pred_values = tuple(t.values[a] for a in pred_attrs)
-        entry = classes.get(pred_values)
-        if entry is None:
-            entry = classes[pred_values] = (lineage_of(t, q), len(classes))
+        class_id = classes.get(pred_values)
+        if class_id is None:
+            class_id = classes[pred_values] = len(classes)
             members.append([])
-        lineage, class_id = entry
         shadow: tuple[int, ...] = ()
         if key_attrs:
             key = tuple(t[a] for a in key_attrs)
@@ -144,7 +129,6 @@ def annotate(q: Query, d: Database) -> Instance:
         at = AnnotatedTuple(
             tuple=t,
             base_rank=rank,
-            lineage=lineage,
             shadow=shadow,
             lineage_class=class_id,
         )
@@ -161,15 +145,10 @@ def annotate(q: Query, d: Database) -> Instance:
     )
 
 
-def prepared(q: Query, d: Database, instance: Instance | None = None) -> Instance:
-    """``instance`` when the caller prepared one (it must be ``q``'s).
-    Otherwise the instance ``d`` kept from its last preparation, if that was
-    of ``q`` over the very relation objects ``q`` reads now; otherwise a
-    fresh ``annotate``, which ``d`` keeps instead."""
-    if instance is not None:
-        if instance.query != q:
-            raise PreconditionError("the prepared instance belongs to another query")
-        return instance
+def prepared(q: Query, d: Database) -> Instance:
+    """The instance ``d`` kept from its last preparation, if that was of
+    ``q`` over the very relation objects ``q`` reads now; otherwise a fresh
+    ``annotate``, which ``d`` keeps instead."""
     rels = tuple(d.get(name) for name in q.tables)
     if d.last_prepared is not None:
         last_rels, last = d.last_prepared

@@ -4,8 +4,8 @@
         --constraints c.json --distance pred --epsilon 0.5 --engine milp+opt
 
 Exit codes: 0 a refinement was found, 2 no refinement exists, 3 timed out,
-1 invalid input, 4 internal error (a result failed exact re-verification,
-or the solver ended in an unexpected state).
+1 invalid input (usage errors included), 4 internal error (a result failed
+exact re-verification, or the solver ended in an unexpected state).
 """
 
 from __future__ import annotations
@@ -36,8 +36,17 @@ _STATUS_EXIT = {REFINED: EXIT_REFINED, NO_REFINEMENT: EXIT_NO_REFINEMENT,
                 TIMEOUT: EXIT_TIMEOUT}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with ``EXIT_INVALID`` on a usage error, where argparse would use
+    2, the code for "no refinement exists"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rankrefine",
         description="Refine an SPJ query's predicates until its top-k "
                     "satisfies cardinality constraints, minimally.")
@@ -131,8 +140,8 @@ def _run_with_stdout_on_stderr(config: RunConfig):
     """``run(config)`` with ``sys.stdout`` and file descriptor 1 pointed at
     stderr.
 
-    HiGHS can print straight to descriptor 1 from inside scipy, and stdout
-    must carry nothing but the JSON report.
+    HiGHS can print straight to descriptor 1 even with its ``output_flag``
+    off, and stdout must carry nothing but the JSON report.
     """
     sys.stdout.flush()
     saved = os.dup(1)

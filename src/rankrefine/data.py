@@ -88,12 +88,10 @@ class Schema:
 
 @dataclass(frozen=True)
 class Tuple:
-    """One row; ``tid`` is unique and stable for the whole run.  Join results
-    remember their parent tids so lineage can be traced back."""
+    """One row; ``tid`` is unique and stable for the whole run."""
 
     tid: int
     values: Mapping[str, Value]
-    parents: tuple[int, ...] = ()
 
     def __getitem__(self, attr: str) -> Value:
         return self.values[attr]
@@ -118,11 +116,6 @@ class Relation:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def domain(self, attr: str) -> list[Value]:
-        """Sorted distinct values of ``attr`` across all rows."""
-        vals = {t[attr] for t in self.rows}
-        return sorted(vals)
 
 
 @dataclass
@@ -236,8 +229,7 @@ def load_csv(path: str | Path, kinds: Mapping[str, str] | None = None,
 def natural_join(left: Relation, right: Relation, name: str | None = None) -> Relation:
     """Standard natural join on all same-named attributes.
 
-    Result tids are fresh (left-major order); each result tuple records its
-    parent tids.
+    Result tids are fresh (left-major order).
     """
     shared = [n for n in left.schema.names if right.schema.has(n)]
     if not shared:
@@ -264,7 +256,7 @@ def natural_join(left: Relation, right: Relation, name: str | None = None) -> Re
             for n, _ in right.schema.attributes:
                 if n not in shared:
                     values[n] = rt[n]
-            rows.append(Tuple(tid=tid, values=values, parents=(lt.tid, rt.tid)))
+            rows.append(Tuple(tid=tid, values=values))
     return Relation(
         name=name or f"{left.name}_{right.name}",
         schema=Schema.from_pairs(out_attrs),

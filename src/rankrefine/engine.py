@@ -20,8 +20,8 @@ from .constraints import ConstraintSet, deviation
 from .data import Database, format_number
 from .distances import JACCARD, KENDALL, PRED, DistanceKind, dis_jaccard, dis_kendall, dis_pred
 from .errors import InternalConsistencyError, PreconditionError
-from .milp import BuildOptions, SolveOptions, build_model, extract_refinement, solve, to_lp_text
-from .oracle import DEFAULT_CAP, exhaustive_solve
+from .milp import BuildOptions, SolveOptions, build_model, extract_refinement, solve, write_lp
+from .oracle import exhaustive_solve
 from .query import Query, Refinement, apply_refinement, render_sql
 
 ENGINES = ("milp", "milp+opt", "naive", "naive+prov")
@@ -43,7 +43,6 @@ class RunConfig:
     prune: bool = True   # milp+opt only
     merge: bool = True   # milp+opt only
     relax: bool = True   # milp+opt only
-    oracle_cap: int = DEFAULT_CAP
     lp_dump: str | None = None
 
     def __post_init__(self):
@@ -139,8 +138,6 @@ def _run_oracle(config: RunConfig, instance: Instance) -> RefineResult:
         config.epsilon,
         config.kind,
         use_provenance=(config.engine == "naive+prov"),
-        cap=config.oracle_cap,
-        instance=instance,
     )
     timing = {"setup_ms": 0.0, "solve_ms": (time.monotonic() - t0) * 1000.0}
     stats = {"candidates_checked": oracle.candidates_checked}
@@ -158,11 +155,10 @@ def _run_milp(config: RunConfig, instance: Instance) -> RefineResult:
     )
     t0 = time.monotonic()
     built = build_model(config.query, config.db, config.constraints,
-                        config.epsilon, config.kind, options, instance)
+                        config.epsilon, config.kind, options)
     setup_ms = (time.monotonic() - t0) * 1000.0
     if config.lp_dump:
-        with open(config.lp_dump, "w", encoding="utf-8") as fh:
-            fh.write(to_lp_text(built.model))
+        write_lp(built.model, config.lp_dump)
     t1 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))
     solve_ms = (time.monotonic() - t1) * 1000.0

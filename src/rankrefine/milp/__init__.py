@@ -12,9 +12,8 @@ from .model import (
     Row,
     Solution,
     Variable,
-    to_lp_text,
 )
-from .solver import SolveOptions, solve
+from .solver import SolveOptions, solve, write_lp
 
 __all__ = [
     "BINARY",
@@ -30,5 +29,5 @@ __all__ = [
     "SolveOptions",
     "Variable",
     "solve",
-    "to_lp_text",
+    "write_lp",
 ]

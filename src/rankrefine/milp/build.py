@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 
-from ..annotate import AnnotatedTuple, Instance, prepared
+from ..annotate import AnnotatedTuple, prepared
 # not called here; kept importable because perfbench's traced run wraps them
 from ..annotate import annotate, filter_annotated, joined_relation  # noqa: F401
 from ..constraints import LOWER, ConstraintSet
@@ -91,15 +91,10 @@ class CatFamily:
 @dataclass
 class BuildResult:
     model: MILPModel
-    query: Query
-    constraints: ConstraintSet
-    kind: DistanceKind
-    options: BuildOptions
     encoded: list[AnnotatedTuple]  # base-rank order
     num_families: dict[tuple[str, str], NumericFamily]
     cat_families: dict[str, CatFamily]
     r_name: dict[int, str]  # tid -> membership variable (shared when merged)
-    s_name: dict[int, str]
     l_name: dict[tuple[int, int], str]  # (tid, k) -> variable
     original_topk: list[int]  # top-k* tids of the unrefined query
     stats: dict = field(default_factory=dict)
@@ -129,7 +124,6 @@ class ModelBuilder:
         epsilon: Fraction,
         kind: DistanceKind,
         options: BuildOptions | None = None,
-        instance: Instance | None = None,
     ):
         if epsilon < 0:
             raise PreconditionError("epsilon must be non-negative")
@@ -142,7 +136,7 @@ class ModelBuilder:
         self.namer = _Namer()
         self.k_star = constraints.k_star
 
-        instance = prepared(query, db, instance)
+        instance = prepared(query, db)
         self.key_attrs = instance.key_attrs
         original_ranking = instance.original_ranking
         self.original_topk = original_ranking[: self.k_star]
@@ -158,7 +152,6 @@ class ModelBuilder:
         self.num_families: dict[tuple[str, str], NumericFamily] = {}
         self.cat_families: dict[str, CatFamily] = {}
         self.r_name: dict[int, str] = {}
-        self.s_name: dict[int, str] = {}
         self.l_name: dict[tuple[int, int], str] = {}
         self.e_names: list[tuple] = []  # (constraint, var name)
 
@@ -330,7 +323,6 @@ class ModelBuilder:
             if tid not in needed:
                 continue
             s = self._var(self.namer.fresh("s", tid), CONTINUOUS, 1, 2 * n_enc)
-            self.s_name[tid] = s
             lo_rows = not relax or senses == {LOWER}
             up_rows = not relax or senses != {LOWER}
             if lo_rows:
@@ -536,15 +528,10 @@ class ModelBuilder:
         self.model.validate()
         return BuildResult(
             model=self.model,
-            query=self.query,
-            constraints=self.constraints,
-            kind=self.kind,
-            options=self.options,
             encoded=self.encoded,
             num_families=self.num_families,
             cat_families=self.cat_families,
             r_name=self.r_name,
-            s_name=self.s_name,
             l_name=self.l_name,
             original_topk=list(self.original_topk),
             stats={
@@ -568,11 +555,9 @@ def build_model(
     epsilon: Fraction,
     kind: DistanceKind,
     options: BuildOptions | None = None,
-    instance: Instance | None = None,
 ) -> BuildResult:
-    """``instance``, when given, is ``query``'s prepared universe over ``db``
-    and saves preparing it again."""
-    return ModelBuilder(query, db, constraints, epsilon, kind, options, instance).build()
+    """Compile the search over ``query``'s prepared instance in ``db``."""
+    return ModelBuilder(query, db, constraints, epsilon, kind, options).build()
 
 
 def extract_refinement(result: BuildResult, solution: Solution) -> Refinement:

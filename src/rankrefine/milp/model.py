@@ -1,7 +1,8 @@
-"""Mixed-integer linear program container and LP text export.
+"""Mixed-integer linear program container: named, bounded variables, named
+rows over them, and a linear objective with a constant term.
 
-The LP text form (``--lp-dump``) is a debug surface for cross-checking models
-with external solvers such as HiGHS.
+:mod:`rankrefine.milp.solver` loads it into HiGHS to solve it or to write
+it in LP form (``--lp-dump``).
 """
 
 from __future__ import annotations
@@ -79,39 +80,3 @@ class Solution:
 
     def value(self, name: str) -> float:
         return self.assignment[name]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _expr_text(coeffs: dict[str, float], constant: float = 0.0) -> str:
-    parts = []
-    for name, coef in coeffs.items():
-        sign = "-" if coef < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(coef))} {name}")
-    if constant:
-        sign = "-" if constant < 0 else "+"
-        parts.append(f"{sign} {_fmt(abs(constant))}")
-    if not parts:
-        return "0"
-    text = " ".join(parts)
-    return text[2:] if text.startswith("+ ") else text
-
-
-def to_lp_text(model: MILPModel) -> str:
-    lines = ["Minimize", f" obj: {_expr_text(model.objective, model.objective_constant)}"]
-    lines.append("Subject To")
-    for row in model.rows:
-        lines.append(f" {row.name}: {_expr_text(row.coeffs)} {row.sense} {_fmt(row.rhs)}")
-    lines.append("Bounds")
-    for v in model.variables:
-        if v.kind == CONTINUOUS:
-            lines.append(f" {_fmt(v.lb)} <= {v.name} <= {_fmt(v.ub)}")
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
-    if binaries:
-        lines.append("Binaries")
-        for name in binaries:
-            lines.append(f" {name}")
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -1,35 +1,44 @@
-"""Exact MILP solving through HiGHS (``scipy.optimize.milp``).
+"""Exact MILP solving through HiGHS's own bindings, which ship with scipy.
 
-:func:`solve` hands the whole model to HiGHS's branch and cut in one call.
-The relative gap is pinned to zero, so "optimal" means optimal rather than
-within HiGHS's default 1e-4.  The outcome maps onto :class:`Solution`:
-``optimal``; ``infeasible``; or ``timeout`` when a time or node limit stops
-the search, carrying the best integral solution found so far, if any.  Any
-other HiGHS outcome raises :class:`InternalConsistencyError`, so it can
-never be mistaken for "no refinement exists".
+One loader, :func:`_highs`, validates a :class:`MILPModel` and hands it to
+a silenced HiGHS; :func:`solve`, :func:`solve_lp_relaxation` and
+:func:`write_lp` all go through it.
+
+:func:`solve` runs HiGHS's branch and cut once.  The relative gap is pinned
+to zero, so "optimal" means optimal rather than within HiGHS's default
+1e-4.  The outcome maps onto :class:`Solution`: ``optimal``;
+``infeasible``; or ``timeout`` when a time or node limit stops the search,
+carrying the best integral solution found so far, if any.  Any other HiGHS
+outcome raises :class:`InternalConsistencyError`, so it can never be
+mistaken for "no refinement exists".
 
 :func:`solve_lp_relaxation` solves the same rows with the binaries relaxed
-to [0, 1] through ``linprog``.  Both read the model through one CSR builder.
+to [0, 1], and :func:`write_lp` writes the model with HiGHS's LP writer.
 """
 
 from __future__ import annotations
 
 import math
-import re
+import os
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import csr_array, vstack
+# not called here; kept importable because perfbench's traced run wraps it
+from scipy.optimize import linprog  # noqa: F401
+# private to scipy, so imported in this one module only
+from scipy.optimize._highspy import _core as highspy
 
 from ..errors import InternalConsistencyError
 from .model import BINARY, MILPModel, Solution
 
-# scipy's milp status codes, and the raw HiGHS model status that scipy
-# passes through as "not recognized" when the node limit stops the search.
-_OPTIMAL, _LIMIT, _INFEASIBLE = 0, 1, 2
-_HIGHS_SOLUTION_LIMIT = 16
+_STATUS = {
+    highspy.HighsModelStatus.kOptimal: "optimal",
+    highspy.HighsModelStatus.kInfeasible: "infeasible",
+    highspy.HighsModelStatus.kTimeLimit: "timeout",
+    highspy.HighsModelStatus.kSolutionLimit: "timeout",  # the node limit
+}
 
 
 @dataclass
@@ -38,98 +47,111 @@ class SolveOptions:
     node_limit: int | None = None
 
 
-def _arrays(model: MILPModel):
-    """Objective, CSR row matrix, row bounds (lo <= A x <= hi), variable bounds."""
+def _highs(model: MILPModel, integral: bool = True) -> highspy._Highs:
+    """A silenced HiGHS holding ``model``, its binaries relaxed to [0, 1]
+    unless ``integral``."""
+    model.validate()
     index = model.var_index()
-    c = np.zeros(len(index))
-    for name, coef in model.objective.items():
-        c[index[name]] = coef
-    indptr, indices, data = [0], [], []
+    lp = highspy.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(model.variables)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(model.rows)
+    lp.col_names_ = [v.name for v in model.variables]
+    lp.col_cost_ = [model.objective.get(v.name, 0.0) for v in model.variables]
+    lp.offset_ = model.objective_constant
+    lp.col_lower_ = [v.lb for v in model.variables]
+    lp.col_upper_ = [v.ub for v in model.variables]
+    if integral:
+        kinds = {BINARY: highspy.HighsVarType.kInteger}
+        lp.integrality_ = [kinds.get(v.kind, highspy.HighsVarType.kContinuous)
+                           for v in model.variables]
+    lp.row_names_ = [row.name for row in model.rows]
+    lp.row_lower_ = [-math.inf if row.sense == "<=" else row.rhs for row in model.rows]
+    lp.row_upper_ = [math.inf if row.sense == ">=" else row.rhs for row in model.rows]
+    # the bindings return copies of list fields, so each is assigned whole
+    start, columns, values = [0], [], []
     for row in model.rows:
-        indices.extend(index[name] for name in row.coeffs)
-        data.extend(row.coeffs.values())
-        indptr.append(len(indices))
-    a = csr_array((np.array(data, dtype=float), np.array(indices, dtype=np.int32), indptr),
-                  shape=(len(model.rows), len(index)))
-    rhs = np.array([row.rhs for row in model.rows], dtype=float)
-    senses = [row.sense for row in model.rows]
-    lo = np.where([s == "<=" for s in senses], -np.inf, rhs)
-    hi = np.where([s == ">=" for s in senses], np.inf, rhs)
-    bounds = Bounds([v.lb for v in model.variables], [v.ub for v in model.variables])
-    return c, a, lo, hi, bounds
+        columns.extend(index[name] for name in row.coeffs)
+        values.extend(row.coeffs.values())
+        start.append(len(columns))
+    lp.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, columns, values
+    h = highspy._Highs()
+    h.setOptionValue("output_flag", False)
+    if h.passModel(lp) == highspy.HighsStatus.kError:
+        raise InternalConsistencyError("HiGHS rejected the model")
+    return h
+
+
+def _assignment(model: MILPModel, h: highspy._Highs) -> dict[str, float]:
+    return {v.name: float(round(x)) if v.kind == BINARY else float(x)
+            for v, x in zip(model.variables, h.getSolution().col_value)}
 
 
 def solve_lp_relaxation(model: MILPModel) -> Solution:
     """Solve the LP relaxation of ``model`` (binaries relaxed to [0, 1])."""
-    c, a, lo, hi, bounds = _arrays(model)
-    eq = lo == hi
-    upper, lower = ~eq & (hi < np.inf), ~eq & (lo > -np.inf)
-    res = linprog(
-        c,
-        A_ub=vstack([a[upper], -a[lower]]),
-        b_ub=np.concatenate([hi[upper], -lo[lower]]),
-        A_eq=a[eq],
-        b_eq=hi[eq],
-        bounds=np.column_stack([bounds.lb, bounds.ub]),
-        method="highs",
-    )
-    if not res.success:
-        return Solution(status="infeasible", stats={"lp_status": res.status})
+    h = _highs(model, integral=False)
+    h.run()
+    status = h.getModelStatus()
+    if status != highspy.HighsModelStatus.kOptimal:
+        return Solution(status="infeasible",
+                        stats={"lp_status": h.modelStatusToString(status)})
+    info = h.getInfo()
     return Solution(
         status="optimal",
-        assignment={v.name: float(x) for v, x in zip(model.variables, res.x)},
-        objective_value=float(res.fun) + model.objective_constant,
-        stats={"lp_iterations": int(getattr(res, "nit", 0))},
+        assignment=_assignment(model, h),
+        objective_value=info.objective_function_value,
+        stats={"lp_iterations": info.simplex_iteration_count},
     )
 
 
-def _status(res) -> str:
-    if res.status == _OPTIMAL and res.x is not None:
-        return "optimal"
-    if res.status == _INFEASIBLE:
-        return "infeasible"
-    raw = re.search(r"HiGHS Status (\d+)", res.message or "")
-    if res.status == _LIMIT or (raw and int(raw.group(1)) == _HIGHS_SOLUTION_LIMIT):
-        return "timeout"
-    raise InternalConsistencyError(f"HiGHS ended with scipy status {res.status}: {res.message}")
-
-
-def _finite(x) -> float | None:
-    """HiGHS's gap and bound as JSON-safe floats; None when unknown or infinite."""
-    return float(x) if x is not None and math.isfinite(x) else None
+def _finite(x: float) -> float | None:
+    """HiGHS's gap and bound as JSON-safe floats; None when infinite."""
+    return x if math.isfinite(x) else None
 
 
 def solve(model: MILPModel, options: SolveOptions | None = None) -> Solution:
     """Minimize ``model`` exactly.  Returns status optimal/infeasible/timeout."""
     options = options or SolveOptions()
     start = time.monotonic()
-    model.validate()
-    c, a, lo, hi, bounds = _arrays(model)
-    limits = {"time_limit": options.timeout_s, "node_limit": options.node_limit}
-    res = milp(
-        c,
-        integrality=[v.kind == BINARY for v in model.variables],
-        bounds=bounds,
-        constraints=LinearConstraint(a, lo, hi),
-        options={"mip_rel_gap": 0.0, **{k: v for k, v in limits.items() if v is not None}},
-    )
-    status = _status(res)
-    dual_bound = _finite(res.get("mip_dual_bound"))
+    h = _highs(model)
+    h.setOptionValue("mip_rel_gap", 0.0)
+    if options.timeout_s is not None:
+        h.setOptionValue("time_limit", float(options.timeout_s))
+    if options.node_limit is not None:
+        h.setOptionValue("mip_max_nodes", int(options.node_limit))
+    h.run()
+    model_status = h.getModelStatus()
+    status = _STATUS.get(model_status)
+    if status is None:
+        raise InternalConsistencyError(
+            f"HiGHS ended with model status {h.modelStatusToString(model_status)}")
+    info = h.getInfo()
+    # without integer columns HiGHS solves an LP and leaves its MIP counters
+    # unset: -1 nodes and a dual bound of 0
+    mip = info.mip_node_count >= 0
     stats = {
-        "nodes": int(res.get("mip_node_count") or 0),
-        "mip_gap": _finite(res.get("mip_gap")),
-        "dual_bound": None if dual_bound is None else dual_bound + model.objective_constant,
+        "nodes": max(info.mip_node_count, 0),
+        "mip_gap": _finite(info.mip_gap),
+        "dual_bound": _finite(info.mip_dual_bound) if mip else None,
         "wall_s": time.monotonic() - start,
     }
-    if res.x is None:
+    if info.primal_solution_status != highspy.SolutionStatus.kSolutionStatusFeasible:
         return Solution(status=status, stats=stats)
-    assignment = {
-        v.name: float(round(x)) if v.kind == BINARY else float(x)
-        for v, x in zip(model.variables, res.x)
-    }
     return Solution(
         status=status,
-        assignment=assignment,
-        objective_value=float(res.fun) + model.objective_constant,
+        assignment=_assignment(model, h),
+        objective_value=info.objective_function_value,
         stats=stats,
     )
+
+
+def write_lp(model: MILPModel, path: str) -> None:
+    """Write ``model`` to ``path`` with HiGHS's LP writer (``--lp-dump``).
+
+    HiGHS picks the format from the file name, so it writes to a ``.lp``
+    file first, whatever ``path`` is called."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lp_file = os.path.join(tmp, "model.lp")
+        if _highs(model).writeModel(lp_file) == highspy.HighsStatus.kError:
+            raise InternalConsistencyError("HiGHS could not write the model")
+        shutil.copyfile(lp_file, path)

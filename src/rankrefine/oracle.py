@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotate import Instance, cat_domain, evaluate, filter_annotated, numeric_domain, prepared
+from .annotate import cat_domain, evaluate, filter_annotated, numeric_domain, prepared
 from .constraints import ConstraintSet, deviation
 from .data import Database
 from .distances import JACCARD, KENDALL, PRED, DistanceKind, dis_jaccard, dis_kendall, dis_pred
@@ -89,9 +89,8 @@ class RefinementSpace:
             )
 
 
-def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP,
-                     instance: Instance | None = None) -> RefinementSpace:
-    instance = prepared(q, d, instance)
+def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP) -> RefinementSpace:
+    instance = prepared(q, d)
     numeric = [
         ((p.attribute, p.op),
          numeric_candidates(numeric_domain(instance, p.attribute), p.constant))
@@ -117,16 +116,15 @@ def exhaustive_solve(
     kind: DistanceKind,
     use_provenance: bool = True,
     cap: int = DEFAULT_CAP,
-    instance: Instance | None = None,
 ) -> OracleResult:
     """Scan the whole refinement space; return the minimum-distance candidate
     whose top-k prefixes deviate from the constraints by at most epsilon.
     Distance ties break on the lexicographically smallest refinement.
 
-    ``instance``, when given, is ``q``'s prepared universe over ``d``.
-    Without provenance every candidate is still evaluated from ``d``."""
-    instance = prepared(q, d, instance)
-    space = refinement_space(q, d, cap, instance)
+    Candidates are filtered from ``q``'s prepared instance in ``d``; without
+    provenance every candidate is still evaluated from ``d``."""
+    instance = prepared(q, d)
+    space = refinement_space(q, d, cap)
     k_star = constraints.k_star
     original_ranking = instance.original_ranking
     if kind.name in (JACCARD, KENDALL) and len(original_ranking) < k_star:

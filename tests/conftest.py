@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from scipy.optimize._highspy import _core as highspy
 
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet, parse_constraints
 from rankrefine.data import Database, Relation, Schema, Tuple, load_csv
@@ -63,6 +64,14 @@ def ref_double_prime() -> Refinement:  # GPA loosened, Activity gains GD
 def ref_triple_prime() -> Refinement:  # GPA loosened, Activity gains MO
     return Refinement(numeric_constants={("GPA", ">="): Fraction("3.6")},
                       cat_values={"Activity": frozenset({"RB", "MO"})})
+
+
+def read_lp(path):
+    """A silenced HiGHS holding the model read back from the LP file ``path``."""
+    h = highspy._Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.readModel(str(path)) == highspy.HighsStatus.kOk
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -55,14 +55,11 @@ def test_annotation_basics(students_db, scholarship_query):
     ann = annotate(scholarship_query, students_db)
     assert len(ann) == 14
     assert sorted(a.base_rank for a in ann) == list(range(1, 15))
-    # lineage of student 6: Activity SO, GPA 3.7
+    # student 6's lineage class: exactly the tuples with Activity SO, GPA 3.7
     t6 = next(a for a in ann if a.tuple["ID"] == Fraction(6))
-    assert a_set(t6.lineage) == {("cat", "Activity", "SO"),
-                                 ("num", "GPA", ">=", Fraction("3.7"))}
-
-
-def a_set(lineage):
-    return set(lineage)
+    same_values = [a for a in ann
+                   if (a.tuple["Activity"], a.tuple["GPA"]) == ("SO", Fraction("3.7"))]
+    assert list(ann.classes[t6.lineage_class]) == same_values
 
 
 def test_shadow_of_duplicate_student_four(students_db, scholarship_query):

@@ -3,6 +3,7 @@ import os
 from pathlib import Path
 
 import pytest
+from conftest import read_lp
 
 from rankrefine import engine
 from rankrefine.cli import (
@@ -75,6 +76,33 @@ def test_run_invalid_exit_one(capsys, tmp_path, breakage):
     assert "error:" in capsys.readouterr().err
 
 
+def _without_query():
+    args = _run_args()
+    i = args.index("--query")
+    return args[:i] + args[i + 2:]
+
+
+# argparse's own exit code for these would be 2, "no refinement exists"
+@pytest.mark.parametrize("args", [
+    _run_args(engine="bogus"),
+    _without_query(),
+    _run_args(timeout_s="abc"),
+], ids=["unknown-engine", "missing-query", "non-numeric-timeout"])
+def test_usage_error_exits_one(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["run", "--help"]])
+def test_help_exits_zero(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_outcome_distance_k_must_be_k_star(capsys):
     assert main(_run_args(distance="jaccard", k=4)) == EXIT_INVALID
     assert "k*" in capsys.readouterr().err
@@ -94,8 +122,9 @@ def test_out_file_and_sql_sidecar(tmp_path, capsys):
 def test_lp_dump_flag(tmp_path, capsys):
     dump = tmp_path / "model.lp"
     assert main(_run_args(lp_dump=dump)) == EXIT_REFINED
-    capsys.readouterr()
-    assert dump.read_text().startswith("Minimize")
+    stats = json.loads(capsys.readouterr().out)["model_stats"]
+    h = read_lp(dump)
+    assert (h.getNumCol(), h.getNumRow()) == (stats["variables"], stats["rows"])
 
 
 def test_deterministic_output_except_timing(tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import random_instance
 
-from rankrefine.annotate import annotate
+from rankrefine.annotate import prepared
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_pred
 from rankrefine.errors import InternalConsistencyError, PreconditionError
@@ -15,7 +15,7 @@ from rankrefine.milp.build import (
     build_model,
     extract_refinement,
 )
-from rankrefine.milp.model import CONTINUOUS, MILPModel, Row, Solution, to_lp_text
+from rankrefine.milp.model import CONTINUOUS, MILPModel, Row, Solution
 from rankrefine.milp.solver import solve
 from rankrefine.oracle import numeric_candidates
 from rankrefine.query import NumPredicate, Refinement, apply_refinement, parse_query
@@ -245,11 +245,11 @@ def test_relevancy_pruning_per_class_matches_the_per_tuple_walk():
     for _ in range(60):
         q, db, _, eps = random_instance(rng, max_rows=40)
         distinct += q.distinct
-        instance = annotate(q, db)
+        instance = prepared(q, db)
         for k_star in range(1, 7):
             cs = ConstraintSet((CardinalityConstraint((("g", "a"),), k_star, 1, "lower"),))
             builder = ModelBuilder(q, db, cs, eps, DistanceKind(PRED),
-                                   BuildOptions(relevancy_prune=True), instance)
+                                   BuildOptions(relevancy_prune=True))
             builder.relevancy_prune()
             kept = [at.tuple.tid for at in builder.encoded]
             assert kept == _pruned_per_tuple(instance, k_star)
@@ -279,7 +279,7 @@ def test_build_is_deterministic(students_db, scholarship_query,
                                 scholarship_constraints):
     one = _build(scholarship_query, students_db, scholarship_constraints, 0)
     two = _build(scholarship_query, students_db, scholarship_constraints, 0)
-    assert to_lp_text(one.model) == to_lp_text(two.model)
+    assert one.model == two.model
 
 
 def test_identity_refinement_when_budget_is_loose(students_db,

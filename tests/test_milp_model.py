@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from conftest import read_lp
+from scipy.optimize._highspy import _core as highspy
 
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.milp.build import build_model
@@ -11,9 +13,8 @@ from rankrefine.milp.model import (
     MILPModel,
     Row,
     Variable,
-    to_lp_text,
 )
-from rankrefine.milp.solver import SolveOptions, solve, solve_lp_relaxation
+from rankrefine.milp.solver import SolveOptions, solve, solve_lp_relaxation, write_lp
 
 
 def _small_model():
@@ -76,20 +77,27 @@ def test_unknown_sense_rejected():
     DistanceKind(PRED), DistanceKind(JACCARD, 6), DistanceKind(KENDALL, 6)])
 def test_lp_text_reads_back_through_highs(tmp_path, students_db, scholarship_query,
                                           scholarship_constraints, kind):
-    highs = pytest.importorskip("scipy.optimize._highspy._core")
     built = build_model(scholarship_query, students_db, scholarship_constraints,
                         Fraction(0), kind)
     path = tmp_path / "model.lp"
-    path.write_text(to_lp_text(built.model))
-    h = highs._Highs()
-    h.setOptionValue("output_flag", False)
-    assert h.readModel(str(path)) == highs.HighsStatus.kOk
+    write_lp(built.model, path)
+    h = read_lp(path)
     assert (h.getNumCol(), h.getNumRow()) == (len(built.model.variables),
                                               len(built.model.rows))
     h.run()
-    assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
+    assert h.getModelStatus() == highspy.HighsModelStatus.kOptimal
     want = solve(built.model).objective_value
     assert h.getInfo().objective_function_value == pytest.approx(want, abs=1e-9)
+
+
+def test_lp_file_suffix_does_not_change_the_format(tmp_path):
+    write_lp(_small_model(), tmp_path / "model.lp")
+    write_lp(_small_model(), tmp_path / "model.txt")
+    assert (tmp_path / "model.txt").read_text() == (tmp_path / "model.lp").read_text()
+    h = read_lp(tmp_path / "model.lp")
+    h.run()
+    assert h.getInfo().objective_function_value == pytest.approx(
+        solve(_small_model()).objective_value, abs=1e-9)
 
 
 def test_trivial_lp_min_x_at_least_two():
@@ -100,6 +108,8 @@ def test_trivial_lp_min_x_at_least_two():
     assert sol.status == "optimal"
     assert math.isclose(sol.objective_value, 2.0, abs_tol=1e-9)
     assert math.isclose(sol.value("x"), 2.0, abs_tol=1e-9)
+    # no binaries, so no branch and bound and no MIP bound to report
+    assert (sol.stats["nodes"], sol.stats["mip_gap"], sol.stats["dual_bound"]) == (0, None, None)
 
 
 def test_objective_constant_carried_through():

@@ -1,10 +1,10 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
-import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from rankrefine.errors import InternalConsistencyError
 from rankrefine.milp import solver
@@ -215,16 +215,42 @@ def test_limit_without_incumbent_is_timeout(options):
     assert sol.objective_value is None
 
 
-@pytest.mark.parametrize("status, message", [
-    (3, "The problem is unbounded. (HiGHS Status 10: Unbounded)"),
-    (4, "The problem is unbounded or infeasible. (HiGHS Status 9: ...)"),
-    (4, "HiGHS did not provide a status code. (HiGHS Status None: None)"),
-])
-def test_unexpected_highs_outcome_raises(monkeypatch, status, message):
-    def fake_milp(*args, **kwargs):
-        return OptimizeResult(status=status, message=message, x=None, fun=None,
-                              mip_node_count=None, mip_gap=None, mip_dual_bound=None)
+class _StubbedStatus:
+    """A loaded HiGHS whose run ends in ``status``."""
 
-    monkeypatch.setattr(solver, "milp", fake_milp)
-    with pytest.raises(InternalConsistencyError, match="HiGHS"):
+    def __init__(self, highs, status):
+        self._highs, self._status = highs, status
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getModelStatus(self):
+        return self._status
+
+
+# a valid model has finite bounds, so HiGHS cannot reach these by itself
+@pytest.mark.parametrize("status", ["kUnbounded", "kUnboundedOrInfeasible", "kNotset"])
+def test_unexpected_highs_outcome_raises(monkeypatch, status):
+    load = solver._highs
+    stubbed = getattr(solver.highspy.HighsModelStatus, status)
+    monkeypatch.setattr(solver, "_highs",
+                        lambda *args, **kw: _StubbedStatus(load(*args, **kw), stubbed))
+    with pytest.raises(InternalConsistencyError, match="HiGHS ended with model status"):
         solve(_knapsack(n=4))
+
+
+def test_highs_bindings_are_imported_in_one_module():
+    """scipy's HiGHS bindings are private to scipy, so one module imports them."""
+    src = Path(solver.__file__).resolve().parents[1]
+    importers = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(n.startswith("scipy.optimize._highspy") for n in names):
+                importers.append(path.relative_to(src).as_posix())
+    assert importers == ["milp/solver.py"]
