@@ -160,10 +160,11 @@ def prepared(q: Query, d: Database) -> Instance:
 
 
 def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query,
-                     key_attrs: tuple[str, ...]) -> Ranking:
+                     key_attrs: tuple[str, ...], limit: int | None = None) -> Ranking:
     """Provenance-accelerated evaluation: filter the annotated universe (an
     Instance or its tuples) by a refinement of its query, then dedup on the
-    DISTINCT key in base-rank order.  Agrees exactly with `evaluate`.
+    DISTINCT key in base-rank order.  Agrees exactly with `evaluate`, or
+    with its first ``limit`` tuples when a limit is given.
 
     Tuples of one lineage class hold equal values in every predicate
     attribute, so the predicates are tested once per class."""
@@ -182,6 +183,8 @@ def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query,
                 continue
             seen.add(key)
         ranking.append(at.tuple.tid)
+        if len(ranking) == limit:
+            break
     return ranking
 
 

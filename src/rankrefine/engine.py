@@ -1,5 +1,9 @@
 """End-to-end refinement runs: compile, solve, extract, and re-verify.
 
+Every distance is at least 0, so when the original query already meets the
+constraints within epsilon it is the optimum, and the MILP engines answer
+with it without running the solver.
+
 Whatever the solver reports, the extracted refinement is re-evaluated from
 scratch in exact arithmetic before being returned, so a "refined" result is
 always a true certificate: its top-k prefixes deviate by at most epsilon and
@@ -67,8 +71,11 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     """Re-evaluate the refined query exactly over the prepared instance and
     package the certificate.
 
-    A failed check raises InternalConsistencyError whose message carries
-    the refinement and the model stats.
+    Deviation, distance and the top-k listing read only the refined
+    ranking's first k* tuples, so the filter stops there; a shorter ranking
+    means it reached the end of the instance.  A failed check raises
+    InternalConsistencyError whose message carries the refinement and the
+    model stats.
     """
     def inconsistent(message: str) -> InternalConsistencyError:
         detail = json.dumps({"refinement": _refinement_dict(ref),
@@ -78,8 +85,8 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     q, cs = config.query, config.constraints
     q2 = apply_refinement(q, ref)
     tuples_by_id = instance.tuples_by_id
-    ranking = filter_annotated(instance, q2, instance.key_attrs)
     k_star = cs.k_star
+    ranking = filter_annotated(instance, q2, instance.key_attrs, limit=k_star)
     if len(ranking) < k_star:
         raise inconsistent(
             f"refined query returns {len(ranking)} tuples, fewer than k*={k_star}")
@@ -96,7 +103,7 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
         else:
             dist = dis_kendall(original, ranking, k_star)
     topk = []
-    for pos, tid in enumerate(ranking[:k_star], start=1):
+    for pos, tid in enumerate(ranking, start=1):
         groups = [c.label() for c in cs if c.contains(tuples_by_id[tid])]
         topk.append({"position": pos, "tid": tid, "groups": groups})
     return RefineResult(
@@ -159,6 +166,16 @@ def _run_milp(config: RunConfig, instance: Instance) -> RefineResult:
     setup_ms = (time.monotonic() - t0) * 1000.0
     if config.lp_dump:
         write_lp(built.model, config.lp_dump)
+    # checked after the build, which still raises on bad input and reports
+    # the model's size
+    cs, original = config.constraints, instance.original_ranking
+    if (len(original) >= cs.k_star
+            and deviation(original, instance.tuples_by_id, cs) <= config.epsilon):
+        # no distance is below 0, so the original query is the optimum
+        timing = {"setup_ms": setup_ms, "solve_ms": 0.0}
+        stats = {**built.stats, "nodes": 0, "mip_gap": 0.0, "dual_bound": 0.0}
+        return _verified_result(config, instance, Refinement.unchanged(config.query),
+                                REFINED, timing, stats)
     t1 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))
     solve_ms = (time.monotonic() - t1) * 1000.0

@@ -106,7 +106,9 @@ class _Namer:
 
     def fresh(self, *parts) -> str:
         raw = "_".join(str(p) for p in parts)
-        base = re.sub(r"[^0-9A-Za-z_]", "_", raw) or "x"
+        # an ASCII identifier is already its own sanitized form
+        base = raw if raw.isascii() and raw.isidentifier() else (
+            re.sub(r"[^0-9A-Za-z_]", "_", raw) or "x")
         name, i = base, 1
         while name in self.used:
             i += 1

@@ -18,20 +18,57 @@ to [0, 1], and :func:`write_lp` writes the model with HiGHS's LP writer.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
 import shutil
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
 
-# not called here; kept importable because perfbench's traced run wraps it
-from scipy.optimize import linprog  # noqa: F401
-# private to scipy, so imported in this one module only
-from scipy.optimize._highspy import _core as highspy
+import scipy
 
 from ..errors import InternalConsistencyError
 from .model import BINARY, MILPModel, Solution
+
+_HIGHSPY = "scipy.optimize._highspy._core"
+
+
+def _load_highspy():
+    """scipy's HiGHS bindings, loaded from their own file.
+
+    ``import scipy.optimize._highspy`` would first run ``scipy.optimize``'s
+    ``__init__``, which loads linalg, sparse and special: about 0.6 s and
+    45 MB that nothing here uses.  The module is registered under its own
+    name, so a later ``import scipy.optimize`` reuses it.  The bindings are
+    private to scipy, so this module is the one place that loads them."""
+    if _HIGHSPY in sys.modules:
+        return sys.modules[_HIGHSPY]
+    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    finder = importlib.machinery.FileFinder(
+        directory,
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_HIGHSPY)
+    if spec is None:
+        raise ImportError(f"scipy's HiGHS bindings (_core) not found in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHSPY] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+highspy = _load_highspy()
+
+
+def __getattr__(name: str):
+    # not called here; kept importable because perfbench's traced run wraps
+    # it, and loaded on demand because it brings in all of scipy.optimize
+    if name == "linprog":
+        from scipy.optimize import linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 _STATUS = {
     highspy.HighsModelStatus.kOptimal: "optimal",

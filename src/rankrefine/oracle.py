@@ -119,7 +119,8 @@ def exhaustive_solve(
 ) -> OracleResult:
     """Scan the whole refinement space; return the minimum-distance candidate
     whose top-k prefixes deviate from the constraints by at most epsilon.
-    Distance ties break on the lexicographically smallest refinement.
+    Distance ties go to the original query, then to the lexicographically
+    smallest refinement.
 
     Candidates are filtered from ``q``'s prepared instance in ``d``; without
     provenance every candidate is still evaluated from ``d``."""
@@ -132,7 +133,8 @@ def exhaustive_solve(
             "outcome distances need the original query to return at least "
             f"k*={k_star} tuples, got {len(original_ranking)}")
 
-    best = None  # (distance, encoding_key, refinement, query, ranking)
+    unchanged = Refinement.unchanged(q).encoding_key(q)
+    best = None  # ((distance, differs, encoding_key), refinement, query, ranking)
     checked = 0
     for ref in space:
         checked += 1
@@ -151,10 +153,11 @@ def exhaustive_solve(
             dist = dis_jaccard(original_ranking, ranking, k_star)
         else:
             dist = dis_kendall(original_ranking, ranking, k_star)
-        key = (dist, ref.encoding_key(q))
+        ref_key = ref.encoding_key(q)
+        key = (dist, ref_key != unchanged, ref_key)
         if best is None or key < best[0]:
             best = (key, ref, q2, ranking)
     if best is None:
         return OracleResult("no_refinement", None, None, None, None, checked)
-    (dist, _), ref, q2, ranking = best
+    (dist, _, _), ref, q2, ranking = best
     return OracleResult("refined", ref, q2, dist, ranking, checked)

@@ -95,6 +95,14 @@ class Refinement:
     numeric_constants: dict[tuple[str, str], Fraction] = field(default_factory=dict)
     cat_values: dict[str, frozenset[str]] = field(default_factory=dict)
 
+    @classmethod
+    def unchanged(cls, q: Query) -> Refinement:
+        """``q``'s own constants and value sets, every predicate mapped."""
+        return cls(
+            numeric_constants={(p.attribute, p.op): p.constant for p in q.numeric_preds},
+            cat_values={p.attribute: p.values for p in q.cat_preds},
+        )
+
     def encoding_key(self, q: Query):
         """Deterministic total order over refinements of ``q`` (tie-breaks)."""
         nums = tuple(

@@ -68,8 +68,8 @@ def _answer(db, q, cs, eps, kind, engine):
     try:
         result = run(RunConfig(q, db, cs, eps, DistanceKind(kind, cs.k_star), engine=engine))
     except PreconditionError as exc:  # e.g. outcome distance over too short a ranking
-        return "rejected", str(exc)
-    return result.status, result.distance
+        return "rejected", str(exc), None
+    return result.status, result.distance, result.refined_sql
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -86,4 +86,7 @@ def test_milp_matches_the_oracle_on_a_shared_database(rel, qs, reqs):
         assert milp[0] == oracle[0], (q, cs, eps, kind, milp, oracle)
         if oracle[0] == REFINED:
             assert abs(float(milp[1] - oracle[1])) <= TOL, (q, cs, eps, kind, milp, oracle)
+        if oracle[:2] == (REFINED, 0):
+            # distance 0 is the original query, which both engines report
+            assert milp[2] == oracle[2], (q, cs, eps, kind, milp, oracle)
         assert db.last_prepared[1].query == q

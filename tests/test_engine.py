@@ -6,11 +6,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import DATA, SCENARIOS, read_lp
-from test_golden import GOLDEN, RELATIONS
+from test_golden import GOLDEN, RELATIONS, _args
 
 from rankrefine import engine
 from rankrefine.annotate import prepared
-from rankrefine.constraints import CardinalityConstraint, ConstraintSet, parse_constraints
+from rankrefine.cli import EXIT_INVALID, main
+from rankrefine.constraints import (
+    CardinalityConstraint,
+    ConstraintSet,
+    deviation,
+    parse_constraints,
+)
 from rankrefine.data import Database, Relation, Schema, Tuple, load_csv
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.engine import (
@@ -23,9 +29,16 @@ from rankrefine.engine import (
     result_to_dict,
     run,
 )
-from rankrefine.milp import Solution, solve
-from rankrefine.errors import PreconditionError, RankRefineError
-from rankrefine.query import NumPredicate, Query, parse_query
+from rankrefine.milp import BuildOptions, Solution, build_model, solve
+from rankrefine.errors import InternalConsistencyError, PreconditionError, RankRefineError
+from rankrefine.query import (
+    NumPredicate,
+    Query,
+    Refinement,
+    apply_refinement,
+    parse_query,
+    render_sql,
+)
 
 
 def _config(db, q, cs, **kw):
@@ -376,3 +389,109 @@ def test_large_magnitudes_match_the_oracle(base, gap):
         _, oracle = _assert_engines_agree(*_large_magnitude_instance(seed, base, gap))
         refined += oracle.status == REFINED
     assert refined > 0
+
+
+def _original_deviation(db, q, cs):
+    instance = prepared(q, db)
+    return deviation(instance.original_ranking, instance.tuples_by_id, cs)
+
+
+def _no_solve(model, options):
+    raise AssertionError("HiGHS ran although the original query meets the constraints")
+
+
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
+@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD, 6),
+                                  DistanceKind(KENDALL, 6)], ids=lambda k: k.name)
+def test_original_query_within_epsilon_is_answered_without_solving(
+        monkeypatch, students_db, scholarship_query, scholarship_constraints,
+        engine_name, kind):
+    eps = _original_deviation(students_db, scholarship_query, scholarship_constraints)
+    assert 0 < eps < 1
+    monkeypatch.setattr(engine, "solve", _no_solve)
+    result = run(_config(students_db, scholarship_query, scholarship_constraints,
+                         engine=engine_name, kind=kind, epsilon=eps))
+    assert result.status == REFINED
+    assert result.refinement == Refinement.unchanged(scholarship_query)
+    assert result.refined_sql == render_sql(scholarship_query)
+    assert result.distance == 0 and result.deviation == eps
+    opt = engine_name == "milp+opt"
+    built = build_model(scholarship_query, students_db, scholarship_constraints, eps, kind,
+                        BuildOptions(relevancy_prune=opt, merge_lineage=opt,
+                                     relax_single_sense=opt))
+    stats = result_to_dict(result)["model_stats"]
+    assert (stats["variables"], stats["rows"]) == (built.stats["variables"],
+                                                   built.stats["rows"])
+    assert (stats["nodes"], stats["mip_gap"], stats["dual_bound"]) == (0, 0.0, 0.0)
+    assert result.timing_ms["solve_ms"] == 0
+
+
+def test_original_query_just_outside_epsilon_is_solved(monkeypatch, students_db,
+                                                       scholarship_query,
+                                                       scholarship_constraints):
+    eps = _original_deviation(students_db, scholarship_query,
+                              scholarship_constraints) - Fraction(1, 1000)
+    calls = []
+
+    def counted(model, options):
+        calls.append(model)
+        return solve(model, options)
+
+    monkeypatch.setattr(engine, "solve", counted)
+    result = run(_config(students_db, scholarship_query, scholarship_constraints,
+                         epsilon=eps))
+    assert len(calls) == 1
+    assert result.status == REFINED and result.distance > 0
+
+
+def test_lp_dump_written_when_the_original_query_settles(monkeypatch, tmp_path, students_db,
+                                                         scholarship_query,
+                                                         scholarship_constraints):
+    monkeypatch.setattr(engine, "solve", _no_solve)
+    dump = tmp_path / "model.lp"
+    result = run(_config(students_db, scholarship_query, scholarship_constraints,
+                         epsilon=Fraction(1), lp_dump=str(dump)))
+    assert result.distance == 0
+    h = read_lp(dump)
+    assert (h.getNumCol(), h.getNumRow()) == (result.model_stats["variables"],
+                                              result.model_stats["rows"])
+
+
+def test_non_positive_pred_constant_is_rejected_at_any_epsilon(tmp_path, capsys, students_db,
+                                                               scholarship_constraints):
+    text = ("SELECT DISTINCT ID, Gender, Income FROM Students NATURAL JOIN Activities "
+            "WHERE GPA >= 0 AND Activity = 'RB' ORDER BY SAT DESC")
+    q = parse_query(text)
+    assert len(prepared(q, students_db).original_ranking) >= scholarship_constraints.k_star
+    with pytest.raises(PreconditionError, match="positive original constant"):
+        run(_config(students_db, q, scholarship_constraints, epsilon=Fraction(1)))
+    query_file = tmp_path / "query.sql"
+    query_file.write_text(text)
+    args = _args("scholarship", PRED, "1")
+    args[args.index("--query") + 1] = str(query_file)
+    assert main(args) == EXIT_INVALID
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind", [JACCARD, KENDALL])
+def test_short_original_ranking_is_rejected_at_any_epsilon(capsys, no_perfect_db,
+                                                           no_perfect_query,
+                                                           no_perfect_constraints, kind):
+    with pytest.raises(PreconditionError, match="at least k"):
+        run(_config(no_perfect_db, no_perfect_query, no_perfect_constraints,
+                    epsilon=Fraction(1), kind=DistanceKind(kind, 3)))
+    assert main(_args("no_perfect", kind, "1")) == EXIT_INVALID
+    assert capsys.readouterr().out == ""
+
+
+def test_refinement_with_fewer_than_k_star_tuples_fails_verification(
+        students_db, scholarship_query, scholarship_constraints):
+    config = _config(students_db, scholarship_query, scholarship_constraints,
+                     epsilon=Fraction(1))
+    instance = prepared(scholarship_query, students_db)
+    too_tight = Refinement(numeric_constants={("GPA", ">="): Fraction(4)})
+    assert 0 < len(engine.filter_annotated(
+        instance, apply_refinement(scholarship_query, too_tight), instance.key_attrs)) \
+        < scholarship_constraints.k_star
+    with pytest.raises(InternalConsistencyError, match="fewer than k"):
+        engine._verified_result(config, instance, too_tight, REFINED, {}, {})

@@ -1,7 +1,10 @@
 import ast
 import itertools
+import json
 import math
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,7 +243,8 @@ def test_unexpected_highs_outcome_raises(monkeypatch, status):
 
 
 def test_highs_bindings_are_imported_in_one_module():
-    """scipy's HiGHS bindings are private to scipy, so one module imports them."""
+    """scipy's HiGHS bindings are private to scipy, so one module loads them,
+    by an import statement or by their module name."""
     src = Path(solver.__file__).resolve().parents[1]
     importers = []
     for path in sorted(src.rglob("*.py")):
@@ -249,8 +253,28 @@ def test_highs_bindings_are_imported_in_one_module():
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
                 names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
             else:
                 continue
             if any(n.startswith("scipy.optimize._highspy") for n in names):
                 importers.append(path.relative_to(src).as_posix())
     assert importers == ["milp/solver.py"]
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    src = Path(solver.__file__).resolve().parents[2]
+    script = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import rankrefine\n"
+        "from rankrefine.milp import solver\n"
+        "before = 'scipy.optimize' in sys.modules\n"
+        "from scipy.optimize import linprog\n"
+        "from scipy.optimize._highspy import _core\n"
+        "print(json.dumps([before, _core is solver.highspy, solver.linprog is linprog]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, check=True)
+    # the bindings are one module object, shared with scipy once it loads
+    assert json.loads(out.stdout) == [False, True, True]
