@@ -102,9 +102,13 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
             dist = dis_jaccard(original, ranking, k_star)
         else:
             dist = dis_kendall(original, ranking, k_star)
+    # a caller may keep every result, so the rows share one label string
+    # per constraint and hold their groups in tuples (the empty one is shared)
+    labels = [(c, c.label()) for c in cs]
     topk = []
     for pos, tid in enumerate(ranking, start=1):
-        groups = [c.label() for c in cs if c.contains(tuples_by_id[tid])]
+        t = tuples_by_id[tid]
+        groups = tuple(label for c, label in labels if c.contains(t))
         topk.append({"position": pos, "tid": tid, "groups": groups})
     return RefineResult(
         status=status,

@@ -25,8 +25,8 @@ same sense (sound only for the predicate-space objective).
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -40,7 +40,7 @@ from ..distances import JACCARD, KENDALL, PRED, DistanceKind
 from ..errors import BuildError, InternalConsistencyError, PreconditionError
 from ..oracle import numeric_candidates
 from ..query import Query, Refinement
-from .model import BINARY, CONTINUOUS, MILPModel, Row, Solution, Variable
+from .model import BINARY, CONTINUOUS, MILPModel, Solution
 
 _UPPER_OPS = (">=", ">")  # selected values form an upper set of the domain
 _LOWER_OPS = ("<=", "<")  # ... a lower set; "=" selects at most one value
@@ -59,7 +59,7 @@ class NumericFamily:
     op: str
     original: Fraction
     domain: list[Fraction]  # sorted values among encoded tuples
-    indicators: dict[Fraction, str]  # value -> variable name
+    indicators: dict[Fraction, int]  # value -> column
     # selection (positions in domain) -> candidate constant closest to the
     # original among those that select exactly these values
     constants: dict[range, Fraction]
@@ -85,7 +85,7 @@ class CatFamily:
     domain: list[str]  # sorted values among encoded tuples
     original: frozenset[str]
     kept: frozenset[str]  # original values absent from the encoded domain
-    indicators: dict[str, str]  # value -> variable name
+    indicators: dict[str, int]  # value -> column
 
 
 @dataclass
@@ -94,27 +94,22 @@ class BuildResult:
     encoded: list[AnnotatedTuple]  # base-rank order
     num_families: dict[tuple[str, str], NumericFamily]
     cat_families: dict[str, CatFamily]
-    r_name: dict[int, str]  # tid -> membership variable (shared when merged)
-    l_name: dict[tuple[int, int], str]  # (tid, k) -> variable
+    r_col: dict[int, int]  # tid -> membership column (shared when merged)
+    l_col: dict[tuple[int, int], int]  # (tid, k) -> top-k membership column
     original_topk: list[int]  # top-k* tids of the unrefined query
     stats: dict = field(default_factory=dict)
 
+    @property
+    def r_name(self) -> dict[int, str]:
+        """tid -> name of its membership variable."""
+        names = self.model.col_names
+        return {tid: names[j] for tid, j in self.r_col.items()}
 
-class _Namer:
-    def __init__(self):
-        self.used: set[str] = set()
-
-    def fresh(self, *parts) -> str:
-        raw = "_".join(str(p) for p in parts)
-        # an ASCII identifier is already its own sanitized form
-        base = raw if raw.isascii() and raw.isidentifier() else (
-            re.sub(r"[^0-9A-Za-z_]", "_", raw) or "x")
-        name, i = base, 1
-        while name in self.used:
-            i += 1
-            name = f"{base}_{i}"
-        self.used.add(name)
-        return name
+    @property
+    def l_name(self) -> dict[tuple[int, int], str]:
+        """(tid, k) -> name of its top-k membership variable."""
+        names = self.model.col_names
+        return {key: names[j] for key, j in self.l_col.items()}
 
 
 class ModelBuilder:
@@ -135,7 +130,6 @@ class ModelBuilder:
         self.kind = kind
         self.options = options or BuildOptions()
         self.model = MILPModel()
-        self.namer = _Namer()
         self.k_star = constraints.k_star
 
         instance = prepared(query, db)
@@ -153,19 +147,19 @@ class ModelBuilder:
 
         self.num_families: dict[tuple[str, str], NumericFamily] = {}
         self.cat_families: dict[str, CatFamily] = {}
-        self.r_name: dict[int, str] = {}
-        self.l_name: dict[tuple[int, int], str] = {}
-        self.e_names: list[tuple] = []  # (constraint, var name)
+        self.r_col: dict[int, int] = {}
+        self.l_col: dict[tuple[int, int], int] = {}
+        self.e_cols: list[tuple] = []  # (constraint, column)
+        # per constraint, the encoded tuples in its group (base-rank order)
+        self.members: list[list[AnnotatedTuple]] = []
 
-    # -- variable/row helpers ------------------------------------------------
+    # -- column/row helpers ------------------------------------------------
 
-    def _var(self, name: str, kind: str, lb: float = 0.0, ub: float = 1.0) -> str:
-        self.model.variables.append(Variable(name, kind, float(lb), float(ub)))
-        return name
+    def _binary(self, *label) -> int:
+        return self.model.add_column(BINARY, 0, 1, *label)
 
-    def _row(self, name: str, coeffs: dict[str, float], sense: str, rhs) -> None:
-        self.model.rows.append(Row(name, {k: float(v) for k, v in coeffs.items()},
-                                   sense, float(rhs)))
+    def _row(self, coeffs: dict[int, float], sense: str, rhs, *label) -> None:
+        self.model.add_row(coeffs, coeffs.values(), sense, rhs, *label)
 
     # -- optimization passes ---------------------------------------------
 
@@ -206,20 +200,19 @@ class ModelBuilder:
             values = sorted({at.tuple[p.attribute] for at in self.encoded})
             if not values:
                 raise BuildError(f"no encoded values for numeric predicate on {p.attribute!r}")
-            names = [self._var(self.namer.fresh("A", p.attribute, _OP_CODE[p.op],
-                                                format_number(v)), BINARY)
-                     for v in values]
+            cols = [self._binary("A", p.attribute, _OP_CODE[p.op], format_number(v))
+                    for v in values]
             fam = NumericFamily(p.attribute, p.op, p.constant, values,
-                                dict(zip(values, names)), {})
+                                dict(zip(values, cols)), {})
             if p.op == "=":
-                self._row(self.namer.fresh("eq_one", p.attribute),
-                          {a: 1 for a in names}, "<=", 1)
+                self._row(dict.fromkeys(cols, 1), "<=", 1, "eq_one", p.attribute)
             else:
                 # a selected value implies its outer neighbour is selected
                 if p.op in _LOWER_OPS:
-                    names.reverse()
-                for inner, outer in zip(names, names[1:]):
-                    self._row(self.namer.fresh("chain", inner), {inner: 1, outer: -1}, "<=", 0)
+                    cols.reverse()
+                names = self.model.col_names
+                for inner, outer in zip(cols, cols[1:]):
+                    self._row({inner: 1, outer: -1}, "<=", 0, "chain", names[inner])
             # pruning keeps a tuple of every lineage class, so these are the
             # oracle's candidates; ascending, so the smaller of two equally
             # close constants wins
@@ -236,15 +229,15 @@ class ModelBuilder:
             kept = frozenset(p.values) - set(values)
             fam = CatFamily(p.attribute, values, frozenset(p.values), kept, {})
             for v in values:
-                fam.indicators[v] = self._var(self.namer.fresh("A", p.attribute, v), BINARY)
+                fam.indicators[v] = self._binary("A", p.attribute, v)
             if not kept and values:
                 # a refined value set must stay non-empty
-                self._row(self.namer.fresh("nonempty", p.attribute),
-                          {name: 1 for name in fam.indicators.values()}, ">=", 1)
+                self._row(dict.fromkeys(fam.indicators.values(), 1), ">=", 1,
+                          "nonempty", p.attribute)
             self.cat_families[p.attribute] = fam
 
-    def _atom_vars(self, at: AnnotatedTuple) -> list[str]:
-        """Indicator variables whose conjunction selects this tuple."""
+    def _atom_cols(self, at: AnnotatedTuple) -> list[int]:
+        """Indicator columns whose conjunction selects this tuple."""
         out = []
         for p in self.query.numeric_preds:
             fam = self.num_families[(p.attribute, p.op)]
@@ -259,56 +252,53 @@ class ModelBuilder:
     def gen_selection_exprs(self) -> None:
         merged = self.options.merge_lineage and not self.key_attrs
         if merged:
-            class_var: dict[int, str] = {}
+            class_col: dict[int, int] = {}
             class_rep: dict[int, AnnotatedTuple] = {}
             for at in self.encoded:
-                if at.lineage_class not in class_var:
-                    class_var[at.lineage_class] = self._var(
-                        self.namer.fresh("r", "cls", at.lineage_class), BINARY)
+                if at.lineage_class not in class_col:
+                    class_col[at.lineage_class] = self._binary("r", "cls", at.lineage_class)
                     class_rep[at.lineage_class] = at
-                self.r_name[at.tuple.tid] = class_var[at.lineage_class]
+                self.r_col[at.tuple.tid] = class_col[at.lineage_class]
             for cls, at in class_rep.items():
-                self._selection_rows(class_var[cls], self._atom_vars(at), [])
+                self._selection_rows(class_col[cls], self._atom_cols(at), [])
         else:
             encoded_tids = {at.tuple.tid for at in self.encoded}
             for at in self.encoded:
-                self.r_name[at.tuple.tid] = self._var(
-                    self.namer.fresh("r", at.tuple.tid), BINARY)
+                self.r_col[at.tuple.tid] = self._binary("r", at.tuple.tid)
             for at in self.encoded:
-                shadows = [self.r_name[t] for t in at.shadow if t in encoded_tids]
+                shadows = [self.r_col[t] for t in at.shadow if t in encoded_tids]
                 if len(shadows) != len(at.shadow):
                     raise InternalConsistencyError(
                         f"tuple {at.tuple.tid} has pruned shadow tuples")
-                self._selection_rows(self.r_name[at.tuple.tid],
-                                     self._atom_vars(at), shadows)
+                self._selection_rows(self.r_col[at.tuple.tid],
+                                     self._atom_cols(at), shadows)
 
-    def _selection_rows(self, r: str, atoms: list[str], shadows: list[str]) -> None:
+    def _selection_rows(self, r: int, atoms: list[int], shadows: list[int]) -> None:
         """r = 1 iff every atom indicator is 1 and no shadow tuple is selected."""
         n, s = len(atoms), len(shadows)
-        up: dict[str, float] = {r: n + s}
-        lo: dict[str, float] = {r: 1}
+        up: dict[int, float] = {r: n + s}
+        lo: dict[int, float] = {r: 1}
         for a in atoms:
             up[a] = up.get(a, 0) - 1
             lo[a] = lo.get(a, 0) - 1
         for sh in shadows:
             up[sh] = up.get(sh, 0) + 1
             lo[sh] = lo.get(sh, 0) + 1
+        name = self.model.col_names[r]
         # r=1 -> all atoms hold and no shadow selected
-        self._row(self.namer.fresh("sel_up", r), up, "<=", s)
+        self._row(up, "<=", s, "sel_up", name)
         # all atoms hold and no shadow selected -> r=1
-        self._row(self.namer.fresh("sel_lo", r), lo, ">=", 1 - n)
+        self._row(lo, ">=", 1 - n, "sel_lo", name)
 
     def _needed_ks(self) -> dict[int, list[int]]:
         """tid -> sorted list of k values needing a top-k membership binary."""
         needed: dict[int, set[int]] = {}
-        by_tid = {at.tuple.tid: at for at in self.encoded}
-        for c in self.constraints:
-            for at in self.encoded:
-                if c.contains(at.tuple):
-                    needed.setdefault(at.tuple.tid, set()).add(c.k)
+        for c, members in zip(self.constraints, self.members):
+            for at in members:
+                needed.setdefault(at.tuple.tid, set()).add(c.k)
         if self.kind.name in (JACCARD, KENDALL):
-            for tid in by_tid:
-                needed.setdefault(tid, set()).add(self.k_star)
+            for at in self.encoded:
+                needed.setdefault(at.tuple.tid, set()).add(self.k_star)
         return {tid: sorted(ks) for tid, ks in needed.items()}
 
     def gen_position_exprs(self) -> None:
@@ -316,66 +306,72 @@ class ModelBuilder:
         senses = {c.sense for c in self.constraints}
         relax = (self.options.relax_single_sense and len(senses) == 1
                  and self.kind.name == PRED)
+        lo_rows = not relax or senses == {LOWER}
+        up_rows = not relax or senses != {LOWER}
         needed = self._needed_ks()
-        prefix: dict[str, float] = {}
+        names = self.model.col_names
+        # -(number of encoded tuples so far) per membership column, in the
+        # order the columns first appear
+        prefix_cols: list[int] = []
+        prefix_neg: list[int] = []
+        slot: dict[int, int] = {}  # membership column -> its place in the prefix
         for at in self.encoded:  # base-rank order
-            rvar = self.r_name[at.tuple.tid]
-            prefix[rvar] = prefix.get(rvar, 0) + 1
+            rcol = self.r_col[at.tuple.tid]
+            if rcol in slot:
+                prefix_neg[slot[rcol]] -= 1
+            else:
+                slot[rcol] = len(prefix_cols)
+                prefix_cols.append(rcol)
+                prefix_neg.append(-1)
             tid = at.tuple.tid
             if tid not in needed:
                 continue
-            s = self._var(self.namer.fresh("s", tid), CONTINUOUS, 1, 2 * n_enc)
-            lo_rows = not relax or senses == {LOWER}
-            up_rows = not relax or senses != {LOWER}
+            s = self.model.add_column(CONTINUOUS, 1, 2 * n_enc, "s", tid)
             if lo_rows:
                 # s >= (number of selected tuples ranked at or before t)
-                coeffs = {s: 1.0, **{k: -v for k, v in prefix.items()}}
-                self._row(self.namer.fresh("pos_lo", tid), coeffs, ">=", 0)
+                self.model.add_row((s, *prefix_cols), (1.0, *prefix_neg), ">=", 0,
+                                   "pos_lo", tid)
                 # unselected tuples sit beyond every meaningful position
-                self._row(self.namer.fresh("pos_out", tid),
-                          {s: 1, rvar: n_enc + 1}, ">=", n_enc + 1)
+                self._row({s: 1, rcol: n_enc + 1}, ">=", n_enc + 1, "pos_out", tid)
             if up_rows:
-                coeffs = {s: 1.0, **{k: -v for k, v in prefix.items()}}
-                coeffs[rvar] = coeffs.get(rvar, 0.0) + 2 * n_enc
-                self._row(self.namer.fresh("pos_up", tid), coeffs, "<=", 2 * n_enc)
+                values = [1.0, *prefix_neg]
+                values[1 + slot[rcol]] += 2 * n_enc
+                self.model.add_row((s, *prefix_cols), values, "<=", 2 * n_enc,
+                                   "pos_up", tid)
             for k in needed[tid]:
-                lvar = self._var(self.namer.fresh("l", tid, k), BINARY)
-                self.l_name[(tid, k)] = lvar
+                lcol = self._binary("l", tid, k)
+                self.l_col[(tid, k)] = lcol
+                name = names[lcol]
                 # l=1 -> s <= k ; l=0 -> s >= k + 1 (positions are integral)
-                self._row(self.namer.fresh("top_up", lvar),
-                          {s: 1, lvar: 2 * n_enc}, "<=", k + 2 * n_enc)
-                self._row(self.namer.fresh("top_lo", lvar),
-                          {s: 1, lvar: 2 * n_enc}, ">=", k + 1)
-                self._row(self.namer.fresh("top_sel", lvar),
-                          {lvar: 1, rvar: -1}, "<=", 0)
+                self._row({s: 1, lcol: 2 * n_enc}, "<=", k + 2 * n_enc, "top_up", name)
+                self._row({s: 1, lcol: 2 * n_enc}, ">=", k + 1, "top_lo", name)
+                self._row({lcol: 1, rcol: -1}, "<=", 0, "top_sel", name)
 
     def gen_size_topk_deficit_deviation(self) -> None:
         # the refined output must be at least k* long for top-k* to exist
-        sum_r: dict[str, float] = {}
+        sum_r: dict[int, float] = {}
         for at in self.encoded:
-            rvar = self.r_name[at.tuple.tid]
-            sum_r[rvar] = sum_r.get(rvar, 0) + 1
-        self._row(self.namer.fresh("size"), sum_r, ">=", self.k_star)
+            rcol = self.r_col[at.tuple.tid]
+            sum_r[rcol] = sum_r.get(rcol, 0) + 1
+        self._row(sum_r, ">=", self.k_star, "size")
 
-        for i, c in enumerate(self.constraints):
-            members = [self.l_name[(at.tuple.tid, c.k)]
-                       for at in self.encoded if c.contains(at.tuple)]
-            e = self._var(self.namer.fresh("E", i), CONTINUOUS, 0, c.k)
-            self.e_names.append((c, e))
+        for i, (c, members) in enumerate(zip(self.constraints, self.members)):
+            e = self.model.add_column(CONTINUOUS, 0, c.k, "E", i)
+            self.e_cols.append((c, e))
             coeffs = {e: 1.0}
-            for lv in members:
-                coeffs[lv] = coeffs.get(lv, 0.0) + c.sign
+            for at in members:
+                lcol = self.l_col[(at.tuple.tid, c.k)]
+                coeffs[lcol] = coeffs.get(lcol, 0.0) + c.sign
             # lower: E >= n - sum(l);  upper: E >= sum(l) - n
-            self._row(self.namer.fresh("deficit", i), coeffs, ">=", c.sign * c.n)
+            self._row(coeffs, ">=", c.sign * c.n, "deficit", i)
 
         # deviation budget, scaled to integer coefficients:
         #   sum_c E_c / (n_c * |C|) <= eps
-        den = math.lcm(*(c.n for c, _ in self.e_names))
+        den = math.lcm(*(c.n for c, _ in self.e_cols))
         eps = self.epsilon
         scale = den * eps.denominator
-        coeffs = {e: scale // c.n for c, e in self.e_names}
-        self._row(self.namer.fresh("deviation"), coeffs, "<=",
-                  eps.numerator * den * len(self.constraints))
+        coeffs = {e: scale // c.n for c, e in self.e_cols}
+        self._row(coeffs, "<=", eps.numerator * den * len(self.constraints), "deviation")
 
     # -- objectives --------------------------------------------------------
 
@@ -414,7 +410,7 @@ class ModelBuilder:
                 before, after = range(i), range(i + 1)
             else:
                 before, after = range(0), range(i, i + 1)
-            self.model.objective[fam.indicators[v]] = float(cost[after] - cost[before])
+            self.model.col_cost[fam.indicators[v]] = float(cost[after] - cost[before])
 
     def _objective_jaccard_cat(self, attr: str, fam: CatFamily) -> None:
         """Jaccard distance of the refined value set from the original one,
@@ -423,28 +419,30 @@ class ModelBuilder:
         r_set = fam.original
         union_ub = len(r_set | set(fam.domain))
         w_lo, w_hi = 1.0 / union_ub, 1.0 / len(r_set)
-        w = self._var(self.namer.fresh("w", attr), CONTINUOUS, w_lo, w_hi)
+        model = self.model
+        w = model.add_column(CONTINUOUS, w_lo, w_hi, "w", attr)
         outside = [v for v in fam.domain if v not in r_set]
         inside = [v for v in fam.domain if v in r_set]
-        z: dict[str, str] = {}
+        z: dict[str, int] = {}
         for v in outside + inside:
             a = fam.indicators[v]
-            zv = self._var(self.namer.fresh("z", attr, v), CONTINUOUS, 0, w_hi)
+            zv = model.add_column(CONTINUOUS, 0, w_hi, "z", attr, v)
             z[v] = zv
-            self._row(self.namer.fresh("gl1", zv), {zv: 1, a: -w_hi}, "<=", 0)
-            self._row(self.namer.fresh("gl2", zv), {zv: 1, a: -w_lo}, ">=", 0)
-            self._row(self.namer.fresh("gl3", zv), {zv: 1, w: -1, a: -w_lo}, "<=", -w_lo)
-            self._row(self.namer.fresh("gl4", zv), {zv: 1, w: -1, a: -w_hi}, ">=", -w_hi)
+            name = model.col_names[zv]
+            self._row({zv: 1, a: -w_hi}, "<=", 0, "gl1", name)
+            self._row({zv: 1, a: -w_lo}, ">=", 0, "gl2", name)
+            self._row({zv: 1, w: -1, a: -w_lo}, "<=", -w_lo, "gl3", name)
+            self._row({zv: 1, w: -1, a: -w_hi}, ">=", -w_hi, "gl4", name)
         # w * |original ∪ refined| = 1
         coeffs = {w: float(len(r_set))}
         for v in outside:
             coeffs[z[v]] = 1.0
-        self._row(self.namer.fresh("cc_norm", attr), coeffs, "=", 1)
+        self._row(coeffs, "=", 1, "cc_norm", attr)
         # distance = 1 - |original ∩ refined| * w
-        self.model.objective_constant += 1.0
-        self.model.objective[w] = self.model.objective.get(w, 0.0) - len(fam.kept)
+        model.objective_constant += 1.0
+        model.col_cost[w] -= len(fam.kept)
         for v in inside:
-            self.model.objective[z[v]] = self.model.objective.get(z[v], 0.0) - 1.0
+            model.col_cost[z[v]] -= 1.0
 
     def _objective_jaccard(self) -> None:
         # |topk ∩ topk'| = sum of l at k* over the original top-k* tuples; the
@@ -454,8 +452,7 @@ class ModelBuilder:
         t1 = set(self.original_topk)
         for at in self.encoded:
             if at.tuple.tid in t1:
-                lv = self.l_name[(at.tuple.tid, self.k_star)]
-                self.model.objective[lv] = self.model.objective.get(lv, 0.0) - 1.0
+                self.model.col_cost[self.l_col[(at.tuple.tid, self.k_star)]] -= 1.0
         self.model.objective_constant += float(self.k_star)
 
     def _objective_kendall(self) -> None:
@@ -470,10 +467,10 @@ class ModelBuilder:
         t1 = set(self.original_topk)
         in_t1 = [at for at in self.encoded if at.tuple.tid in t1]
         out_t1 = [at for at in self.encoded if at.tuple.tid not in t1]
-        entrants = {self.l_name[(at.tuple.tid, k)]: 1.0 for at in out_t1}
+        entrants = {self.l_col[(at.tuple.tid, k)]: 1.0 for at in out_t1}
 
         def emit(prefix: str, tid: int, active_low: bool,
-                 count: dict[str, float]) -> None:
+                 count: dict[int, float]) -> None:
             """Objective term v = (count expression) gated on l_{tid, k*}.
 
             active_low=True charges the count when the tuple departed
@@ -482,23 +479,23 @@ class ModelBuilder:
                 v >= count - m * l        (departures)
                 v >= count - m * (1 - l)  (entrants)
             """
-            lv = self.l_name[(tid, k)]
-            v = self._var(self.namer.fresh(prefix, tid), CONTINUOUS, 0, k)
+            lcol = self.l_col[(tid, k)]
+            v = self.model.add_column(CONTINUOUS, 0, k, prefix, tid)
             coeffs = {v: 1.0}
-            for name, c in count.items():
-                coeffs[name] = coeffs.get(name, 0.0) - c
+            for col, c in count.items():
+                coeffs[col] = coeffs.get(col, 0.0) - c
             if active_low:
-                coeffs[lv] = coeffs.get(lv, 0.0) + m
+                coeffs[lcol] = coeffs.get(lcol, 0.0) + m
                 rhs = 0.0
             else:
-                coeffs[lv] = coeffs.get(lv, 0.0) - m
+                coeffs[lcol] = coeffs.get(lcol, 0.0) - m
                 rhs = -m
-            self._row(self.namer.fresh(f"{prefix}_lo", tid), coeffs, ">=", rhs)
-            self.model.objective[v] = self.model.objective.get(v, 0.0) + 1.0
+            self._row(coeffs, ">=", rhs, f"{prefix}_lo", tid)
+            self.model.col_cost[v] += 1.0
 
         for at in in_t1:
             tid = at.tuple.tid
-            below = {self.l_name[(o.tuple.tid, k)]: 1.0
+            below = {self.l_col[(o.tuple.tid, k)]: 1.0
                      for o in in_t1 if o.base_rank > at.base_rank}
             if below:
                 # departed-tuple discordances with retained tuples below it
@@ -508,7 +505,7 @@ class ModelBuilder:
                 emit("c3", tid, True, dict(entrants))
         for at in out_t1:
             tid = at.tuple.tid
-            below = {self.l_name[(o.tuple.tid, k)]: 1.0
+            below = {self.l_col[(o.tuple.tid, k)]: 1.0
                      for o in in_t1 if o.base_rank > at.base_rank}
             if below:
                 # entered-tuple discordances with retained tuples below it
@@ -521,25 +518,30 @@ class ModelBuilder:
             self.relevancy_prune()
         if not self.encoded:
             raise BuildError("no tuples to encode")
+        self.members = [[at for at in self.encoded if c.contains(at.tuple)]
+                        for c in self.constraints]
         self.gen_numeric_bound_exprs()
         self.gen_categorical_vars()
         self.gen_selection_exprs()
         self.gen_position_exprs()
         self.gen_size_topk_deficit_deviation()
         self.gen_objective()
-        self.model.validate()
+        model = self.model
+        families = Counter(_ROW_FAMILY[label[0]] for label in model.row_labels)
         return BuildResult(
-            model=self.model,
+            model=model,
             encoded=self.encoded,
             num_families=self.num_families,
             cat_families=self.cat_families,
-            r_name=self.r_name,
-            l_name=self.l_name,
+            r_col=self.r_col,
+            l_col=self.l_col,
             original_topk=list(self.original_topk),
             stats={
-                "variables": len(self.model.variables),
-                "rows": len(self.model.rows),
-                "binaries": len(self.model.binaries),
+                "variables": len(model.col_names),
+                "rows": len(model.row_lower),
+                "binaries": model.col_kinds.count(BINARY),
+                "nnz": len(model.row_index),
+                "rows_by_family": {f: families[f] for f in ROW_FAMILIES},
                 "encoded_tuples": len(self.encoded),
                 "pruned_tuples": len(self.instance) - len(self.encoded),
                 "lineage_classes": len({at.lineage_class for at in self.encoded}),
@@ -548,6 +550,17 @@ class ModelBuilder:
 
 
 _OP_CODE = {"<": "lt", "<=": "le", "=": "eq", ">": "gt", ">=": "ge"}
+
+# model_stats["rows_by_family"]: each row family and the row labels in it
+ROW_FAMILIES = {
+    "indicator": ("eq_one", "chain", "nonempty"),
+    "selection": ("sel_up", "sel_lo"),
+    "position": ("pos_lo", "pos_out", "pos_up"),
+    "topk": ("top_up", "top_lo", "top_sel", "size"),
+    "deviation": ("deficit", "deviation"),
+    "objective": ("gl1", "gl2", "gl3", "gl4", "cc_norm", "c2d_lo", "c3_lo", "c2e_lo"),
+}
+_ROW_FAMILY = {label: family for family, labels in ROW_FAMILIES.items() for label in labels}
 
 
 def build_model(
@@ -565,10 +578,14 @@ def build_model(
 def extract_refinement(result: BuildResult, solution: Solution) -> Refinement:
     """Read the indicator pattern out of a solved model and look up, for
     every numeric predicate, the constant its selection maps to."""
+    names = result.model.col_names
+
+    def selected(col: int) -> bool:
+        return round(solution.value(names[col])) == 1
+
     numeric: dict[tuple[str, str], Fraction] = {}
     for pred, fam in result.num_families.items():
-        on = [i for i, v in enumerate(fam.domain)
-              if round(solution.value(fam.indicators[v])) == 1]
+        on = [i for i, v in enumerate(fam.domain) if selected(fam.indicators[v])]
         sel = range(on[0], on[-1] + 1) if on else range(0)
         if len(sel) != len(on) or sel not in fam.constants:
             raise InternalConsistencyError(
@@ -577,8 +594,7 @@ def extract_refinement(result: BuildResult, solution: Solution) -> Refinement:
         numeric[pred] = fam.constants[sel]
     cats: dict[str, frozenset[str]] = {}
     for attr, fam in result.cat_families.items():
-        chosen = {v for v, name in fam.indicators.items()
-                  if round(solution.value(name)) == 1}
+        chosen = {v for v, col in fam.indicators.items() if selected(col)}
         cats[attr] = frozenset(chosen) | fam.kept
         if not cats[attr]:
             raise InternalConsistencyError(f"empty refined value set on {attr!r}")

@@ -1,8 +1,8 @@
 """Exact MILP solving through HiGHS's own bindings, which ship with scipy.
 
-One loader, :func:`_highs`, validates a :class:`MILPModel` and hands it to
-a silenced HiGHS; :func:`solve`, :func:`solve_lp_relaxation` and
-:func:`write_lp` all go through it.
+One loader, :func:`_highs`, validates a :class:`MILPModel` and hands its
+column and row lists to a silenced HiGHS as they are; :func:`solve`,
+:func:`solve_lp_relaxation` and :func:`write_lp` all go through it.
 
 :func:`solve` runs HiGHS's branch and cut once.  The relative gap is pinned
 to zero, so "optimal" means optimal rather than within HiGHS's default
@@ -28,10 +28,12 @@ import tempfile
 import time
 from dataclasses import dataclass
 
-import scipy
+# the bindings take every list through numpy, so it loads with this module
+# rather than during the first request
+import numpy  # noqa: F401
 
 from ..errors import InternalConsistencyError
-from .model import BINARY, MILPModel, Solution
+from .model import BINARY, CONTINUOUS, MILPModel, Solution
 
 _HIGHSPY = "scipy.optimize._highspy._core"
 
@@ -41,12 +43,17 @@ def _load_highspy():
 
     ``import scipy.optimize._highspy`` would first run ``scipy.optimize``'s
     ``__init__``, which loads linalg, sparse and special: about 0.6 s and
-    45 MB that nothing here uses.  The module is registered under its own
-    name, so a later ``import scipy.optimize`` reuses it.  The bindings are
-    private to scipy, so this module is the one place that loads them."""
+    45 MB that nothing here uses.  scipy's own ``__init__`` is not run
+    either (1 MB), since only its directory is needed.  The module is
+    registered under its own name, so a later ``import scipy.optimize``
+    reuses it.  The bindings are private to scipy, so this module is the one
+    place that loads them."""
     if _HIGHSPY in sys.modules:
         return sys.modules[_HIGHSPY]
-    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ImportError("scipy is not installed")
+    directory = os.path.join(package.submodule_search_locations[0], "optimize", "_highspy")
     finder = importlib.machinery.FileFinder(
         directory,
         (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
@@ -78,40 +85,40 @@ _STATUS = {
 }
 
 
+_INTEGRALITY = {BINARY: highspy.HighsVarType.kInteger,
+                CONTINUOUS: highspy.HighsVarType.kContinuous}
+
+
 @dataclass
 class SolveOptions:
     timeout_s: float | None = None
     node_limit: int | None = None
 
 
-def _highs(model: MILPModel, integral: bool = True) -> highspy._Highs:
+def _highs(model: MILPModel, integral: bool = True,
+           row_names: bool = False) -> highspy._Highs:
     """A silenced HiGHS holding ``model``, its binaries relaxed to [0, 1]
-    unless ``integral``."""
+    unless ``integral``, its rows named only if ``row_names``."""
     model.validate()
-    index = model.var_index()
     lp = highspy.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(model.variables)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(model.rows)
-    lp.col_names_ = [v.name for v in model.variables]
-    lp.col_cost_ = [model.objective.get(v.name, 0.0) for v in model.variables]
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(model.col_names)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(model.row_lower)
+    # the bindings copy each list into HiGHS, so the model's own lists go in
+    lp.col_names_ = model.col_names
+    lp.col_cost_ = model.col_cost
     lp.offset_ = model.objective_constant
-    lp.col_lower_ = [v.lb for v in model.variables]
-    lp.col_upper_ = [v.ub for v in model.variables]
+    lp.col_lower_ = model.col_lower
+    lp.col_upper_ = model.col_upper
     if integral:
-        kinds = {BINARY: highspy.HighsVarType.kInteger}
-        lp.integrality_ = [kinds.get(v.kind, highspy.HighsVarType.kContinuous)
-                           for v in model.variables]
-    lp.row_names_ = [row.name for row in model.rows]
-    lp.row_lower_ = [-math.inf if row.sense == "<=" else row.rhs for row in model.rows]
-    lp.row_upper_ = [math.inf if row.sense == ">=" else row.rhs for row in model.rows]
-    # the bindings return copies of list fields, so each is assigned whole
-    start, columns, values = [0], [], []
-    for row in model.rows:
-        columns.extend(index[name] for name in row.coeffs)
-        values.extend(row.coeffs.values())
-        start.append(len(columns))
+        lp.integrality_ = [_INTEGRALITY[kind] for kind in model.col_kinds]
+    if row_names:
+        lp.row_names_ = model.row_names()
+    lp.row_lower_ = model.row_lower
+    lp.row_upper_ = model.row_upper
     lp.a_matrix_.format_ = highspy.MatrixFormat.kRowwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, columns, values
+    lp.a_matrix_.start_ = model.row_start
+    lp.a_matrix_.index_ = model.row_index
+    lp.a_matrix_.value_ = model.row_value
     h = highspy._Highs()
     h.setOptionValue("output_flag", False)
     if h.passModel(lp) == highspy.HighsStatus.kError:
@@ -120,8 +127,9 @@ def _highs(model: MILPModel, integral: bool = True) -> highspy._Highs:
 
 
 def _assignment(model: MILPModel, h: highspy._Highs) -> dict[str, float]:
-    return {v.name: float(round(x)) if v.kind == BINARY else float(x)
-            for v, x in zip(model.variables, h.getSolution().col_value)}
+    return {name: float(round(x)) if kind == BINARY else float(x)
+            for name, kind, x in zip(model.col_names, model.col_kinds,
+                                     h.getSolution().col_value)}
 
 
 def solve_lp_relaxation(model: MILPModel) -> Solution:
@@ -189,6 +197,6 @@ def write_lp(model: MILPModel, path: str) -> None:
     file first, whatever ``path`` is called."""
     with tempfile.TemporaryDirectory() as tmp:
         lp_file = os.path.join(tmp, "model.lp")
-        if _highs(model).writeModel(lp_file) == highspy.HighsStatus.kError:
+        if _highs(model, row_names=True).writeModel(lp_file) == highspy.HighsStatus.kError:
             raise InternalConsistencyError("HiGHS could not write the model")
         shutil.copyfile(lp_file, path)

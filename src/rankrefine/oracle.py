@@ -33,7 +33,6 @@ class OracleResult:
     refinement: Refinement | None
     query: Query | None
     distance: Fraction | int | None
-    ranking: list[int] | None
     candidates_checked: int
 
 
@@ -122,8 +121,9 @@ def exhaustive_solve(
     Distance ties go to the original query, then to the lexicographically
     smallest refinement.
 
-    Candidates are filtered from ``q``'s prepared instance in ``d``; without
-    provenance every candidate is still evaluated from ``d``."""
+    Candidates are filtered from ``q``'s prepared instance in ``d``, up to
+    the k* tuples that feasibility and distance read; without provenance
+    every candidate is still evaluated from ``d``."""
     instance = prepared(q, d)
     space = refinement_space(q, d, cap)
     k_star = constraints.k_star
@@ -134,13 +134,13 @@ def exhaustive_solve(
             f"k*={k_star} tuples, got {len(original_ranking)}")
 
     unchanged = Refinement.unchanged(q).encoding_key(q)
-    best = None  # ((distance, differs, encoding_key), refinement, query, ranking)
+    best = None  # ((distance, differs, encoding_key), refinement, query)
     checked = 0
     for ref in space:
         checked += 1
         q2 = apply_refinement(q, ref)
         if use_provenance:
-            ranking = filter_annotated(instance, q2, instance.key_attrs)
+            ranking = filter_annotated(instance, q2, instance.key_attrs, limit=k_star)
         else:
             ranking = evaluate(q2, d)
         if len(ranking) < k_star:
@@ -156,8 +156,8 @@ def exhaustive_solve(
         ref_key = ref.encoding_key(q)
         key = (dist, ref_key != unchanged, ref_key)
         if best is None or key < best[0]:
-            best = (key, ref, q2, ranking)
+            best = (key, ref, q2)
     if best is None:
-        return OracleResult("no_refinement", None, None, None, None, checked)
-    (dist, _, _), ref, q2, ranking = best
-    return OracleResult("refined", ref, q2, dist, ranking, checked)
+        return OracleResult("no_refinement", None, None, None, checked)
+    (dist, _, _), ref, q2 = best
+    return OracleResult("refined", ref, q2, dist, checked)

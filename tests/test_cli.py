@@ -204,6 +204,25 @@ def test_failed_reverification_exit_four(monkeypatch, capsys):
     assert detail["model_stats"]["variables"] > 0
 
 
+def test_malformed_model_exit_four(monkeypatch, capsys):
+    # a builder bug is an internal error, not invalid input
+    real_build = engine.build_model
+
+    def duplicating_build(*args, **kwargs):
+        built = real_build(*args, **kwargs)
+        model = built.model
+        for column_list in (model.col_names, model.col_kinds, model.col_lower,
+                            model.col_upper, model.col_cost):
+            column_list.append(column_list[0])
+        return built
+
+    monkeypatch.setattr(engine, "build_model", duplicating_build)
+    assert main(_run_args()) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: duplicate column names\n"
+
+
 def test_solver_output_on_descriptor_one_stays_off_stdout(monkeypatch, capfd):
     real_solve = engine.solve
 

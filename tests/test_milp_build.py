@@ -15,7 +15,7 @@ from rankrefine.milp.build import (
     build_model,
     extract_refinement,
 )
-from rankrefine.milp.model import CONTINUOUS, MILPModel, Row, Solution
+from rankrefine.milp.model import CONTINUOUS, MILPModel, Solution
 from rankrefine.milp.solver import solve
 from rankrefine.oracle import numeric_candidates
 from rankrefine.query import NumPredicate, Refinement, apply_refinement, parse_query
@@ -70,7 +70,7 @@ def _check_numeric_family(students_db, op):
         # ... and the objective prices it at its exact predicate distance
         refined = apply_refinement(q, Refinement(numeric_constants={("GPA", op): c}))
         priced = model.objective_constant + sum(
-            model.objective.get(fam.indicators[v], 0.0) for v in selected)
+            model.col_cost[fam.indicators[v]] for v in selected)
         assert priced == pytest.approx(float(dis_pred(q, refined)), abs=1e-12)
 
 
@@ -78,12 +78,16 @@ def _rows_touching(model, names):
     return [r for r in model.rows if set(r.coeffs) & set(names)]
 
 
+def _indicator_names(result, fam, values):
+    return [result.model.col_names[fam.indicators[v]] for v in values]
+
+
 def test_indicator_row_shapes(students_db):
     for op in ("<", "<=", ">", ">="):
         result = _build(_gpa_query(op), students_db, _ONE_LOWER, 1)
         fam = result.num_families[("GPA", op)]
         # inner to outer: ascending for upper sets, descending for lower sets
-        names = [fam.indicators[v] for v in fam.domain]
+        names = _indicator_names(result, fam, fam.domain)
         if op in ("<", "<="):
             names.reverse()
         chain = [r for r in _rows_touching(result.model, names)
@@ -103,13 +107,16 @@ def test_indicator_row_shapes(students_db):
 def _chain_submodel(result, fam, selected):
     """The family's indicators and the rows among them, with the indicator
     of every domain value pinned to whether it is in ``selected``."""
-    names = set(fam.indicators.values())
-    rows = [r for r in result.model.rows if set(r.coeffs) <= names]
-    rows += [Row(f"pin_{a}", {a: 1.0}, "=", float(v in selected))
-             for v, a in fam.indicators.items()]
-    return MILPModel(
-        variables=[v for v in result.model.variables if v.name in names],
-        rows=rows, objective={})
+    names = set(_indicator_names(result, fam, fam.domain))
+    sub = MILPModel()
+    col = {v.name: sub.add_column(v.kind, v.lb, v.ub, v.name)
+           for v in result.model.variables if v.name in names}
+    for r in result.model.rows:
+        if set(r.coeffs) <= names:
+            sub.add_row([col[a] for a in r.coeffs], r.coeffs.values(), r.sense, r.rhs, r.name)
+    for v, a in zip(fam.domain, _indicator_names(result, fam, fam.domain)):
+        sub.add_row([col[a]], [1.0], "=", float(v in selected), "pin", a)
+    return sub
 
 
 @pytest.mark.parametrize("pin, satisfied", [
@@ -136,7 +143,7 @@ def test_non_chain_selection_is_rejected_on_extract(students_db, scholarship_que
     fam = result.num_families[("GPA", ">=")]
     bent = dict(sol.assignment)
     bent.update({a: float(v in {Fraction(x) for x in on})
-                 for v, a in fam.indicators.items()})
+                 for v, a in zip(fam.domain, _indicator_names(result, fam, fam.domain))})
     with pytest.raises(InternalConsistencyError):
         extract_refinement(result, Solution("optimal", bent))
 
@@ -145,7 +152,7 @@ def test_equality_predicate_selects_at_most_one_value(students_db):
     q = _gpa_query("=")
     result = _build(q, students_db, _ONE_LOWER, 1)
     fam = result.num_families[("GPA", "=")]
-    names = [fam.indicators[v] for v in fam.domain]
+    names = _indicator_names(result, fam, fam.domain)
     assert len(set(names)) == len(fam.domain)
     rows = _rows_touching(result.model, names)
     at_most_one = [r for r in rows if set(r.coeffs) == set(names)]
@@ -168,8 +175,8 @@ def test_selection_rows_for_conjunction(students_db, scholarship_query,
     r = result.r_name[at6.tuple.tid]
     gpa_fam = result.num_families[("GPA", ">=")]
     act_fam = result.cat_families["Activity"]
-    atoms = {gpa_fam.indicators[at6.tuple["GPA"]],
-             act_fam.indicators["SO"]}
+    atoms = {*_indicator_names(result, gpa_fam, [at6.tuple["GPA"]]),
+             *_indicator_names(result, act_fam, ["SO"])}
     up = next(row for row in result.model.rows
               if row.sense == "<=" and row.coeffs.get(r) == 2.0)
     lo = next(row for row in result.model.rows

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from rankrefine.annotate import annotate, numeric_domain
+from rankrefine import oracle
+from rankrefine.annotate import annotate, filter_annotated, numeric_domain
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.errors import PreconditionError
 from rankrefine.oracle import (
@@ -96,18 +97,28 @@ def test_no_perfect_refinement(no_perfect_db, no_perfect_query,
     assert got.candidates_checked > 0
 
 
-def test_provenance_matches_reevaluation(students_db, scholarship_query,
+def test_provenance_matches_reevaluation(monkeypatch, students_db, scholarship_query,
                                          scholarship_constraints):
-    for eps in (Fraction(0), Fraction(1, 4), Fraction(1)):
-        fast = exhaustive_solve(scholarship_query, students_db,
-                                scholarship_constraints, eps,
-                                DistanceKind(PRED), use_provenance=True)
-        slow = exhaustive_solve(scholarship_query, students_db,
-                                scholarship_constraints, eps,
-                                DistanceKind(PRED), use_provenance=False)
-        assert fast.status == slow.status
-        assert fast.distance == slow.distance
-        assert fast.refinement == slow.refinement
+    limits = []
+
+    def recording_filter(*args, **kwargs):
+        limits.append(kwargs.get("limit"))
+        return filter_annotated(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "filter_annotated", recording_filter)
+    for kind in (DistanceKind(PRED), DistanceKind(JACCARD, 6), DistanceKind(KENDALL, 6)):
+        for eps in (Fraction(0), Fraction(1, 4), Fraction(1)):
+            fast = exhaustive_solve(scholarship_query, students_db,
+                                    scholarship_constraints, eps,
+                                    kind, use_provenance=True)
+            slow = exhaustive_solve(scholarship_query, students_db,
+                                    scholarship_constraints, eps,
+                                    kind, use_provenance=False)
+            assert fast.status == slow.status
+            assert fast.distance == slow.distance
+            assert fast.refinement == slow.refinement
+    # each candidate is decided by its first k* tuples, so no filter reads further
+    assert limits and set(limits) == {scholarship_constraints.k_star}
 
 
 def test_loose_budget_returns_identity(students_db, scholarship_query,

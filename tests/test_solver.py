@@ -1,4 +1,5 @@
 import ast
+import copy
 import itertools
 import json
 import math
@@ -11,48 +12,47 @@ import pytest
 
 from rankrefine.errors import InternalConsistencyError
 from rankrefine.milp import solver
-from rankrefine.milp.model import BINARY, CONTINUOUS, MILPModel, Row, Variable
+from rankrefine.milp.model import BINARY, CONTINUOUS, MILPModel
 from rankrefine.milp.solver import SolveOptions, solve, solve_lp_relaxation
 
 
 def _random_model(rng, n_bin, n_cont):
-    variables = [Variable(f"b{i}", BINARY, 0.0, 1.0) for i in range(n_bin)]
+    model = MILPModel()
+    cols = [model.add_column(BINARY, 0.0, 1.0, f"b{i}") for i in range(n_bin)]
     for i in range(n_cont):
         lo = rng.randint(-3, 0)
-        variables.append(Variable(f"x{i}", CONTINUOUS, float(lo),
-                                  float(lo + rng.randint(1, 8))))
-    names = [v.name for v in variables]
-    rows = []
-    for j in range(rng.randint(1, 2 + len(names))):
-        picked = rng.sample(names, rng.randint(1, len(names)))
+        cols.append(model.add_column(CONTINUOUS, float(lo),
+                                     float(lo + rng.randint(1, 8)), f"x{i}"))
+    for j in range(rng.randint(1, 2 + len(cols))):
+        picked = rng.sample(cols, rng.randint(1, len(cols)))
         coeffs = {n: float(rng.randint(-4, 4)) for n in picked}
         coeffs = {n: c for n, c in coeffs.items() if c} or {picked[0]: 1.0}
         bound = sum(max(c, 0.0) for c in coeffs.values())
-        rows.append(Row(f"r{j}", coeffs, rng.choice(["<=", ">="]),
-                        float(rng.randint(-2, max(1, int(bound))))))
-    objective = {n: float(rng.randint(-5, 5)) for n in names}
-    return MILPModel(variables=variables, rows=rows, objective=objective)
+        model.add_row(coeffs, coeffs.values(), rng.choice(["<=", ">="]),
+                      float(rng.randint(-2, max(1, int(bound)))), f"r{j}")
+    for j in cols:
+        model.col_cost[j] = float(rng.randint(-5, 5))
+    return model
+
+
+def _binaries(model):
+    return [v for v in model.variables if v.kind == BINARY]
 
 
 def _lp_under_fixed_binaries(model, pattern):
     """LP with the binaries pinned to the given 0/1 pattern."""
-    fixed = dict(zip((v.name for v in model.binaries), pattern))
-    variables = []
-    for v in model.variables:
-        if v.name in fixed:
-            variables.append(Variable(v.name, CONTINUOUS,
-                                      float(fixed[v.name]), float(fixed[v.name])))
-        else:
-            variables.append(v)
-    return MILPModel(variables=variables, rows=model.rows,
-                     objective=model.objective,
-                     objective_constant=model.objective_constant)
+    fixed = copy.deepcopy(model)
+    binaries = [j for j, kind in enumerate(model.col_kinds) if kind == BINARY]
+    for j, x in zip(binaries, pattern):
+        fixed.col_kinds[j] = CONTINUOUS
+        fixed.col_lower[j] = fixed.col_upper[j] = float(x)
+    return fixed
 
 
 def brute_force(model):
     """Enumerate every binary pattern; solve the continuous remainder by LP
     (or plain evaluation when the model is purely binary)."""
-    bin_names = [v.name for v in model.binaries]
+    bin_names = [v.name for v in _binaries(model)]
     cont = [v for v in model.variables if v.kind == CONTINUOUS]
     best = None
     for pattern in itertools.product((0, 1), repeat=len(bin_names)):
@@ -71,7 +71,7 @@ def brute_force(model):
                     break
             if ok:
                 val = model.objective_constant + sum(
-                    c * assign[n] for n, c in model.objective.items())
+                    c * assign[n] for n, c in zip(model.col_names, model.col_cost))
                 if best is None or val < best - 1e-12:
                     best = val
         else:
@@ -129,7 +129,7 @@ def test_integral_assignment_satisfies_rows():
         sol = solve(model)
         if sol.status != "optimal":
             continue
-        for v in model.binaries:
+        for v in _binaries(model):
             x = sol.value(v.name)
             assert abs(x - round(x)) <= 1e-6
         for row in model.rows:
@@ -156,12 +156,14 @@ def test_deterministic_resolve():
 def _knapsack(n=30, seed=1):
     """Three-row multi-knapsack that HiGHS cannot close at the root node."""
     rng = random.Random(seed)
-    names = [f"b{i}" for i in range(n)]
-    rows = [Row(f"k{j}", {b: float(rng.randint(5, 40)) for b in names}, "<=",
-                float(10 * n)) for j in range(3)]
-    return MILPModel(variables=[Variable(b, BINARY, 0.0, 1.0) for b in names],
-                     rows=rows,
-                     objective={b: -float(rng.randint(5, 40)) for b in names})
+    model = MILPModel()
+    cols = [model.add_column(BINARY, 0.0, 1.0, f"b{i}") for i in range(n)]
+    for j in range(3):
+        model.add_row(cols, [float(rng.randint(5, 40)) for _ in cols], "<=",
+                      float(10 * n), f"k{j}")
+    for j in cols:
+        model.col_cost[j] = -float(rng.randint(5, 40))
+    return model
 
 
 def _satisfies_rows(model, sol):
@@ -205,7 +207,7 @@ def test_node_limit_keeps_the_incumbent():
     assert capped.assignment, "HiGHS finds an incumbent before the first branch"
     assert capped.objective_value >= full.objective_value - 1e-6
     assert capped.stats["dual_bound"] <= full.objective_value + 1e-6
-    assert all(capped.value(v.name) in (0.0, 1.0) for v in model.binaries)
+    assert all(capped.value(v.name) in (0.0, 1.0) for v in _binaries(model))
     assert _satisfies_rows(model, capped)
 
 
@@ -269,12 +271,12 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
         f"sys.path.insert(0, {str(src)!r})\n"
         "import rankrefine\n"
         "from rankrefine.milp import solver\n"
-        "before = 'scipy.optimize' in sys.modules\n"
+        "before = ['scipy' in sys.modules, 'scipy.optimize' in sys.modules]\n"
         "from scipy.optimize import linprog\n"
         "from scipy.optimize._highspy import _core\n"
-        "print(json.dumps([before, _core is solver.highspy, solver.linprog is linprog]))\n"
+        "print(json.dumps([*before, _core is solver.highspy, solver.linprog is linprog]))\n"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          timeout=120, check=True)
     # the bindings are one module object, shared with scipy once it loads
-    assert json.loads(out.stdout) == [False, True, True]
+    assert json.loads(out.stdout) == [False, False, True, True]
