@@ -17,7 +17,8 @@ The annotated universe contains the output of every refinement, and
 filtering it (``filter_annotated``) is how the MILP builder, the exhaustive
 oracle and the exact verifier evaluate refinements without re-running the
 join.  ``prepared`` hands one instance to all three, and the database keeps
-it for the next request on the same query and relations.
+it for the next request on the same query and relations, together with what
+is derived from it alone (:class:`Prepared`).
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from fractions import Fraction
 from functools import reduce
 from operator import attrgetter, is_
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .data import Database, Relation, Tuple, NUMERICAL, natural_join
+from .data import Database, Relation, Schema, Tuple, NUMERICAL, natural_join
 from .errors import KindMismatchError, PreconditionError
-from .query import Query, satisfies
+from .query import Query, Refinement, satisfies
 
 Ranking = list[int]  # tuple ids, positions 1..m
 
@@ -52,6 +53,7 @@ class Instance:
     field is read-only."""
 
     query: Query
+    schema: Schema  # of the joined relation
     annotated: tuple[AnnotatedTuple, ...]
     classes: tuple[tuple[AnnotatedTuple, ...], ...]  # by lineage class id
     key_attrs: tuple[str, ...]
@@ -136,6 +138,7 @@ def annotate(q: Query, d: Database) -> Instance:
         members[class_id].append(at)
     return Instance(
         query=q,
+        schema=rel.schema,
         annotated=tuple(out),
         classes=tuple(map(tuple, members)),
         key_attrs=key_attrs,
@@ -145,18 +148,35 @@ def annotate(q: Query, d: Database) -> Instance:
     )
 
 
-def prepared(q: Query, d: Database) -> Instance:
-    """The instance ``d`` kept from its last preparation, if that was of
-    ``q`` over the very relation objects ``q`` reads now; otherwise a fresh
+class Prepared(NamedTuple):
+    """What a database keeps of its last preparation: the relation objects
+    it read, the instance, and what later requests derive from the instance
+    and reuse.  It is dropped as a whole, so nothing derived from an
+    instance outlives it."""
+
+    relations: tuple[Relation, ...]
+    instance: Instance
+    unchanged: Refinement  # the query's own refinement, shared by its results
+    # model parts compiled from the instance, by what else they depend on
+    # (see ``milp.build``)
+    prefixes: dict
+
+
+def preparation(q: Query, d: Database) -> Prepared:
+    """What ``d`` kept from its last preparation, if that was of ``q`` over
+    the very relation objects ``q`` reads now; otherwise a fresh
     ``annotate``, which ``d`` keeps instead."""
     rels = tuple(d.get(name) for name in q.tables)
-    if d.last_prepared is not None:
-        last_rels, last = d.last_prepared
-        if last.query == q and all(map(is_, last_rels, rels)):
-            return last
-    instance = annotate(q, d)
-    d.last_prepared = (rels, instance)
-    return instance
+    last = d.last_prepared
+    if last is not None and last.instance.query == q and all(map(is_, last.relations, rels)):
+        return last
+    d.last_prepared = Prepared(rels, annotate(q, d), Refinement.unchanged(q), {})
+    return d.last_prepared
+
+
+def prepared(q: Query, d: Database) -> Instance:
+    """``q``'s instance over ``d``, as :func:`preparation` finds or makes it."""
+    return preparation(q, d).instance
 
 
 def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query,

@@ -7,11 +7,11 @@ zero" is a crisp statement, never a float comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
-from .data import Tuple
+from .data import NUMERICAL, Schema, Tuple, Value, format_number, parse_number
 from .errors import ConstraintValidationError, PreconditionError
 
 LOWER = "lower"
@@ -21,9 +21,9 @@ UPPER = "upper"
 @dataclass(frozen=True)
 class CardinalityConstraint:
     """Bound of ``n`` tuples of ``group`` within the top ``k``; the group is a
-    conjunction of categorical equalities."""
+    conjunction of attribute equalities."""
 
-    group: tuple[tuple[str, str], ...]
+    group: tuple[tuple[str, Value], ...]
     k: int
     n: int
     sense: str
@@ -48,7 +48,8 @@ class CardinalityConstraint:
         return all(t.values.get(a) == v for a, v in self.group)
 
     def label(self) -> str:
-        body = ",".join(f"{a}={v}" for a, v in self.group)
+        body = ",".join(f"{a}={format_number(v) if isinstance(v, Fraction) else v}"
+                        for a, v in self.group)
         return f"{'lb' if self.sense == LOWER else 'ub'}[{body},k={self.k}]={self.n}"
 
 
@@ -69,6 +70,29 @@ class ConstraintSet:
 
     def __iter__(self):
         return iter(self.constraints)
+
+    def over(self, schema: Schema) -> ConstraintSet:
+        """These constraints as they apply to rows of ``schema``: every group
+        attribute must be in it, and a numerical attribute's group value is
+        held as the exact number it names, so ``contains`` compares like
+        with like."""
+        out = []
+        for c in self:
+            group = []
+            for a, v in c.group:
+                if not schema.has(a):
+                    raise ConstraintValidationError(
+                        f"constraint group attribute {a!r} not in the query's joined schema")
+                if schema.kind_of(a) == NUMERICAL and not isinstance(v, Fraction):
+                    try:
+                        v = parse_number(str(v))
+                    except (ValueError, ZeroDivisionError) as exc:
+                        raise ConstraintValidationError(
+                            f"constraint group value {v!r} of numerical attribute {a!r} "
+                            "is not a number") from exc
+                group.append((a, v))
+            out.append(replace(c, group=tuple(group)))
+        return ConstraintSet(tuple(out))
 
 
 def deviation(

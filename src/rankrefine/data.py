@@ -121,9 +121,9 @@ class Relation:
 @dataclass
 class Database:
     """Named relations.  ``last_prepared`` holds the instance last prepared
-    over them with the relation objects it read (see ``annotate.prepared``);
-    relations are immutable, so replacing one is the only way their data
-    changes."""
+    over them, with the relation objects it read and what was derived from
+    it (``annotate.Prepared``); relations are immutable, so replacing one is
+    the only way their data changes, and ``add`` drops it all."""
 
     relations: dict[str, Relation] = field(default_factory=dict)
     last_prepared: tuple | None = field(default=None, init=False, compare=False, repr=False)

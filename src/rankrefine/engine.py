@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .annotate import Instance, filter_annotated, prepared
+from .annotate import Instance, filter_annotated, preparation
 # not called here; kept importable because perfbench's traced run wraps them
 from .annotate import annotate, joined_relation  # noqa: F401
 from .constraints import ConstraintSet, deviation
@@ -126,15 +126,20 @@ def run(config: RunConfig) -> RefineResult:
     """One request: search and verify over the query's prepared instance,
     which the database keeps across requests until its relations change.
     ``setup_ms`` covers the preparation, when this request made it, and, for
-    the MILP engines, the model build."""
+    the MILP engines, the model build (see ``milp.build`` for the part of
+    it that the database keeps too).
+
+    The constraints are checked against the joined schema here, once the
+    instance is prepared, and every later step reads them as checked."""
     t0 = time.monotonic()
-    q = config.query
-    instance = prepared(q, config.db)
+    prep = preparation(config.query, config.db)
+    instance = prep.instance
+    config = replace(config, constraints=config.constraints.over(instance.schema))
     prepare_ms = (time.monotonic() - t0) * 1000.0
     if config.engine in ("naive", "naive+prov"):
         result = _run_oracle(config, instance)
     else:
-        result = _run_milp(config, instance)
+        result = _run_milp(config, instance, prep.unchanged)
     result.timing_ms["setup_ms"] += prepare_ms
     result.timing_ms["total_ms"] = (time.monotonic() - t0) * 1000.0
     return result
@@ -157,7 +162,7 @@ def _run_oracle(config: RunConfig, instance: Instance) -> RefineResult:
     return _verified_result(config, instance, oracle.refinement, REFINED, timing, stats)
 
 
-def _run_milp(config: RunConfig, instance: Instance) -> RefineResult:
+def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> RefineResult:
     opt = config.engine == "milp+opt"
     options = BuildOptions(
         relevancy_prune=opt and config.prune,
@@ -178,8 +183,7 @@ def _run_milp(config: RunConfig, instance: Instance) -> RefineResult:
         # no distance is below 0, so the original query is the optimum
         timing = {"setup_ms": setup_ms, "solve_ms": 0.0}
         stats = {**built.stats, "nodes": 0, "mip_gap": 0.0, "dual_bound": 0.0}
-        return _verified_result(config, instance, Refinement.unchanged(config.query),
-                                REFINED, timing, stats)
+        return _verified_result(config, instance, unchanged, REFINED, timing, stats)
     t1 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))
     solve_ms = (time.monotonic() - t1) * 1000.0

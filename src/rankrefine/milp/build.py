@@ -20,6 +20,15 @@ Optional optimizations: relevancy pruning of tuples that can never reach the
 top-k* positions, sharing one membership binary across a lineage class, and
 dropping one side of the rank-equality rows when every constraint has the
 same sense (sound only for the predicate-space objective).
+
+The model's first part, its prefix, is the same for every request on one
+prepared instance: the predicate indicators with their rows and ``pred``
+cost steps, then the membership columns with their selection rows.  The
+database keeps it with the instance (``annotate.Prepared``), and each build
+starts from a copy of it.  Pruning keeps every lineage class's first member,
+so with one membership column per class the prefix depends on the instance
+alone; with one per tuple it depends on the encoded tuples, so on k* when
+pruning.
 """
 
 from __future__ import annotations
@@ -27,11 +36,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import attrgetter
 
-from ..annotate import AnnotatedTuple, prepared
+from ..annotate import AnnotatedTuple, preparation
 # not called here; kept importable because perfbench's traced run wraps them
 from ..annotate import annotate, filter_annotated, joined_relation  # noqa: F401
 from ..constraints import LOWER, ConstraintSet
@@ -63,6 +72,15 @@ class NumericFamily:
     # selection (positions in domain) -> candidate constant closest to the
     # original among those that select exactly these values
     constants: dict[range, Fraction]
+    # the ``pred`` distance along the chain: the empty selection's cost and,
+    # per domain value, what switching its indicator on adds; left empty when
+    # the original constant is not positive, which that distance rejects
+    empty_cost: float = 0.0
+    cost_steps: list[float] = field(default_factory=list)
+
+    def copy(self) -> NumericFamily:
+        return replace(self, domain=list(self.domain), indicators=dict(self.indicators),
+                       constants=dict(self.constants), cost_steps=list(self.cost_steps))
 
 
 def _selection(op: str, domain: list[Fraction], c: Fraction) -> range:
@@ -86,6 +104,19 @@ class CatFamily:
     original: frozenset[str]
     kept: frozenset[str]  # original values absent from the encoded domain
     indicators: dict[str, int]  # value -> column
+
+    def copy(self) -> CatFamily:
+        return replace(self, domain=list(self.domain), indicators=dict(self.indicators))
+
+
+@dataclass
+class _Prefix:
+    """A compiled model prefix and the tables read past it."""
+    model: MILPModel
+    num_families: dict[tuple[str, str], NumericFamily]
+    cat_families: dict[str, CatFamily]
+    # lineage class (one column per class) or tid (one per tuple) -> column
+    member_col: dict[int, int]
 
 
 @dataclass
@@ -132,8 +163,11 @@ class ModelBuilder:
         self.model = MILPModel()
         self.k_star = constraints.k_star
 
-        instance = prepared(query, db)
+        prep = preparation(query, db)
+        self.prefixes = prep.prefixes
+        instance = prep.instance
         self.key_attrs = instance.key_attrs
+        self.merged = self.options.merge_lineage and not self.key_attrs
         original_ranking = instance.original_ranking
         self.original_topk = original_ranking[: self.k_star]
         if kind.name in (JACCARD, KENDALL) and len(original_ranking) < self.k_star:
@@ -143,7 +177,7 @@ class ModelBuilder:
             )
 
         self.instance = instance
-        self.encoded: list[AnnotatedTuple] = list(instance.annotated)
+        self.encoded: list[AnnotatedTuple] = []  # set by build
 
         self.num_families: dict[tuple[str, str], NumericFamily] = {}
         self.cat_families: dict[str, CatFamily] = {}
@@ -195,11 +229,14 @@ class ModelBuilder:
 
     # -- predicate encoding ----------------------------------------------
 
+    def _encoded_values(self, attr: str) -> list:
+        """The values of a predicate attribute among the encoded tuples: those
+        of each lineage class's first member, which pruning always keeps."""
+        return sorted({members[0].tuple[attr] for members in self.instance.classes})
+
     def gen_numeric_bound_exprs(self) -> None:
         for p in sorted(self.query.numeric_preds, key=lambda p: (p.attribute, p.op)):
-            values = sorted({at.tuple[p.attribute] for at in self.encoded})
-            if not values:
-                raise BuildError(f"no encoded values for numeric predicate on {p.attribute!r}")
+            values = self._encoded_values(p.attribute)
             cols = [self._binary("A", p.attribute, _OP_CODE[p.op], format_number(v))
                     for v in values]
             fam = NumericFamily(p.attribute, p.op, p.constant, values,
@@ -221,11 +258,32 @@ class ModelBuilder:
                 best = fam.constants.get(sel)
                 if best is None or abs(c - p.constant) < abs(best - p.constant):
                     fam.constants[sel] = c
+            if p.constant > 0:
+                self._pred_cost_steps(fam)
             self.num_families[(p.attribute, p.op)] = fam
+
+    @staticmethod
+    def _pred_cost_steps(fam: NumericFamily) -> None:
+        """|C - c0| / c0 of the selection's constant, telescoped along the
+        chain: the empty selection's cost plus, per indicator, the exact cost
+        step that switching it on adds."""
+        cost = {sel: abs(c - fam.original) / fam.original
+                for sel, c in fam.constants.items()}
+        m = len(fam.domain)
+        fam.empty_cost = float(cost[range(0)])
+        for i in range(m):
+            # the selections just before and after position i switches on
+            if fam.op in _UPPER_OPS:
+                before, after = range(i + 1, m), range(i, m)
+            elif fam.op in _LOWER_OPS:
+                before, after = range(i), range(i + 1)
+            else:
+                before, after = range(0), range(i, i + 1)
+            fam.cost_steps.append(float(cost[after] - cost[before]))
 
     def gen_categorical_vars(self) -> None:
         for p in sorted(self.query.cat_preds, key=lambda p: p.attribute):
-            values = sorted({at.tuple[p.attribute] for at in self.encoded})
+            values = self._encoded_values(p.attribute)
             kept = frozenset(p.values) - set(values)
             fam = CatFamily(p.attribute, values, frozenset(p.values), kept, {})
             for v in values:
@@ -249,29 +307,29 @@ class ModelBuilder:
 
     # -- membership, rank, top-k ------------------------------------------
 
-    def gen_selection_exprs(self) -> None:
-        merged = self.options.merge_lineage and not self.key_attrs
-        if merged:
-            class_col: dict[int, int] = {}
-            class_rep: dict[int, AnnotatedTuple] = {}
-            for at in self.encoded:
-                if at.lineage_class not in class_col:
-                    class_col[at.lineage_class] = self._binary("r", "cls", at.lineage_class)
-                    class_rep[at.lineage_class] = at
-                self.r_col[at.tuple.tid] = class_col[at.lineage_class]
-            for cls, at in class_rep.items():
-                self._selection_rows(class_col[cls], self._atom_cols(at), [])
+    def gen_selection_exprs(self) -> dict[int, int]:
+        """Membership columns and their selection rows; returns the columns
+        by lineage class when merged, by tid otherwise."""
+        member_col: dict[int, int] = {}
+        if self.merged:
+            # every class keeps its first member, and class ids follow the
+            # first members' base ranks
+            classes = self.instance.classes
+            for cls in range(len(classes)):
+                member_col[cls] = self._binary("r", "cls", cls)
+            for cls, members in enumerate(classes):
+                self._selection_rows(member_col[cls], self._atom_cols(members[0]), [])
         else:
-            encoded_tids = {at.tuple.tid for at in self.encoded}
             for at in self.encoded:
-                self.r_col[at.tuple.tid] = self._binary("r", at.tuple.tid)
+                member_col[at.tuple.tid] = self._binary("r", at.tuple.tid)
             for at in self.encoded:
-                shadows = [self.r_col[t] for t in at.shadow if t in encoded_tids]
+                shadows = [member_col[t] for t in at.shadow if t in member_col]
                 if len(shadows) != len(at.shadow):
                     raise InternalConsistencyError(
                         f"tuple {at.tuple.tid} has pruned shadow tuples")
-                self._selection_rows(self.r_col[at.tuple.tid],
+                self._selection_rows(member_col[at.tuple.tid],
                                      self._atom_cols(at), shadows)
+        return member_col
 
     def _selection_rows(self, r: int, atoms: list[int], shadows: list[int]) -> None:
         """r = 1 iff every atom indicator is 1 and no shadow tuple is selected."""
@@ -384,33 +442,18 @@ class ModelBuilder:
             self._objective_kendall()
 
     def _objective_pred(self) -> None:
+        model = self.model
         for (attr, op), fam in self.num_families.items():
             if fam.original <= 0:
                 raise PreconditionError(
                     f"predicate distance needs a positive original constant on "
                     f"{attr!r} {op}")
-            self._objective_pred_numeric(fam)
+            model.objective_constant += fam.empty_cost
+            for v, step in zip(fam.domain, fam.cost_steps):
+                model.col_cost[fam.indicators[v]] = step
 
         for attr, fam in sorted(self.cat_families.items()):
             self._objective_jaccard_cat(attr, fam)
-
-    def _objective_pred_numeric(self, fam: NumericFamily) -> None:
-        """|C - c0| / c0 of the selection's constant, telescoped along the
-        chain: the empty selection's cost plus, per indicator, the exact cost
-        step that switching it on adds."""
-        cost = {sel: abs(c - fam.original) / fam.original
-                for sel, c in fam.constants.items()}
-        m = len(fam.domain)
-        self.model.objective_constant += float(cost[range(0)])
-        for i, v in enumerate(fam.domain):
-            # the selections just before and after position i switches on
-            if fam.op in _UPPER_OPS:
-                before, after = range(i + 1, m), range(i, m)
-            elif fam.op in _LOWER_OPS:
-                before, after = range(i), range(i + 1)
-            else:
-                before, after = range(0), range(i, i + 1)
-            self.model.col_cost[fam.indicators[v]] = float(cost[after] - cost[before])
 
     def _objective_jaccard_cat(self, attr: str, fam: CatFamily) -> None:
         """Jaccard distance of the refined value set from the original one,
@@ -513,16 +556,37 @@ class ModelBuilder:
 
     # -- orchestration ------------------------------------------------------
 
+    def _prefix(self) -> _Prefix:
+        """The prefix the database keeps for this instance, compiled on
+        first use."""
+        key = "classes" if self.merged else (
+            "tuples", self.k_star if self.options.relevancy_prune else None)
+        prefix = self.prefixes.get(key)
+        if prefix is None:
+            self.gen_numeric_bound_exprs()
+            self.gen_categorical_vars()
+            member_col = self.gen_selection_exprs()
+            prefix = self.prefixes[key] = _Prefix(
+                self.model, self.num_families, self.cat_families, member_col)
+        return prefix
+
     def build(self) -> BuildResult:
         if self.options.relevancy_prune:
             self.relevancy_prune()
+        else:
+            self.encoded = list(self.instance.annotated)
         if not self.encoded:
             raise BuildError("no tuples to encode")
+        # the request's own model and tables, on a copy of the kept prefix
+        prefix = self._prefix()
+        self.model = prefix.model.copy()
+        self.num_families = {key: fam.copy() for key, fam in prefix.num_families.items()}
+        self.cat_families = {attr: fam.copy() for attr, fam in prefix.cat_families.items()}
+        member_col = prefix.member_col
+        self.r_col = {at.tuple.tid: member_col[at.lineage_class if self.merged else at.tuple.tid]
+                      for at in self.encoded}
         self.members = [[at for at in self.encoded if c.contains(at.tuple)]
                         for c in self.constraints]
-        self.gen_numeric_bound_exprs()
-        self.gen_categorical_vars()
-        self.gen_selection_exprs()
         self.gen_position_exprs()
         self.gen_size_topk_deficit_deviation()
         self.gen_objective()

@@ -254,3 +254,24 @@ def test_schema_sidecar_of_the_wrong_form_is_invalid_input(tmp_path, capsys):
     side.write_text('[{"name": "GPA", "kind": "numerical"}]')
     assert main(_run_args() + ["--schema", f"Students={side}"]) == EXIT_INVALID
     assert "JSON object mapping CSV columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, want", [
+    # a number matches the numerical column's exact values; the original
+    # query already meets the bound
+    ({"Space_Flights": 3}, EXIT_REFINED),
+    # an attribute the query's relations lack is invalid input
+    ({"Gendr": "F"}, EXIT_INVALID),
+])
+def test_constraint_group_is_read_against_the_joined_schema(tmp_path, capsys, group, want):
+    constraints = tmp_path / "constraints.json"
+    constraints.write_text(json.dumps([{"group": group, "k": 5, "sense": "lower", "n": 2}]))
+    args = ["run", "--data", f"Astronauts={DATA / 'astronauts.csv'}",
+            "--query", str(SCENARIOS / "astronauts" / "query.sql"),
+            "--constraints", str(constraints), "--epsilon", "0"]
+    assert main(args) == want
+    out, err = capsys.readouterr()
+    if want == EXIT_REFINED:
+        assert json.loads(out)["distance"] == "0"
+    else:
+        assert out == "" and "Gendr" in err

@@ -30,7 +30,12 @@ from rankrefine.engine import (
     run,
 )
 from rankrefine.milp import BuildOptions, Solution, build_model, solve
-from rankrefine.errors import InternalConsistencyError, PreconditionError, RankRefineError
+from rankrefine.errors import (
+    ConstraintValidationError,
+    InternalConsistencyError,
+    PreconditionError,
+    RankRefineError,
+)
 from rankrefine.query import (
     NumPredicate,
     Query,
@@ -90,6 +95,35 @@ def test_unknown_engine_rejected(students_db, scholarship_query,
     with pytest.raises(PreconditionError):
         _config(students_db, scholarship_query, scholarship_constraints,
                 engine="quantum")
+
+
+def _astronauts_config(group: dict, sense: str, engine_name: str) -> RunConfig:
+    db = Database()
+    db.add(load_csv(DATA / "astronauts.csv", name="Astronauts"))
+    q = parse_query((SCENARIOS / "astronauts" / "query.sql").read_text())
+    cs = parse_constraints(json.dumps([{"group": group, "k": 5, "sense": sense, "n": 2}]))
+    return _config(db, q, cs, engine=engine_name)
+
+
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt", "naive+prov"])
+@pytest.mark.parametrize("value", [3, 3.0, "3"])
+def test_numeric_constraint_group_compares_exact_numbers(engine_name, value):
+    # the original top 5 holds two astronauts with three space flights, so
+    # the original query is the answer
+    result = run(_astronauts_config({"Space_Flights": value}, "lower", engine_name))
+    assert (result.status, result.distance, result.deviation) == (REFINED, 0, 0)
+    label = "lb[Space_Flights=3,k=5]=2"
+    assert sum(label in row["groups"] for row in result.topk[:5]) == 2
+
+
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt", "naive+prov"])
+@pytest.mark.parametrize("group, message", [
+    ({"Gendr": "F"}, "'Gendr' not in the query's joined schema"),
+    ({"Space_Flights": "three"}, "'three' of numerical attribute 'Space_Flights'"),
+])
+def test_constraint_group_must_fit_the_joined_schema(engine_name, group, message):
+    with pytest.raises(ConstraintValidationError, match=message):
+        run(_astronauts_config(group, "upper", engine_name))
 
 
 def test_topk_group_labels(students_db, scholarship_query,

@@ -5,11 +5,17 @@ dicts to column-indexed arrays, from each golden scenario's model as HiGHS
 received it: column bounds, costs, integrality and names, the objective
 offset, row bounds and names, and the matrix.  Any change to the encoding,
 its column, row or entry order, or its names changes them.
+
+A build starts from a model prefix that the database keeps with the
+prepared instance, so each pinned model is also built warm, on one database
+shared with builds at another k*, under the other engine and for the other
+distances.
 """
 
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,10 +24,10 @@ from test_golden import DATA, GOLDEN, RELATIONS, SCENARIOS, _args
 
 import rankrefine
 from rankrefine.cli import main
-from rankrefine.constraints import parse_constraints
+from rankrefine.constraints import ConstraintSet, parse_constraints
 from rankrefine.data import Database, load_csv
 from rankrefine.distances import DistanceKind
-from rankrefine.milp import solver
+from rankrefine.milp import BINARY, solver
 from rankrefine.milp.build import ROW_FAMILIES, BuildOptions, build_model
 from rankrefine.query import parse_query
 
@@ -89,12 +95,18 @@ DIGESTS = {
 }
 
 
-def _golden_build(scenario, distance, epsilon, engine):
+def _golden_db(scenario):
     db = Database()
     for name, csv in RELATIONS[scenario].items():
         db.add(load_csv(DATA / csv, name=name))
+    return db
+
+
+def _golden_build(scenario, distance, epsilon, engine, db=None, constraints=None):
+    db = db or _golden_db(scenario)
     query = parse_query((SCENARIOS / scenario / "query.sql").read_text())
-    constraints = parse_constraints((SCENARIOS / scenario / "constraints.json").read_text())
+    constraints = constraints or parse_constraints(
+        (SCENARIOS / scenario / "constraints.json").read_text())
     opt = engine == "milp+opt"
     return build_model(query, db, constraints, Fraction(epsilon), DistanceKind(distance),
                        BuildOptions(opt, opt, opt))
@@ -120,6 +132,67 @@ def _digest(model) -> str:
 def test_highs_receives_the_pinned_model(case):
     built = _golden_build(*case)
     assert _digest(built.model) == DIGESTS[case]
+
+
+def test_warm_builds_load_the_pinned_models():
+    db = Database()
+    for scenario in RELATIONS:
+        for name, csv in RELATIONS[scenario].items():
+            db.add(load_csv(DATA / csv, name=name))
+    for scenario in sorted({case[0] for case in DIGESTS}):
+        # each engine's prefix is first compiled for a k* one above the
+        # scenario's
+        cs = parse_constraints((SCENARIOS / scenario / "constraints.json").read_text())
+        other_k = ConstraintSet(tuple(replace(c, k=c.k + 1) for c in cs))
+        for engine in ("milp", "milp+opt"):
+            _golden_build(scenario, "pred", "0", engine, db, other_k)
+        prep = db.last_prepared
+        compiled = len(prep.prefixes)
+        # consecutive builds change engine, and every other one the distance
+        cases = sorted((c for c in DIGESTS if c[0] == scenario),
+                       key=lambda c: (c[2], c[1], c[3]))
+        for case in cases:
+            assert _digest(_golden_build(*case, db).model) == DIGESTS[case], case
+        assert db.last_prepared is prep
+        # only the DISTINCT query's pruned per-tuple prefix depends on k*
+        query = parse_query((SCENARIOS / scenario / "query.sql").read_text())
+        assert len(prep.prefixes) == compiled + query.distinct
+
+
+def test_a_build_result_is_the_callers_own():
+    case = ("astronauts", "pred", "0", "milp+opt")
+    cold = _golden_build(*case).model
+    db = _golden_db("astronauts")
+    built = _golden_build(*case, db)
+    model = built.model
+    for values in (model.col_names, model.col_cost, model.row_index, model.row_labels):
+        values.reverse()
+    model.add_column(BINARY, 0, 1, "extra")
+    model.add_row([0], [1.0], "<=", 1, "extra")
+    for fam in built.num_families.values():
+        fam.domain.clear()
+        fam.indicators.clear()
+        fam.constants.clear()
+        fam.cost_steps.clear()
+    for fam in built.cat_families.values():
+        fam.domain.append("extra")
+        fam.indicators.clear()
+    built.num_families.clear()
+    built.cat_families.clear()
+    built.r_col.clear()
+    again = _golden_build(*case, db).model
+    assert again == cold and _digest(again) == DIGESTS[case]
+    # the names a build makes next are the cold build's
+    assert again.add_column(BINARY, 0, 1, "extra") == cold.add_column(BINARY, 0, 1, "extra")
+    assert again.col_names[-1] == cold.col_names[-1] == "extra"
+
+    # replacing a relation drops the instance and the prefixes kept with it
+    prep = db.last_prepared
+    assert prep.prefixes
+    db.add(load_csv(DATA / "astronauts.csv", name="Astronauts"))
+    assert db.last_prepared is None
+    assert _digest(_golden_build(*case, db).model) == DIGESTS[case]
+    assert db.last_prepared is not prep
 
 
 @pytest.mark.parametrize("engine", ["milp", "milp+opt"])
