@@ -18,7 +18,8 @@ filtering it (``filter_annotated``) is how the MILP builder, the exhaustive
 oracle and the exact verifier evaluate refinements without re-running the
 join.  ``prepared`` hands one instance to all three, and the database keeps
 it for the next request on the same query and relations, together with what
-is derived from it alone (:class:`Prepared`).
+is derived from it (:class:`Prepared`): the compiled model prefixes and the
+last few whole models built on it.
 """
 
 from __future__ import annotations
@@ -151,8 +152,9 @@ def annotate(q: Query, d: Database) -> Instance:
 class Prepared(NamedTuple):
     """What a database keeps of its last preparation: the relation objects
     it read, the instance, and what later requests derive from the instance
-    and reuse.  It is dropped as a whole, so nothing derived from an
-    instance outlives it."""
+    and reuse.  It is dropped as a whole (by ``Database.add``, a relation
+    object swapped in, or a request on another query), so nothing derived
+    from an instance outlives it."""
 
     relations: tuple[Relation, ...]
     instance: Instance
@@ -160,6 +162,9 @@ class Prepared(NamedTuple):
     # model parts compiled from the instance, by what else they depend on
     # (see ``milp.build``)
     prefixes: dict
+    # whole built models, by the request's constraints, distance and build
+    # options, least recently used first (see ``milp.build.build_model``)
+    models: dict
 
 
 def preparation(q: Query, d: Database) -> Prepared:
@@ -170,7 +175,7 @@ def preparation(q: Query, d: Database) -> Prepared:
     last = d.last_prepared
     if last is not None and last.instance.query == q and all(map(is_, last.relations, rels)):
         return last
-    d.last_prepared = Prepared(rels, annotate(q, d), Refinement.unchanged(q), {})
+    d.last_prepared = Prepared(rels, annotate(q, d), Refinement.unchanged(q), {}, {})
     return d.last_prepared
 
 

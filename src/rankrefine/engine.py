@@ -126,8 +126,9 @@ def run(config: RunConfig) -> RefineResult:
     """One request: search and verify over the query's prepared instance,
     which the database keeps across requests until its relations change.
     ``setup_ms`` covers the preparation, when this request made it, and, for
-    the MILP engines, the model build (see ``milp.build`` for the part of
-    it that the database keeps too).
+    the MILP engines, the model build; a request that repeats the
+    constraints, distance and options of a model the database keeps gets a
+    copy of it instead (see ``milp.build``).
 
     The constraints are checked against the joined schema here, once the
     instance is prepared, and every later step reads them as checked."""

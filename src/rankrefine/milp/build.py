@@ -29,6 +29,13 @@ starts from a copy of it.  Pruning keeps every lineage class's first member,
 so with one membership column per class the prefix depends on the instance
 alone; with one per tuple it depends on the encoded tuples, so on k* when
 pruning.
+
+The whole model depends on the request only through its constraints, its
+distance, the build options and epsilon, and on epsilon only in the
+deviation row.  The database also keeps the last ``KEPT_MODELS`` built
+models with the instance, by the other three; ``build_model`` answers a
+request that repeats one with a copy whose deviation row is rewritten for
+the request's epsilon, and builds (from the prefix) and keeps the rest.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ _UPPER_OPS = (">=", ">")  # selected values form an upper set of the domain
 _LOWER_OPS = ("<=", "<")  # ... a lower set; "=" selects at most one value
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuildOptions:
     relevancy_prune: bool = False
     merge_lineage: bool = False
@@ -109,6 +116,15 @@ class CatFamily:
         return replace(self, domain=list(self.domain), indicators=dict(self.indicators))
 
 
+def _deviation_row(constraints: ConstraintSet, epsilon: Fraction) -> tuple[list[int], int]:
+    """The deviation budget ``sum_c E_c / (n_c * |C|) <= eps`` scaled to
+    integer coefficients: the ``E_c`` coefficients in constraint order and
+    the right-hand side.  Nothing else in a model depends on epsilon."""
+    den = math.lcm(*(c.n for c in constraints))
+    scale = den * epsilon.denominator
+    return [scale // c.n for c in constraints], epsilon.numerator * den * len(constraints)
+
+
 @dataclass
 class _Prefix:
     """A compiled model prefix and the tables read past it."""
@@ -129,6 +145,19 @@ class BuildResult:
     l_col: dict[tuple[int, int], int]  # (tid, k) -> top-k membership column
     original_topk: list[int]  # top-k* tids of the unrefined query
     stats: dict = field(default_factory=dict)
+
+    def copy(self) -> BuildResult:
+        """A result equal to this one that the caller may change freely."""
+        return BuildResult(
+            model=self.model.copy(),
+            encoded=list(self.encoded),
+            num_families={key: fam.copy() for key, fam in self.num_families.items()},
+            cat_families={attr: fam.copy() for attr, fam in self.cat_families.items()},
+            r_col=dict(self.r_col),
+            l_col=dict(self.l_col),
+            original_topk=list(self.original_topk),
+            stats={**self.stats, "rows_by_family": dict(self.stats["rows_by_family"])},
+        )
 
     @property
     def r_name(self) -> dict[int, str]:
@@ -153,8 +182,6 @@ class ModelBuilder:
         kind: DistanceKind,
         options: BuildOptions | None = None,
     ):
-        if epsilon < 0:
-            raise PreconditionError("epsilon must be non-negative")
         self.query = query
         self.constraints = constraints
         self.epsilon = Fraction(epsilon)
@@ -184,6 +211,7 @@ class ModelBuilder:
         self.r_col: dict[int, int] = {}
         self.l_col: dict[tuple[int, int], int] = {}
         self.e_cols: list[tuple] = []  # (constraint, column)
+        self.deviation_row = -1  # set by build
         # per constraint, the encoded tuples in its group (base-rank order)
         self.members: list[list[AnnotatedTuple]] = []
 
@@ -423,13 +451,9 @@ class ModelBuilder:
             # lower: E >= n - sum(l);  upper: E >= sum(l) - n
             self._row(coeffs, ">=", c.sign * c.n, "deficit", i)
 
-        # deviation budget, scaled to integer coefficients:
-        #   sum_c E_c / (n_c * |C|) <= eps
-        den = math.lcm(*(c.n for c, _ in self.e_cols))
-        eps = self.epsilon
-        scale = den * eps.denominator
-        coeffs = {e: scale // c.n for c, e in self.e_cols}
-        self._row(coeffs, "<=", eps.numerator * den * len(self.constraints), "deviation")
+        values, rhs = _deviation_row(self.constraints, self.epsilon)
+        self.deviation_row = len(self.model.row_lower)
+        self.model.add_row([e for _, e in self.e_cols], values, "<=", rhs, "deviation")
 
     # -- objectives --------------------------------------------------------
 
@@ -613,6 +637,10 @@ class ModelBuilder:
         )
 
 
+# the most built models a prepared instance keeps (see ``build_model``);
+# perfbench's request cycles hold at most five keys
+KEPT_MODELS = 16
+
 _OP_CODE = {"<": "lt", "<=": "le", "=": "eq", ">": "gt", ">=": "ge"}
 
 # model_stats["rows_by_family"]: each row family and the row labels in it
@@ -635,8 +663,33 @@ def build_model(
     kind: DistanceKind,
     options: BuildOptions | None = None,
 ) -> BuildResult:
-    """Compile the search over ``query``'s prepared instance in ``db``."""
-    return ModelBuilder(query, db, constraints, epsilon, kind, options).build()
+    """Compile the search over ``query``'s prepared instance in ``db``.
+
+    The database keeps the last :data:`KEPT_MODELS` results with the
+    instance, by constraints, distance and options.  A request that repeats
+    one gets a copy of it with the deviation row rewritten for its epsilon,
+    entry for entry the model a fresh build makes; a build that raises keeps
+    nothing."""
+    epsilon = Fraction(epsilon)
+    if epsilon < 0:
+        raise PreconditionError("epsilon must be non-negative")
+    options = options or BuildOptions()
+    models = preparation(query, db).models
+    key = (constraints, kind, options)
+    kept = models.pop(key, None)  # put back last, as the most recently used
+    if kept is None:
+        builder = ModelBuilder(query, db, constraints, epsilon, kind, options)
+        kept = builder.build(), builder.deviation_row
+        if len(models) == KEPT_MODELS:
+            del models[next(iter(models))]  # the least recently used
+    models[key] = kept
+    built, row = kept
+    result = built.copy()
+    model = result.model
+    values, rhs = _deviation_row(constraints, epsilon)
+    model.row_value[model.row_start[row]:model.row_start[row + 1]] = values
+    model.row_upper[row] = float(rhs)
+    return result
 
 
 def extract_refinement(result: BuildResult, solution: Solution) -> Refinement:

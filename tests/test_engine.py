@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -365,6 +366,51 @@ def test_warm_reports_equal_cold_reports(case):
     cold = outcome()
     assert db.last_prepared is not None
     assert outcome() == cold
+
+
+# name -> (scenario, query text or None for the scenario's, distance,
+# epsilon, error message)
+PRECONDITION_CASES = {
+    "negative-epsilon": ("astronauts", None, PRED, "-0.5", "epsilon must be non-negative"),
+    "non-positive-pred-constant": (
+        "astronauts", "SELECT * FROM Astronauts WHERE Space_Flights >= 0 AND "
+        "Status = 'Active' ORDER BY Flight_Hours DESC", PRED, "0.5",
+        "predicate distance needs a positive original constant on 'Space_Flights' >="),
+    "outcome-distance-over-too-few-tuples": (
+        "no_perfect", None, JACCARD, "0.5",
+        "outcome distances need the original query to return at least k*=3 tuples, got 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRECONDITION_CASES))
+def test_precondition_errors_fire_on_every_request(name, tmp_path, capsys):
+    scenario, query_text, distance, epsilon, message = PRECONDITION_CASES[name]
+    query_file = SCENARIOS / scenario / "query.sql"
+    if query_text is not None:
+        query_file = tmp_path / "query.sql"
+        query_file.write_text(query_text)
+    args = _args(scenario, distance, epsilon)
+    args[args.index("--query") + 1] = str(query_file)
+    for _ in range(2):
+        assert main(args) == EXIT_INVALID
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    db = Database()
+    for rel, csv in RELATIONS[scenario].items():
+        db.add(load_csv(DATA / csv, name=rel))
+    cs = parse_constraints((SCENARIOS / scenario / "constraints.json").read_text())
+    config = _config(db, parse_query(query_file.read_text()), cs,
+                     epsilon=Fraction(epsilon), kind=DistanceKind(distance))
+    if epsilon.startswith("-"):
+        # the database keeps this key's model, built for epsilon 0
+        assert run(replace(config, epsilon=Fraction(0))).status == REFINED
+    kept = dict(db.last_prepared.models) if db.last_prepared else {}
+    for _ in range(2):
+        with pytest.raises(PreconditionError) as exc:
+            run(config)
+        assert str(exc.value) == message
+        # a failed build keeps nothing
+        assert db.last_prepared.models == kept
 
 
 TOL = 1e-6  # as in the acceptance suite

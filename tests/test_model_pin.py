@@ -9,7 +9,10 @@ its column, row or entry order, or its names changes them.
 A build starts from a model prefix that the database keeps with the
 prepared instance, so each pinned model is also built warm, on one database
 shared with builds at another k*, under the other engine and for the other
-distances.
+distances.  The database also keeps whole built models, and a request that
+repeats one's constraints, distance and options gets a copy with only the
+deviation row rewritten for its epsilon; each is checked against a cold
+build along an epsilon sequence, together with the report it leads to.
 """
 
 import hashlib
@@ -26,9 +29,12 @@ import rankrefine
 from rankrefine.cli import main
 from rankrefine.constraints import ConstraintSet, parse_constraints
 from rankrefine.data import Database, load_csv
-from rankrefine.distances import DistanceKind
+from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
+from rankrefine.engine import RunConfig, result_to_dict, run
+from rankrefine.errors import RankRefineError
 from rankrefine.milp import BINARY, solver
-from rankrefine.milp.build import ROW_FAMILIES, BuildOptions, build_model
+from rankrefine.milp import build as build_module
+from rankrefine.milp.build import KEPT_MODELS, ROW_FAMILIES, BuildOptions, build_model
 from rankrefine.query import parse_query
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -159,13 +165,11 @@ def test_warm_builds_load_the_pinned_models():
         assert len(prep.prefixes) == compiled + query.distinct
 
 
-def test_a_build_result_is_the_callers_own():
-    case = ("astronauts", "pred", "0", "milp+opt")
-    cold = _golden_build(*case).model
-    db = _golden_db("astronauts")
-    built = _golden_build(*case, db)
+def _scribble(built):
+    """Change everything a build result holds."""
     model = built.model
-    for values in (model.col_names, model.col_cost, model.row_index, model.row_labels):
+    for values in (model.col_names, model.col_cost, model.row_index, model.row_value,
+                   model.row_upper, model.row_labels):
         values.reverse()
     model.add_column(BINARY, 0, 1, "extra")
     model.add_row([0], [1.0], "<=", 1, "extra")
@@ -179,9 +183,29 @@ def test_a_build_result_is_the_callers_own():
         fam.indicators.clear()
     built.num_families.clear()
     built.cat_families.clear()
+    built.encoded.clear()
     built.r_col.clear()
+    built.l_col.clear()
+    built.original_topk.clear()
+    built.stats["rows_by_family"].clear()
+    built.stats.clear()
+
+
+def test_a_build_result_is_the_callers_own():
+    case = ("astronauts", "pred", "0", "milp+opt")
+    cold_built = _golden_build(*case)
+    cold = cold_built.model
+    db = _golden_db("astronauts")
+    # the first build compiles the model and keeps it, the next ones are
+    # served from what was kept
+    for _ in range(3):
+        built = _golden_build(*case, db)
+        assert built.model == cold and _digest(built.model) == DIGESTS[case]
+        assert built.stats == cold_built.stats
+        assert built.encoded == cold_built.encoded and built.l_col == cold_built.l_col
+        assert len(db.last_prepared.models) == 1
+        _scribble(built)
     again = _golden_build(*case, db).model
-    assert again == cold and _digest(again) == DIGESTS[case]
     # the names a build makes next are the cold build's
     assert again.add_column(BINARY, 0, 1, "extra") == cold.add_column(BINARY, 0, 1, "extra")
     assert again.col_names[-1] == cold.col_names[-1] == "extra"
@@ -193,6 +217,92 @@ def test_a_build_result_is_the_callers_own():
     assert db.last_prepared is None
     assert _digest(_golden_build(*case, db).model) == DIGESTS[case]
     assert db.last_prepared is not prep
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """One entry per model compiled, rather than served from a kept one."""
+    calls = []
+    real_build = build_module.ModelBuilder.build
+
+    def build(self):
+        calls.append(1)
+        return real_build(self)
+
+    monkeypatch.setattr(build_module.ModelBuilder, "build", build)
+    return calls
+
+
+def test_adding_a_relation_drops_the_kept_models(builds):
+    case = ("scholarship", "kendall", "1/2", "milp+opt")
+    db = _golden_db("scholarship")
+    for _ in range(2):
+        assert _digest(_golden_build(*case, db).model) == DIGESTS[case]
+    assert len(builds) == 1 and len(db.last_prepared.models) == 1
+    db.add(load_csv(DATA / "activities.csv", name="Activities"))
+    assert db.last_prepared is None
+    assert _digest(_golden_build(*case, db).model) == DIGESTS[case]
+    assert len(builds) == 2 and len(db.last_prepared.models) == 1
+
+
+def test_the_least_recently_used_model_is_dropped_first(builds):
+    db = _golden_db("astronauts")
+    cs = parse_constraints((SCENARIOS / "astronauts" / "constraints.json").read_text())
+    # one key per lower bound on women in the top 20
+    sets = [ConstraintSet((replace(cs.constraints[0], k=20, n=n),))
+            for n in range(1, KEPT_MODELS + 2)]
+    for c in sets[:KEPT_MODELS]:
+        _golden_build("astronauts", "pred", "1/2", "milp+opt", db, c)
+    models = db.last_prepared.models
+    assert len(builds) == len(models) == KEPT_MODELS
+    # a hit makes its key the most recently used
+    _golden_build("astronauts", "pred", "0", "milp+opt", db, sets[0])
+    assert len(builds) == KEPT_MODELS
+    _golden_build("astronauts", "pred", "0", "milp+opt", db, sets[-1])
+    assert len(builds) == len(models) + 1 == KEPT_MODELS + 1
+    assert [key[0] for key in models] == sets[2:KEPT_MODELS] + [sets[0], sets[-1]]
+    # the dropped key is built again, and drops the next least recently used
+    cold = _golden_build("astronauts", "pred", "1/4", "milp+opt", None, sets[1])
+    warm = _golden_build("astronauts", "pred", "1/4", "milp+opt", db, sets[1])
+    assert len(builds) == KEPT_MODELS + 3
+    assert _digest(warm.model) == _digest(cold.model)
+    assert [key[0] for key in models] == sets[3:KEPT_MODELS] + [sets[0], sets[-1], sets[1]]
+
+
+EPSILON_SEQUENCE = ("0", "1/2", "0", "1/4", "1")
+
+
+@pytest.mark.parametrize("engine", ["milp", "milp+opt"])
+@pytest.mark.parametrize("scenario", sorted(RELATIONS))
+def test_warm_models_and_reports_equal_cold_ones(scenario, engine):
+    """Every distance in turn runs the epsilon sequence on one database,
+    and each model and report equals one from a freshly loaded database."""
+    db = _golden_db(scenario)
+    query = parse_query((SCENARIOS / scenario / "query.sql").read_text())
+    cs = parse_constraints((SCENARIOS / scenario / "constraints.json").read_text())
+
+    def outcome(database, distance, epsilon):
+        config = RunConfig(query, database, cs, Fraction(epsilon), DistanceKind(distance),
+                           engine=engine)
+        try:
+            report = result_to_dict(run(config), include_timing=False)
+            built = _golden_build(scenario, distance, epsilon, engine, database)
+        except RankRefineError as exc:
+            return type(exc).__name__, str(exc)
+        return report, _digest(built.model)
+
+    reports = 0
+    for distance in (PRED, JACCARD, KENDALL):
+        for epsilon in EPSILON_SEQUENCE:
+            warm = outcome(db, distance, epsilon)
+            assert warm == outcome(_golden_db(scenario), distance, epsilon), \
+                (distance, epsilon)
+            if (scenario, distance, epsilon, engine) in DIGESTS:
+                assert warm[1] == DIGESTS[(scenario, distance, epsilon, engine)]
+            reports += isinstance(warm[0], dict)
+    # no_perfect's outcome distances are rejected
+    assert reports == (5 if scenario == "no_perfect" else 15)
+    assert len(db.last_prepared.models) == reports // 5
 
 
 @pytest.mark.parametrize("engine", ["milp", "milp+opt"])
