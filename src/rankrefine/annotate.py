@@ -17,16 +17,14 @@ The annotated universe contains the output of every refinement, and
 filtering it (``filter_annotated``) is how the MILP builder, the exhaustive
 oracle and the exact verifier evaluate refinements without re-running the
 join.  ``prepared`` hands one instance to all three, and the database keeps
-it for the next request on the same query and relations, together with what
-is derived from it (:class:`Prepared`): the compiled model prefixes and the
-last few whole models built on it.
+it for the next request on the same query and relations, together with the
+last few models built on it (:class:`Prepared`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import attrgetter, is_
 from types import MappingProxyType
@@ -67,6 +65,11 @@ class Instance:
 
     def __len__(self) -> int:
         return len(self.annotated)
+
+    def domain(self, attr: str) -> list:
+        """The sorted values of a predicate attribute, read from each lineage
+        class's first member (the tuples of a class agree on them)."""
+        return sorted({members[0].tuple[attr] for members in self.classes})
 
 
 def joined_relation(q: Query, d: Database) -> Relation:
@@ -151,18 +154,14 @@ def annotate(q: Query, d: Database) -> Instance:
 
 class Prepared(NamedTuple):
     """What a database keeps of its last preparation: the relation objects
-    it read, the instance, and what later requests derive from the instance
-    and reuse.  It is dropped as a whole (by ``Database.add``, a relation
-    object swapped in, or a request on another query), so nothing derived
-    from an instance outlives it."""
+    it read, the instance, and the models later requests built on it.  It
+    is dropped as a whole (by ``Database.add``, a relation object swapped
+    in, or a request on another query), so no model outlives its instance."""
 
     relations: tuple[Relation, ...]
     instance: Instance
     unchanged: Refinement  # the query's own refinement, shared by its results
-    # model parts compiled from the instance, by what else they depend on
-    # (see ``milp.build``)
-    prefixes: dict
-    # whole built models, by the request's constraints, distance and build
+    # built models, by the request's constraints, distance and build
     # options, least recently used first (see ``milp.build.build_model``)
     models: dict
 
@@ -175,7 +174,7 @@ def preparation(q: Query, d: Database) -> Prepared:
     last = d.last_prepared
     if last is not None and last.instance.query == q and all(map(is_, last.relations, rels)):
         return last
-    d.last_prepared = Prepared(rels, annotate(q, d), Refinement.unchanged(q), {}, {})
+    d.last_prepared = Prepared(rels, annotate(q, d), Refinement.unchanged(q), {})
     return d.last_prepared
 
 
@@ -231,10 +230,3 @@ def evaluate(q: Query, d: Database) -> Ranking:
         ranking.append(t.tid)
     return ranking
 
-
-def numeric_domain(annotated: Iterable[AnnotatedTuple], attr: str) -> list[Fraction]:
-    return sorted({at.tuple[attr] for at in annotated})
-
-
-def cat_domain(annotated: Iterable[AnnotatedTuple], attr: str) -> list[str]:
-    return sorted({at.tuple[attr] for at in annotated})

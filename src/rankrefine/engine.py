@@ -67,15 +67,18 @@ class RefineResult:
 
 
 def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
-                     status: str, timing: dict, stats: dict) -> RefineResult:
+                     status: str, timing: dict, stats: dict, *,
+                     ranking: list[int] | None = None) -> RefineResult:
     """Re-evaluate the refined query exactly over the prepared instance and
     package the certificate.
 
     Deviation, distance and the top-k listing read only the refined
     ranking's first k* tuples, so the filter stops there; a shorter ranking
-    means it reached the end of the instance.  A failed check raises
-    InternalConsistencyError whose message carries the refinement and the
-    model stats.
+    means it reached the end of the instance.  A caller that holds those
+    tuples already (the unchanged query's, from the instance) passes them
+    as ``ranking`` and nothing is filtered; every check still runs on them.
+    A failed check raises InternalConsistencyError whose message carries
+    the refinement and the model stats.
     """
     def inconsistent(message: str) -> InternalConsistencyError:
         detail = json.dumps({"refinement": _refinement_dict(ref),
@@ -86,7 +89,8 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     q2 = apply_refinement(q, ref)
     tuples_by_id = instance.tuples_by_id
     k_star = cs.k_star
-    ranking = filter_annotated(instance, q2, instance.key_attrs, limit=k_star)
+    if ranking is None:
+        ranking = filter_annotated(instance, q2, instance.key_attrs, limit=k_star)
     if len(ranking) < k_star:
         raise inconsistent(
             f"refined query returns {len(ranking)} tuples, fewer than k*={k_star}")
@@ -184,7 +188,8 @@ def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> R
         # no distance is below 0, so the original query is the optimum
         timing = {"setup_ms": setup_ms, "solve_ms": 0.0}
         stats = {**built.stats, "nodes": 0, "mip_gap": 0.0, "dual_bound": 0.0}
-        return _verified_result(config, instance, unchanged, REFINED, timing, stats)
+        return _verified_result(config, instance, unchanged, REFINED, timing, stats,
+                                ranking=list(original[:cs.k_star]))
     t1 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))
     solve_ms = (time.monotonic() - t1) * 1000.0

@@ -21,21 +21,13 @@ top-k* positions, sharing one membership binary across a lineage class, and
 dropping one side of the rank-equality rows when every constraint has the
 same sense (sound only for the predicate-space objective).
 
-The model's first part, its prefix, is the same for every request on one
-prepared instance: the predicate indicators with their rows and ``pred``
-cost steps, then the membership columns with their selection rows.  The
-database keeps it with the instance (``annotate.Prepared``), and each build
-starts from a copy of it.  Pruning keeps every lineage class's first member,
-so with one membership column per class the prefix depends on the instance
-alone; with one per tuple it depends on the encoded tuples, so on k* when
-pruning.
-
 The whole model depends on the request only through its constraints, its
 distance, the build options and epsilon, and on epsilon only in the
-deviation row.  The database also keeps the last ``KEPT_MODELS`` built
-models with the instance, by the other three; ``build_model`` answers a
-request that repeats one with a copy whose deviation row is rewritten for
-the request's epsilon, and builds (from the prefix) and keeps the rest.
+deviation row.  The database keeps the last ``KEPT_MODELS`` built models
+with the prepared instance (``annotate.Prepared``), by the other three;
+``build_model`` answers a request that repeats one with a copy whose
+deviation row is rewritten for the request's epsilon, and builds and keeps
+the rest.
 """
 
 from __future__ import annotations
@@ -126,16 +118,6 @@ def _deviation_row(constraints: ConstraintSet, epsilon: Fraction) -> tuple[list[
 
 
 @dataclass
-class _Prefix:
-    """A compiled model prefix and the tables read past it."""
-    model: MILPModel
-    num_families: dict[tuple[str, str], NumericFamily]
-    cat_families: dict[str, CatFamily]
-    # lineage class (one column per class) or tid (one per tuple) -> column
-    member_col: dict[int, int]
-
-
-@dataclass
 class BuildResult:
     model: MILPModel
     encoded: list[AnnotatedTuple]  # base-rank order
@@ -159,18 +141,6 @@ class BuildResult:
             stats={**self.stats, "rows_by_family": dict(self.stats["rows_by_family"])},
         )
 
-    @property
-    def r_name(self) -> dict[int, str]:
-        """tid -> name of its membership variable."""
-        names = self.model.col_names
-        return {tid: names[j] for tid, j in self.r_col.items()}
-
-    @property
-    def l_name(self) -> dict[tuple[int, int], str]:
-        """(tid, k) -> name of its top-k membership variable."""
-        names = self.model.col_names
-        return {key: names[j] for key, j in self.l_col.items()}
-
 
 class ModelBuilder:
     def __init__(
@@ -190,9 +160,7 @@ class ModelBuilder:
         self.model = MILPModel()
         self.k_star = constraints.k_star
 
-        prep = preparation(query, db)
-        self.prefixes = prep.prefixes
-        instance = prep.instance
+        instance = preparation(query, db).instance
         self.key_attrs = instance.key_attrs
         self.merged = self.options.merge_lineage and not self.key_attrs
         original_ranking = instance.original_ranking
@@ -257,14 +225,11 @@ class ModelBuilder:
 
     # -- predicate encoding ----------------------------------------------
 
-    def _encoded_values(self, attr: str) -> list:
-        """The values of a predicate attribute among the encoded tuples: those
-        of each lineage class's first member, which pruning always keeps."""
-        return sorted({members[0].tuple[attr] for members in self.instance.classes})
-
     def gen_numeric_bound_exprs(self) -> None:
         for p in sorted(self.query.numeric_preds, key=lambda p: (p.attribute, p.op)):
-            values = self._encoded_values(p.attribute)
+            # pruning keeps every lineage class's first member, so these are
+            # the values among the encoded tuples
+            values = self.instance.domain(p.attribute)
             cols = [self._binary("A", p.attribute, _OP_CODE[p.op], format_number(v))
                     for v in values]
             fam = NumericFamily(p.attribute, p.op, p.constant, values,
@@ -311,7 +276,7 @@ class ModelBuilder:
 
     def gen_categorical_vars(self) -> None:
         for p in sorted(self.query.cat_preds, key=lambda p: p.attribute):
-            values = self._encoded_values(p.attribute)
+            values = self.instance.domain(p.attribute)
             kept = frozenset(p.values) - set(values)
             fam = CatFamily(p.attribute, values, frozenset(p.values), kept, {})
             for v in values:
@@ -335,29 +300,28 @@ class ModelBuilder:
 
     # -- membership, rank, top-k ------------------------------------------
 
-    def gen_selection_exprs(self) -> dict[int, int]:
-        """Membership columns and their selection rows; returns the columns
-        by lineage class when merged, by tid otherwise."""
-        member_col: dict[int, int] = {}
-        if self.merged:
-            # every class keeps its first member, and class ids follow the
-            # first members' base ranks
-            classes = self.instance.classes
-            for cls in range(len(classes)):
-                member_col[cls] = self._binary("r", "cls", cls)
-            for cls, members in enumerate(classes):
-                self._selection_rows(member_col[cls], self._atom_cols(members[0]), [])
-        else:
-            for at in self.encoded:
-                member_col[at.tuple.tid] = self._binary("r", at.tuple.tid)
-            for at in self.encoded:
-                shadows = [member_col[t] for t in at.shadow if t in member_col]
-                if len(shadows) != len(at.shadow):
-                    raise InternalConsistencyError(
-                        f"tuple {at.tuple.tid} has pruned shadow tuples")
-                self._selection_rows(member_col[at.tuple.tid],
-                                     self._atom_cols(at), shadows)
-        return member_col
+    def gen_selection_exprs(self) -> None:
+        """Membership columns and their selection rows, one per lineage class
+        when merged and one per tuple otherwise, each where its class or
+        tuple first appears in base-rank order."""
+        by_class: dict[int, int] = {}  # lineage class -> column, when merged
+        for at in self.encoded:
+            tid = at.tuple.tid
+            if self.merged:
+                # every class keeps its first member, and class ids follow
+                # the first members' base ranks
+                cls = at.lineage_class
+                if cls not in by_class:
+                    by_class[cls] = self._binary("r", "cls", cls)
+                    self._selection_rows(by_class[cls], self._atom_cols(at), [])
+                self.r_col[tid] = by_class[cls]
+                continue
+            # shadow tuples rank better, so theirs are made already
+            shadows = [self.r_col[t] for t in at.shadow if t in self.r_col]
+            if len(shadows) != len(at.shadow):
+                raise InternalConsistencyError(f"tuple {tid} has pruned shadow tuples")
+            self.r_col[tid] = self._binary("r", tid)
+            self._selection_rows(self.r_col[tid], self._atom_cols(at), shadows)
 
     def _selection_rows(self, r: int, atoms: list[int], shadows: list[int]) -> None:
         """r = 1 iff every atom indicator is 1 and no shadow tuple is selected."""
@@ -580,20 +544,6 @@ class ModelBuilder:
 
     # -- orchestration ------------------------------------------------------
 
-    def _prefix(self) -> _Prefix:
-        """The prefix the database keeps for this instance, compiled on
-        first use."""
-        key = "classes" if self.merged else (
-            "tuples", self.k_star if self.options.relevancy_prune else None)
-        prefix = self.prefixes.get(key)
-        if prefix is None:
-            self.gen_numeric_bound_exprs()
-            self.gen_categorical_vars()
-            member_col = self.gen_selection_exprs()
-            prefix = self.prefixes[key] = _Prefix(
-                self.model, self.num_families, self.cat_families, member_col)
-        return prefix
-
     def build(self) -> BuildResult:
         if self.options.relevancy_prune:
             self.relevancy_prune()
@@ -601,14 +551,9 @@ class ModelBuilder:
             self.encoded = list(self.instance.annotated)
         if not self.encoded:
             raise BuildError("no tuples to encode")
-        # the request's own model and tables, on a copy of the kept prefix
-        prefix = self._prefix()
-        self.model = prefix.model.copy()
-        self.num_families = {key: fam.copy() for key, fam in prefix.num_families.items()}
-        self.cat_families = {attr: fam.copy() for attr, fam in prefix.cat_families.items()}
-        member_col = prefix.member_col
-        self.r_col = {at.tuple.tid: member_col[at.lineage_class if self.merged else at.tuple.tid]
-                      for at in self.encoded}
+        self.gen_numeric_bound_exprs()
+        self.gen_categorical_vars()
+        self.gen_selection_exprs()
         self.members = [[at for at in self.encoded if c.contains(at.tuple)]
                         for c in self.constraints]
         self.gen_position_exprs()

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotate import cat_domain, evaluate, filter_annotated, numeric_domain, prepared
+from .annotate import evaluate, filter_annotated, prepared
 from .constraints import ConstraintSet, deviation
 from .data import Database
 from .distances import JACCARD, KENDALL, PRED, DistanceKind, dis_jaccard, dis_kendall, dis_pred
@@ -92,11 +92,11 @@ def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP) -> Refinemen
     instance = prepared(q, d)
     numeric = [
         ((p.attribute, p.op),
-         numeric_candidates(numeric_domain(instance, p.attribute), p.constant))
+         numeric_candidates(instance.domain(p.attribute), p.constant))
         for p in q.numeric_preds
     ]
     categorical = [
-        (p.attribute, cat_candidates(cat_domain(instance, p.attribute), p.values))
+        (p.attribute, cat_candidates(instance.domain(p.attribute), p.values))
         for p in q.cat_preds
     ]
     space = RefinementSpace(q, numeric, categorical)

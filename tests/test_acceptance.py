@@ -254,7 +254,7 @@ def test_acceptance_6_count_round_trip(randomized_suite):
             counts = _counts_of(rec["query"], rec["db"], cs, ref)
             e_total = 0.0
             for i, c in enumerate(cs):
-                members = [built.l_name[(at.tuple.tid, c.k)]
+                members = [built.model.col_names[built.l_col[(at.tuple.tid, c.k)]]
                            for at in built.encoded if c.contains(at.tuple)]
                 l_sum = sum(round(solution.value(lv)) for lv in set(members))
                 assert l_sum == counts[i], f"instance {idx}, constraint {i}"

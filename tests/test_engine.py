@@ -524,6 +524,41 @@ def test_original_query_just_outside_epsilon_is_solved(monkeypatch, students_db,
     assert result.status == REFINED and result.distance > 0
 
 
+@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD, 6),
+                                  DistanceKind(KENDALL, 6)], ids=lambda k: k.name)
+def test_a_settled_request_filters_nothing(monkeypatch, students_db, scholarship_query,
+                                           scholarship_constraints, kind):
+    """A settled request is verified on the original ranking the instance
+    holds, and reports what filtering the instance again reports; a solved
+    one filters once, for its refinement."""
+    eps = _original_deviation(students_db, scholarship_query, scholarship_constraints)
+    filter_annotated = engine.filter_annotated
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return filter_annotated(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "filter_annotated", counted)
+    settled = _config(students_db, scholarship_query, scholarship_constraints,
+                      kind=kind, epsilon=eps)
+    result = run(settled)
+    assert len(calls) == 0 and result.distance == 0
+    instance = prepared(scholarship_query, students_db)
+    settled.constraints = settled.constraints.over(instance.schema)
+    filtered = engine._verified_result(settled, instance,
+                                       Refinement.unchanged(scholarship_query),
+                                       REFINED, {}, {})
+    assert len(calls) == 1
+    assert {**_report(result), "model_stats": {}} == _report(filtered)
+
+    calls.clear()
+    solved = run(_config(students_db, scholarship_query, scholarship_constraints,
+                         kind=kind, epsilon=eps - Fraction(1, 1000)))
+    assert len(calls) == 1
+    assert solved.status == REFINED and solved.distance > 0
+
+
 def test_lp_dump_written_when_the_original_query_settles(monkeypatch, tmp_path, students_db,
                                                          scholarship_query,
                                                          scholarship_constraints):

@@ -172,7 +172,7 @@ def test_selection_rows_for_conjunction(students_db, scholarship_query,
                                         scholarship_constraints):
     result = _build(scholarship_query, students_db, scholarship_constraints, 0)
     at6 = next(at for at in result.encoded if at.tuple["ID"] == Fraction(6))
-    r = result.r_name[at6.tuple.tid]
+    r = result.model.col_names[result.r_col[at6.tuple.tid]]
     gpa_fam = result.num_families[("GPA", ">=")]
     act_fam = result.cat_families["Activity"]
     atoms = {*_indicator_names(result, gpa_fam, [at6.tuple["GPA"]]),
@@ -194,8 +194,8 @@ def test_shadow_membership_coupling(students_db, scholarship_query,
     fours = sorted((at for at in result.encoded if at.tuple["ID"] == Fraction(4)),
                    key=lambda at: at.base_rank)
     first, second = fours
-    r2 = result.r_name[second.tuple.tid]
-    r1 = result.r_name[first.tuple.tid]
+    r2 = result.model.col_names[result.r_col[second.tuple.tid]]
+    r1 = result.model.col_names[result.r_col[first.tuple.tid]]
     up = next(row for row in result.model.rows
               if row.sense == "<=" and row.coeffs.get(r2, 0) > 1 and r1 in row.coeffs)
     # one shadow: r gets coefficient atoms+shadows = 3, shadow +1, rhs 1
@@ -271,15 +271,15 @@ def test_merge_lineage_collapses_classes(students_db):
     plain = _build(q, students_db, cs, 1)
     merged = _build(q, students_db, cs, 1, merge_lineage=True)
     assert merged.stats["lineage_classes"] < merged.stats["encoded_tuples"]
-    assert len(set(merged.r_name.values())) == merged.stats["lineage_classes"]
-    assert len(set(plain.r_name.values())) == plain.stats["encoded_tuples"]
+    assert len(set(merged.r_col.values())) == merged.stats["lineage_classes"]
+    assert len(set(plain.r_col.values())) == plain.stats["encoded_tuples"]
 
 
 def test_merge_lineage_ignored_under_distinct(students_db, scholarship_query,
                                               scholarship_constraints):
     merged = _build(scholarship_query, students_db, scholarship_constraints, 0,
                     merge_lineage=True)
-    assert len(set(merged.r_name.values())) == merged.stats["encoded_tuples"]
+    assert len(set(merged.r_col.values())) == merged.stats["encoded_tuples"]
 
 
 def test_build_is_deterministic(students_db, scholarship_query,
@@ -351,4 +351,4 @@ def test_outcome_kinds_give_topk_binaries_to_every_tuple(students_db,
                     kind=DistanceKind(KENDALL, 6))
     k_star = scholarship_constraints.k_star
     for at in result.encoded:
-        assert (at.tuple.tid, k_star) in result.l_name
+        assert (at.tuple.tid, k_star) in result.l_col

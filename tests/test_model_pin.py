@@ -6,13 +6,13 @@ received it: column bounds, costs, integrality and names, the objective
 offset, row bounds and names, and the matrix.  Any change to the encoding,
 its column, row or entry order, or its names changes them.
 
-A build starts from a model prefix that the database keeps with the
-prepared instance, so each pinned model is also built warm, on one database
-shared with builds at another k*, under the other engine and for the other
-distances.  The database also keeps whole built models, and a request that
-repeats one's constraints, distance and options gets a copy with only the
-deviation row rewritten for its epsilon; each is checked against a cold
-build along an epsilon sequence, together with the report it leads to.
+The database keeps built models with the prepared instance, and a request
+that repeats one's constraints, distance and options gets a copy with only
+the deviation row rewritten for its epsilon.  So each pinned model is also
+built warm, on one database shared with builds at another k*, under the
+other engine and for the other distances, and each kept model is checked
+against a cold build along an epsilon sequence, together with the report it
+leads to.
 """
 
 import hashlib
@@ -146,23 +146,21 @@ def test_warm_builds_load_the_pinned_models():
         for name, csv in RELATIONS[scenario].items():
             db.add(load_csv(DATA / csv, name=name))
     for scenario in sorted({case[0] for case in DIGESTS}):
-        # each engine's prefix is first compiled for a k* one above the
-        # scenario's
+        # each engine first builds a model for a k* one above the scenario's
         cs = parse_constraints((SCENARIOS / scenario / "constraints.json").read_text())
         other_k = ConstraintSet(tuple(replace(c, k=c.k + 1) for c in cs))
         for engine in ("milp", "milp+opt"):
             _golden_build(scenario, "pred", "0", engine, db, other_k)
         prep = db.last_prepared
-        compiled = len(prep.prefixes)
+        assert len(prep.models) == 2
         # consecutive builds change engine, and every other one the distance
         cases = sorted((c for c in DIGESTS if c[0] == scenario),
                        key=lambda c: (c[2], c[1], c[3]))
         for case in cases:
             assert _digest(_golden_build(*case, db).model) == DIGESTS[case], case
         assert db.last_prepared is prep
-        # only the DISTINCT query's pruned per-tuple prefix depends on k*
-        query = parse_query((SCENARIOS / scenario / "query.sql").read_text())
-        assert len(prep.prefixes) == compiled + query.distinct
+        # one model kept per distance and engine, beside the other k*'s
+        assert len(prep.models) == 2 + len({(c[1], c[3]) for c in cases})
 
 
 def _scribble(built):
@@ -210,9 +208,9 @@ def test_a_build_result_is_the_callers_own():
     assert again.add_column(BINARY, 0, 1, "extra") == cold.add_column(BINARY, 0, 1, "extra")
     assert again.col_names[-1] == cold.col_names[-1] == "extra"
 
-    # replacing a relation drops the instance and the prefixes kept with it
+    # replacing a relation drops the instance and the model kept with it
     prep = db.last_prepared
-    assert prep.prefixes
+    assert prep.models
     db.add(load_csv(DATA / "astronauts.csv", name="Astronauts"))
     assert db.last_prepared is None
     assert _digest(_golden_build(*case, db).model) == DIGESTS[case]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from rankrefine import oracle
-from rankrefine.annotate import annotate, filter_annotated, numeric_domain
+from rankrefine.annotate import annotate, filter_annotated
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.errors import PreconditionError
 from rankrefine.oracle import (
@@ -49,7 +49,7 @@ def test_cat_candidates_exclude_empty_set():
 def test_space_size_formula(students_db, scholarship_query):
     space = refinement_space(scholarship_query, students_db)
     ann = annotate(scholarship_query, students_db)
-    gpa_n = len(numeric_domain(ann, "GPA"))
+    gpa_n = len(ann.domain("GPA"))
     # 3 per distinct value plus original plus 2 sentinels, minus overlaps
     (_, num_cands), = space.numeric
     (_, cat_cands), = space.categorical
