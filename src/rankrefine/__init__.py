@@ -20,7 +20,7 @@ from .distances import (
     dis_kendall,
     dis_pred,
 )
-from .engine import RefineResult, RunConfig, result_to_dict, run
+from .engine import RefineResult, RunConfig, TopkRow, result_to_dict, run
 from .errors import RankRefineError
 from .oracle import OracleResult, exhaustive_solve, refinement_space
 from .query import (
@@ -56,6 +56,7 @@ __all__ = [
     "Relation",
     "RunConfig",
     "Schema",
+    "TopkRow",
     "Tuple",
     "UPPER",
     "annotate",

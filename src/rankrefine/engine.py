@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .annotate import Instance, filter_annotated, preparation
 # not called here; kept importable because perfbench's traced run wraps them
@@ -54,6 +55,15 @@ class RunConfig:
             raise PreconditionError(f"unknown engine {self.engine!r}")
 
 
+class TopkRow(NamedTuple):
+    """One tuple of the verified top-k*: its position, its id and the labels
+    of the constraint groups it belongs to."""
+
+    position: int
+    tid: int
+    groups: tuple[str, ...]
+
+
 @dataclass
 class RefineResult:
     status: str
@@ -61,14 +71,15 @@ class RefineResult:
     refined_sql: str | None = None
     distance: Fraction | int | None = None
     deviation: Fraction | None = None
-    topk: list[dict] = field(default_factory=list)
+    topk: list[TopkRow] = field(default_factory=list)
     timing_ms: dict = field(default_factory=dict)
     model_stats: dict = field(default_factory=dict)
 
 
 def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
                      status: str, timing: dict, stats: dict, *,
-                     ranking: list[int] | None = None) -> RefineResult:
+                     ranking: list[int] | None = None,
+                     dev: Fraction | None = None) -> RefineResult:
     """Re-evaluate the refined query exactly over the prepared instance and
     package the certificate.
 
@@ -76,7 +87,8 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     ranking's first k* tuples, so the filter stops there; a shorter ranking
     means it reached the end of the instance.  A caller that holds those
     tuples already (the unchanged query's, from the instance) passes them
-    as ``ranking`` and nothing is filtered; every check still runs on them.
+    as ``ranking`` and nothing is filtered, and one that has computed their
+    deviation passes it as ``dev``; every check still runs on them.
     A failed check raises InternalConsistencyError whose message carries
     the refinement and the model stats.
     """
@@ -94,7 +106,8 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     if len(ranking) < k_star:
         raise inconsistent(
             f"refined query returns {len(ranking)} tuples, fewer than k*={k_star}")
-    dev = deviation(ranking, tuples_by_id, cs)
+    if dev is None:
+        dev = deviation(ranking, tuples_by_id, cs)
     if dev > config.epsilon:
         raise inconsistent(
             f"refined query deviates by {dev}, above epsilon {config.epsilon}")
@@ -106,14 +119,12 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
             dist = dis_jaccard(original, ranking, k_star)
         else:
             dist = dis_kendall(original, ranking, k_star)
-    # a caller may keep every result, so the rows share one label string
-    # per constraint and hold their groups in tuples (the empty one is shared)
+    # a caller may keep every result, so the rows are named tuples that
+    # share one label string per constraint (and the empty groups tuple)
     labels = [(c, c.label()) for c in cs]
-    topk = []
-    for pos, tid in enumerate(ranking, start=1):
-        t = tuples_by_id[tid]
-        groups = tuple(label for c, label in labels if c.contains(t))
-        topk.append({"position": pos, "tid": tid, "groups": groups})
+    topk = [TopkRow(pos, tid, tuple(label for c, label in labels
+                                     if c.contains(tuples_by_id[tid])))
+            for pos, tid in enumerate(ranking, start=1)]
     return RefineResult(
         status=status,
         refinement=ref,
@@ -183,13 +194,15 @@ def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> R
     # checked after the build, which still raises on bad input and reports
     # the model's size
     cs, original = config.constraints, instance.original_ranking
-    if (len(original) >= cs.k_star
-            and deviation(original, instance.tuples_by_id, cs) <= config.epsilon):
-        # no distance is below 0, so the original query is the optimum
-        timing = {"setup_ms": setup_ms, "solve_ms": 0.0}
-        stats = {**built.stats, "nodes": 0, "mip_gap": 0.0, "dual_bound": 0.0}
-        return _verified_result(config, instance, unchanged, REFINED, timing, stats,
-                                ranking=list(original[:cs.k_star]))
+    if len(original) >= cs.k_star:
+        dev = deviation(original, instance.tuples_by_id, cs)
+        if dev <= config.epsilon:
+            # no distance is below 0, so the original query is the optimum
+            timing = {"setup_ms": setup_ms, "solve_ms": 0.0}
+            stats = {**built.stats, "nodes": 0, "lp_iterations": 0, "mip_gap": 0.0,
+                     "dual_bound": 0.0}
+            return _verified_result(config, instance, unchanged, REFINED, timing, stats,
+                                    ranking=list(original[:cs.k_star]), dev=dev)
     t1 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))
     solve_ms = (time.monotonic() - t1) * 1000.0
@@ -232,7 +245,7 @@ def result_to_dict(result: RefineResult, include_timing: bool = True) -> dict:
         "refined_sql": result.refined_sql,
         "distance": num(result.distance),
         "deviation": num(result.deviation),
-        "topk": result.topk,
+        "topk": [row._asdict() for row in result.topk],
         "model_stats": _public_stats(result.model_stats),
     }
     if result.refinement is not None:

@@ -16,10 +16,14 @@ The encoding follows the provenance of the ranked, predicate-free universe:
   formulation of Vielma, Ahmed & Nemhauser, 2010) over the constant that
   each selection maps to: the candidate closest to the original one.
 
-Optional optimizations: relevancy pruning of tuples that can never reach the
-top-k* positions, sharing one membership binary across a lineage class, and
-dropping one side of the rank-equality rows when every constraint has the
-same sense (sound only for the predicate-space objective).
+Optional optimizations: relevancy pruning, which drops every tuple that k*
+better-ranked tuples dominate (any refinement selecting it selects them, so
+it can never reach a top-k* position; see ``ModelBuilder.relevancy_prune``),
+sharing one membership binary across a lineage class, and dropping one side
+of the rank-equality rows when every constraint has the same sense (sound
+only for the predicate-space objective).  Pruning leaves every predicate's
+domain whole: indicators and candidate constants cover the values of pruned
+tuples too.
 
 The whole model depends on the request only through its constraints, its
 distance, the build options and epsilon, and on epsilon only in the
@@ -37,6 +41,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from operator import attrgetter
 
 from ..annotate import AnnotatedTuple, preparation
@@ -66,7 +71,7 @@ class NumericFamily:
     attr: str
     op: str
     original: Fraction
-    domain: list[Fraction]  # sorted values among encoded tuples
+    domain: list[Fraction]  # sorted values of the instance's lineage classes
     indicators: dict[Fraction, int]  # value -> column
     # selection (positions in domain) -> candidate constant closest to the
     # original among those that select exactly these values
@@ -99,9 +104,9 @@ def _selection(op: str, domain: list[Fraction], c: Fraction) -> range:
 @dataclass
 class CatFamily:
     attr: str
-    domain: list[str]  # sorted values among encoded tuples
+    domain: list[str]  # sorted values of the instance's lineage classes
     original: frozenset[str]
-    kept: frozenset[str]  # original values absent from the encoded domain
+    kept: frozenset[str]  # original values absent from the domain
     indicators: dict[str, int]  # value -> column
 
     def copy(self) -> CatFamily:
@@ -196,29 +201,98 @@ class ModelBuilder:
     def relevancy_prune(self) -> None:
         """Drop tuples that can never occupy a top-k* position.
 
-        A tuple is droppable when at least k* better-ranked tuples share its
-        lineage (so any refinement selecting it also selects them above it);
-        each lineage class therefore keeps a prefix of its members.  With
-        DISTINCT, better-ranked classmates are counted by distinct DISTINCT
-        keys, and shadow tuples of kept tuples are kept too so the dedup rows
-        stay complete.
+        Selection is monotone: a refinement that selects tuple t selects
+        every tuple u that dominates t, that is, whose value is at least
+        t's on each ``>=``/``>`` attribute, at most t's on each
+        ``<=``/``<`` attribute, and equal on every ``=`` and categorical
+        one.  So t is dropped when the better-ranked tuples dominating it
+        carry at least k* DISTINCT keys other than its own (each tuple is
+        its own key without DISTINCT): whenever t is selected, k* tuples of
+        other keys head the output before it.  Every tuple that can reach a
+        top-k* position is kept, and so is every tuple ranked before it in
+        the output, which keeps the position rows exact up to k*.  Shadow
+        tuples of kept tuples are kept too, so the dedup rows stay complete.
+
+        The count runs in one walk over base-rank order.  Lineage classes
+        are grouped by their values on every attribute but one one-sided
+        numeric attribute, the axis; each group keeps a Fenwick tree over
+        the axis domain holding, per key, the most dominating position seen
+        so far.  An attribute with operators on both sides, an ``=`` one and
+        any one-sided attribute after the axis are matched on equality.
+        That finds fewer dominators than there are, never more, and all of
+        them when at most one attribute is one-sided.  The walk merges the
+        lineage classes and leaves a class at its first dropped member: its
+        later members drop too, and for any tuple they dominate, the dropped
+        member and its dominators count at least as many keys.
         """
-        k_star = self.k_star
+        instance, k_star, key_attrs = self.instance, self.k_star, self.key_attrs
+        sides: dict[str, set[str]] = {}
+        for p in self.query.numeric_preds:
+            side = "up" if p.op in _UPPER_OPS else "lo" if p.op in _LOWER_OPS else "eq"
+            sides.setdefault(p.attribute, set()).add(side)
+        one_sided = sorted(a for a, s in sides.items() if s in ({"up"}, {"lo"}))
+        axis = one_sided[0] if one_sided else None
+        group_attrs = [p.attribute for p in self.query.cat_preds]
+        group_attrs += [a for a in sorted(sides) if a != axis]
+        # per lineage class: its group and its axis position, numbered so
+        # that a dominating value has a position no larger
+        place: list[tuple[tuple, int]] = []
+        m = 1
+        if axis is not None:
+            domain = instance.domain(axis)
+            m = len(domain)
+            index = {v: i for i, v in enumerate(domain)}
+            upper = sides[axis] == {"up"}
+        for members in instance.classes:
+            t = members[0].tuple
+            q = 0
+            if axis is not None:
+                q = m - 1 - index[t[axis]] if upper else index[t[axis]]
+            place.append((tuple(t[a] for a in group_attrs), q))
+
+        def add(tree: list[int], pos: int, count: int) -> None:
+            i = pos + 1
+            while i <= m:
+                tree[i] += count
+                i += i & -i
+
+        def up_to(tree: list[int], pos: int) -> int:
+            total, i = 0, pos + 1
+            while i:
+                total += tree[i]
+                i &= i - 1
+            return total
+
+        trees: dict[tuple, list[int]] = {}  # group -> Fenwick tree, 1-based
+        best: dict[tuple, int] = {}  # (group, key) -> its least position
         keep: dict[int, AnnotatedTuple] = {}
-        for members in self.instance.classes:  # each in base-rank order
-            if not self.key_attrs:
-                keep.update((at.tuple.tid, at) for at in members[:k_star])
-                continue
-            keys: set[tuple] = set()
-            for at in members:
-                key = tuple(at.tuple[a] for a in self.key_attrs)
-                if len(keys) - (key in keys) < k_star:
-                    keep[at.tuple.tid] = at
-                keys.add(key)
-                if len(keys) > k_star:
-                    break  # every later classmate has k* other keys above it
-        if self.key_attrs:
-            by_id = self.instance.annotated_by_id
+        # the next member of each class still walked, by base rank; a class
+        # leaves the walk when a member drops
+        heap = [(members[0].base_rank, cls, 0) for cls, members in enumerate(instance.classes)]
+        heapify(heap)
+        while heap:
+            _, cls, n = heappop(heap)
+            members = instance.classes[cls]
+            at = members[n]
+            group, q = place[cls]
+            tree = trees.get(group)
+            if tree is None:
+                tree = trees[group] = [0] * (m + 1)
+            key = (group, tuple(at.tuple[a] for a in key_attrs) if key_attrs else at.tuple.tid)
+            own = best.get(key)
+            # keys at positions 0..q, less the tuple's own
+            dominators = up_to(tree, q) - (own is not None and own <= q)
+            if dominators < k_star:
+                keep[at.tuple.tid] = at
+                if n + 1 < len(members):
+                    heappush(heap, (members[n + 1].base_rank, cls, n + 1))
+            if own is None or q < own:
+                best[key] = q
+                add(tree, q, 1)
+                if own is not None:
+                    add(tree, own, -1)
+        if key_attrs:
+            by_id = instance.annotated_by_id
             for at in list(keep.values()):
                 keep.update((tid, by_id[tid]) for tid in at.shadow)
         self.encoded = sorted(keep.values(), key=attrgetter("base_rank"))
@@ -227,8 +301,7 @@ class ModelBuilder:
 
     def gen_numeric_bound_exprs(self) -> None:
         for p in sorted(self.query.numeric_preds, key=lambda p: (p.attribute, p.op)):
-            # pruning keeps every lineage class's first member, so these are
-            # the values among the encoded tuples
+            # the values of every lineage class, pruned or not
             values = self.instance.domain(p.attribute)
             cols = [self._binary("A", p.attribute, _OP_CODE[p.op], format_number(v))
                     for v in values]
@@ -243,9 +316,8 @@ class ModelBuilder:
                 names = self.model.col_names
                 for inner, outer in zip(cols, cols[1:]):
                     self._row({inner: 1, outer: -1}, "<=", 0, "chain", names[inner])
-            # pruning keeps a tuple of every lineage class, so these are the
-            # oracle's candidates; ascending, so the smaller of two equally
-            # close constants wins
+            # the oracle's candidates over that same domain; ascending, so
+            # the smaller of two equally close constants wins
             for c in numeric_candidates(values, p.constant):
                 sel = _selection(p.op, values, c)
                 best = fam.constants.get(sel)
@@ -308,8 +380,8 @@ class ModelBuilder:
         for at in self.encoded:
             tid = at.tuple.tid
             if self.merged:
-                # every class keeps its first member, and class ids follow
-                # the first members' base ranks
+                # a class's first member dominates the rest, so pruning
+                # keeps it whenever it keeps any of them
                 cls = at.lineage_class
                 if cls not in by_class:
                     by_class[cls] = self._binary("r", "cls", cls)

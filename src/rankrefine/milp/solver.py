@@ -176,6 +176,7 @@ def solve(model: MILPModel, options: SolveOptions | None = None) -> Solution:
     mip = info.mip_node_count >= 0
     stats = {
         "nodes": max(info.mip_node_count, 0),
+        "lp_iterations": info.simplex_iteration_count,
         "mip_gap": _finite(info.mip_gap),
         "dual_bound": _finite(info.mip_dual_bound) if mip else None,
         "wall_s": time.monotonic() - start,

@@ -2,22 +2,26 @@
 sequence of requests on one shared database, so that every request after
 the first of its query runs on the instance the database keeps.
 
-The inputs lean on what the shared instance and the per-class pruning must
+The inputs lean on what the shared instance and the dominance pruning must
 get right: few DISTINCT keys over many rows, categorical predicate values
-that occur in no row, two queries taking turns over the same relations.
+that occur in no row, two queries taking turns over the same relations.  A
+seeded many-class roster checks the pruning where it drops most tuples.
 """
 
 from fractions import Fraction
+from random import Random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rankrefine.annotate import prepared
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet
 from rankrefine.data import Database, Relation, Schema, Tuple
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.engine import REFINED, RunConfig, run
 from rankrefine.errors import PreconditionError
-from rankrefine.query import NUM_OPS, CatPredicate, NumPredicate, Query
+from rankrefine.query import NUM_OPS, CatPredicate, NumPredicate, Query, parse_query
 
 TOL = 1e-6  # as in the acceptance suite
 
@@ -90,3 +94,47 @@ def test_milp_matches_the_oracle_on_a_shared_database(rel, qs, reqs):
             # distance 0 is the original query, which both engines report
             assert milp[2] == oracle[2], (q, cs, eps, kind, milp, oracle)
         assert db.last_prepared[1].query == q
+
+
+def _roster(seed: int, rows: int = 600) -> Database:
+    """A seeded roster with 144 lineage classes of ``Flights >= c AND Status
+    = 'Active'`` over ``rows`` rows, each of 300 ids keeping one gender, men
+    ranked higher on average."""
+    rng = Random(seed)
+    schema = Schema.from_pairs([("ID", "numerical"), ("Gender", "categorical"),
+                                ("Status", "categorical"), ("Flights", "numerical"),
+                                ("Hours", "numerical")])
+    female = {i: rng.random() < 0.4 for i in range(1, 301)}
+    out = []
+    for tid in range(1, rows + 1):
+        i = rng.randint(1, 300)
+        out.append(Tuple(tid, {
+            "ID": Fraction(i), "Gender": "F" if female[i] else "M",
+            "Status": rng.choice(("Active", "Retired", "Management")),
+            "Flights": Fraction(rng.randrange(50)),
+            "Hours": Fraction(rng.randrange(10**6) + (0 if female[i] else 300_000))}))
+    db = Database()
+    db.add(Relation("Astronauts", schema, tuple(out)))
+    return db
+
+
+@pytest.mark.parametrize("select", ["*", "DISTINCT ID, Gender"])
+def test_many_classes_match_the_oracle(select):
+    """Dominance pruning on a roster where the per-class rule, which keeps
+    up to k* = 10 tuples of every lineage class, keeps most of them."""
+    db = _roster(3)
+    q = parse_query(f"SELECT {select} FROM Astronauts WHERE Flights >= 20 "
+                    "AND Status = 'Active' ORDER BY Hours DESC")
+    instance = prepared(q, db)
+    assert len(instance.classes) >= 50
+    assert sum(min(len(members), 10) for members in instance.classes) > len(instance) // 2
+    for n, eps in [(4, Fraction(0)), (4, Fraction(1, 2)), (6, Fraction(0)),
+                   (6, Fraction(1, 2))]:
+        cs = ConstraintSet((CardinalityConstraint((("Gender", "F"),), 10, n, "lower"),))
+        for kind in (PRED, JACCARD, KENDALL):
+            configs = [RunConfig(q, db, cs, eps, DistanceKind(kind, 10), engine=engine)
+                       for engine in ("milp+opt", "naive+prov")]
+            milp, oracle = map(run, configs)
+            assert (milp.status, milp.distance) == (oracle.status, oracle.distance), \
+                (select, n, eps, kind)
+            assert milp.model_stats["encoded_tuples"] <= len(instance) // 4

@@ -63,7 +63,7 @@ def test_all_engines_agree_on_running_example(students_db, scholarship_query,
     assert result.deviation == 0
     assert result.refinement.cat_values["Activity"] == frozenset({"RB", "SO"})
     assert "GPA >= 3.7" in result.refined_sql
-    assert [row["position"] for row in result.topk] == [1, 2, 3, 4, 5, 6]
+    assert [row.position for row in result.topk] == [1, 2, 3, 4, 5, 6]
     assert result.timing_ms["total_ms"] >= 0
 
 
@@ -114,7 +114,7 @@ def test_numeric_constraint_group_compares_exact_numbers(engine_name, value):
     result = run(_astronauts_config({"Space_Flights": value}, "lower", engine_name))
     assert (result.status, result.distance, result.deviation) == (REFINED, 0, 0)
     label = "lb[Space_Flights=3,k=5]=2"
-    assert sum(label in row["groups"] for row in result.topk[:5]) == 2
+    assert sum(label in row.groups for row in result.topk[:5]) == 2
 
 
 @pytest.mark.parametrize("engine_name", ["milp", "milp+opt", "naive+prov"])
@@ -131,10 +131,10 @@ def test_topk_group_labels(students_db, scholarship_query,
                            scholarship_constraints):
     result = run(_config(students_db, scholarship_query,
                          scholarship_constraints, engine="milp"))
-    labelled = [row for row in result.topk if row["groups"]]
+    labelled = [row for row in result.topk if row.groups]
     assert labelled, "constraint groups should appear in the top-k listing"
     for row in result.topk:
-        for label in row["groups"]:
+        for label in row.groups:
             assert label.startswith(("lb[", "ub["))
 
 
@@ -215,9 +215,28 @@ def test_solver_stats_in_model_stats(students_db, scholarship_query,
                                      scholarship_constraints):
     result = run(_config(students_db, scholarship_query, scholarship_constraints))
     stats = result_to_dict(result)["model_stats"]
-    assert {"nodes", "mip_gap", "dual_bound"} <= set(stats)
-    assert stats["mip_gap"] == 0.0
-    assert "lp_iterations" not in stats and "wall_s" not in stats
+    assert {"nodes", "lp_iterations", "mip_gap", "dual_bound"} <= set(stats)
+    # the optimum within HiGHS's absolute gap: here 0.5 against a dual bound
+    # that float arithmetic leaves 1e-15 below it
+    assert 0 <= stats["mip_gap"] < 1e-12
+    assert stats["dual_bound"] <= float(result.distance)
+    assert "wall_s" not in stats
+
+
+# (the jaccard model of this request is solved without a simplex iteration)
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
+@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(KENDALL, 6)],
+                         ids=lambda k: k.name)
+def test_lp_iterations_are_reported_and_repeat(scholarship_query, scholarship_constraints,
+                                               engine_name, kind):
+    counts = []
+    for _ in range(2):
+        db = _students_db()  # a fresh build and solve each time
+        result = run(_config(db, scholarship_query, scholarship_constraints,
+                             engine=engine_name, kind=kind))
+        assert result.status == REFINED and result.distance > 0
+        counts.append(result.model_stats["lp_iterations"])
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.fixture
@@ -502,7 +521,8 @@ def test_original_query_within_epsilon_is_answered_without_solving(
     stats = result_to_dict(result)["model_stats"]
     assert (stats["variables"], stats["rows"]) == (built.stats["variables"],
                                                    built.stats["rows"])
-    assert (stats["nodes"], stats["mip_gap"], stats["dual_bound"]) == (0, 0.0, 0.0)
+    assert (stats["nodes"], stats["lp_iterations"], stats["mip_gap"],
+            stats["dual_bound"]) == (0, 0, 0.0, 0.0)
     assert result.timing_ms["solve_ms"] == 0
 
 
@@ -557,6 +577,35 @@ def test_a_settled_request_filters_nothing(monkeypatch, students_db, scholarship
                          kind=kind, epsilon=eps - Fraction(1, 1000)))
     assert len(calls) == 1
     assert solved.status == REFINED and solved.distance > 0
+
+
+@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD, 6),
+                                  DistanceKind(KENDALL, 6)], ids=lambda k: k.name)
+def test_deviation_runs_once_per_ranking(monkeypatch, students_db, scholarship_query,
+                                         scholarship_constraints, kind):
+    """A settled request computes the original ranking's deviation once, for
+    the settled check, and the verifier reuses it; a solved one computes it
+    for the original ranking and for the refined one."""
+    eps = _original_deviation(students_db, scholarship_query, scholarship_constraints)
+    real = engine.deviation
+    rankings = []
+
+    def counted(ranking, *args):
+        rankings.append(tuple(ranking[:scholarship_constraints.k_star]))
+        return real(ranking, *args)
+
+    monkeypatch.setattr(engine, "deviation", counted)
+    settled = run(_config(students_db, scholarship_query, scholarship_constraints,
+                          kind=kind, epsilon=eps))
+    assert settled.distance == 0 and settled.deviation == eps
+    assert len(rankings) == 1
+
+    rankings.clear()
+    solved = run(_config(students_db, scholarship_query, scholarship_constraints,
+                         kind=kind, epsilon=eps - Fraction(1, 1000)))
+    assert solved.status == REFINED and solved.distance > 0
+    assert len(rankings) == len(set(rankings)) == 2
+    assert rankings[1] == tuple(row.tid for row in solved.topk)
 
 
 def test_lp_dump_written_when_the_original_query_settles(monkeypatch, tmp_path, students_db,

@@ -3,10 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_instance
 
 from rankrefine.annotate import prepared
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet
+from rankrefine.data import Database, Relation, Schema, Tuple
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_pred
 from rankrefine.errors import InternalConsistencyError, PreconditionError
 from rankrefine.milp.build import (
@@ -18,7 +18,14 @@ from rankrefine.milp.build import (
 from rankrefine.milp.model import CONTINUOUS, MILPModel, Solution
 from rankrefine.milp.solver import solve
 from rankrefine.oracle import numeric_candidates
-from rankrefine.query import NumPredicate, Refinement, apply_refinement, parse_query
+from rankrefine.query import (
+    CatPredicate,
+    NumPredicate,
+    Query,
+    Refinement,
+    apply_refinement,
+    parse_query,
+)
 
 
 def _build(q, db, cs, eps, kind=None, **opts):
@@ -229,39 +236,104 @@ def test_relevancy_pruning_drops_hopeless_classmate(students_db,
     assert set(pruned.original_topk) <= kept
 
 
-def _pruned_per_tuple(instance, k_star):
-    """Relevancy pruning as one walk over every tuple: the reference."""
+def _per_class_kept(instance, k_star):
+    """The paper's relevancy pruning: a tuple is dropped once k* of its
+    better-ranked classmates carry DISTINCT keys other than its own."""
     keep, per_class = set(), {}
     for at in instance:
         earlier = per_class.setdefault(at.lineage_class, [])
-        if instance.key_attrs:
-            key = tuple(at.tuple[a] for a in instance.key_attrs)
-            better = len(set(earlier) - {key})
-        else:
-            key, better = None, len(earlier)
-        if better < k_star:
+        key = tuple(at.tuple[a] for a in instance.key_attrs) or at.tuple.tid
+        if len(set(earlier) - {key}) < k_star:
             keep.add(at.tuple.tid)
         earlier.append(key)
+    return _with_shadows(instance, keep)
+
+
+def _dominates(q, u, t):
+    """Every refinement of ``q`` that selects ``t`` selects ``u``."""
+    for p in q.numeric_preds:
+        a = p.attribute
+        if not (u[a] >= t[a] if p.op in (">=", ">") else
+                u[a] <= t[a] if p.op in ("<=", "<") else u[a] == t[a]):
+            return False
+    return all(u[p.attribute] == t[p.attribute] for p in q.cat_preds)
+
+
+def _dominance_kept(instance, q, k_star):
+    """Dominance pruning as an O(n^2) walk: a tuple is dropped once the
+    better-ranked tuples that dominate it carry k* keys other than its own."""
+    keep = set()
+    for n, at in enumerate(instance.annotated):
+        key = tuple(at.tuple[a] for a in instance.key_attrs) or at.tuple.tid
+        keys = {tuple(u.tuple[a] for a in instance.key_attrs) or u.tuple.tid
+                for u in instance.annotated[:n] if _dominates(q, u.tuple, at.tuple)}
+        if len(keys - {key}) < k_star:
+            keep.add(at.tuple.tid)
+    return _with_shadows(instance, keep)
+
+
+def _with_shadows(instance, keep):
     keep |= {tid for at in instance if at.tuple.tid in keep for tid in at.shadow}
     return [at.tuple.tid for at in instance if at.tuple.tid in keep]
 
 
-def test_relevancy_pruning_per_class_matches_the_per_tuple_walk():
+def _dominance_instance(rng):
+    """A relation over a DISTINCT key, a categorical attribute and four
+    numeric ones, queried with a random subset of: a categorical predicate,
+    an ``=`` predicate, a two-sided pair and two one-sided predicates."""
+    schema = Schema.from_pairs([("id", "numerical"), ("g", "categorical"),
+                                ("e", "numerical"), ("w", "numerical"),
+                                ("x", "numerical"), ("y", "numerical"),
+                                ("score", "numerical")])
+    rows = tuple(Tuple(tid, {"id": Fraction(rng.randint(1, 6)), "g": rng.choice("abc"),
+                             **{a: Fraction(rng.randint(0, 4)) for a in "ewxy"},
+                             "score": Fraction(rng.randint(0, 30))})
+                 for tid in range(1, rng.randint(10, 45)))
+    db = Database()
+    db.add(Relation("T", schema, rows))
+    num = []
+    if rng.random() < 0.4:
+        num.append(NumPredicate("e", "=", Fraction(2)))
+    if rng.random() < 0.4:
+        num += [NumPredicate("w", ">=", Fraction(1)), NumPredicate("w", "<", Fraction(4))]
+    for a in "xy":
+        if rng.random() < 0.6:
+            num.append(NumPredicate(a, rng.choice(("<", "<=", ">", ">=")), Fraction(2)))
+    cat = (CatPredicate("g", frozenset("ab")),) if rng.random() < 0.6 else ()
+    distinct = rng.random() < 0.5
+    q = Query(("T",), ("id",) if distinct else ("*",), distinct, tuple(num), cat,
+              ("score", rng.choice(("ASC", "DESC"))))
+    return q, db
+
+
+def test_relevancy_pruning_matches_the_dominance_walks():
     rng = random.Random(7)
-    distinct = dropped = 0
-    for _ in range(60):
-        q, db, _, eps = random_instance(rng, max_rows=40)
+    distinct = exact = bounded = dropped = 0
+    for _ in range(80):
+        q, db = _dominance_instance(rng)
         distinct += q.distinct
         instance = prepared(q, db)
-        for k_star in range(1, 7):
+        one_sided = {p.attribute for p in q.numeric_preds if p.attribute in "xy"}
+        for k_star in range(1, 6):
             cs = ConstraintSet((CardinalityConstraint((("g", "a"),), k_star, 1, "lower"),))
-            builder = ModelBuilder(q, db, cs, eps, DistanceKind(PRED),
+            builder = ModelBuilder(q, db, cs, Fraction(0), DistanceKind(PRED),
                                    BuildOptions(relevancy_prune=True))
             builder.relevancy_prune()
             kept = [at.tuple.tid for at in builder.encoded]
-            assert kept == _pruned_per_tuple(instance, k_star)
-            dropped += len(kept) < len(instance)
-    assert 0 < distinct < 60 and dropped > 0
+            per_class = _per_class_kept(instance, k_star)
+            full = _dominance_kept(instance, q, k_star)
+            # at least as strong as the per-class rule, never stronger than
+            # full dominance, and full dominance itself with one axis
+            assert set(kept) <= set(per_class)
+            assert set(kept) >= set(full)
+            if len(one_sided) <= 1:
+                assert kept == full
+                exact += 1
+            else:
+                bounded += 1
+            assert set(instance.original_ranking[:k_star]) <= set(kept)
+            dropped += len(kept) < len(per_class)
+    assert 0 < distinct < 80 and exact and bounded and dropped
 
 
 def test_merge_lineage_collapses_classes(students_db):

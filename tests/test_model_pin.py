@@ -4,7 +4,10 @@ The digests were recorded before the builder moved from name-keyed row
 dicts to column-indexed arrays, from each golden scenario's model as HiGHS
 received it: column bounds, costs, integrality and names, the objective
 offset, row bounds and names, and the matrix.  Any change to the encoding,
-its column, row or entry order, or its names changes them.
+its column, row or entry order, or its names changes them.  The
+``astronauts`` and ``scholarship`` ``milp+opt`` digests were recorded again
+when relevancy pruning moved from lineage classes to dominance, which
+encodes fewer tuples there.
 
 The database keeps built models with the prepared instance, and a request
 that repeats one's constraints, distance and options gets a copy with only
@@ -45,27 +48,27 @@ DIGESTS = {
     ("astronauts", "jaccard", "0", "milp"):
         "cd8ad05eb48892194e7103ae7f515004363e09a7350f473ced79b593f2b7c9bc",
     ("astronauts", "jaccard", "0", "milp+opt"):
-        "6a6747aca7ffdb6fed0295e68f45e60dd4c8b9dc3eb367dd03d7de0bf9ae6468",
+        "fca0162f8a2a1d45c3d203ccdc5d175590c3f86975da3f1ad71611c064fcb76f",
     ("astronauts", "jaccard", "1/2", "milp"):
         "44ca38655b276a59a37181e7cf087c6a3798a8929945fcc96b114976ed9b363d",
     ("astronauts", "jaccard", "1/2", "milp+opt"):
-        "7e08e82c25f1f84e7b0c93cde95d4b639daba73023918edd96b0e5de90b8b895",
+        "3a8e21d9589b5e32ec4185ce9289fb89327c5448fd5891160477f2149aed397b",
     ("astronauts", "kendall", "0", "milp"):
         "0b9d00450d99a073e5646f3dba01196b3ae9914ef42dba61854023ce43c4393a",
     ("astronauts", "kendall", "0", "milp+opt"):
-        "3122511b762f9cf903bbe5d3de48d0969aacc337c64bffbbab06bb40e7ecce34",
+        "80c22b3538ec45d5c80ef3c512fde516cbc58eddc5dff207796ded0110d8b34e",
     ("astronauts", "kendall", "1/2", "milp"):
         "b41f0d35168d06f9529c9f15b3b7165ec80e7ba109fb5f7c41a766882855e117",
     ("astronauts", "kendall", "1/2", "milp+opt"):
-        "6c47a7bbf59c231eb767d9d385d0e54f12799c4eb16443b8734269860591c6b5",
+        "787c68b9a1085595bceb033e426708ff05664500d419fc7bc4e9ee41743a34ab",
     ("astronauts", "pred", "0", "milp"):
         "5b61782e0934d6b5a148f0b73cacdea7b5f9425d2668f8a61ee794e15349eadc",
     ("astronauts", "pred", "0", "milp+opt"):
-        "8cb55984a809d47db1b45d723cb48fc1f2ca3845f18348500c00374586a1ed4a",
+        "684342065879544139f1a90ae72082b6e61ab8b66e4313a573c28b438549a0d9",
     ("astronauts", "pred", "1/2", "milp"):
         "ffde9477a9d70b52021753b894c3848fbfdcaa2e49d22b93cd4439e892f389ff",
     ("astronauts", "pred", "1/2", "milp+opt"):
-        "fa9de2cdfa45852db139e04fc9c34e656e1b08cf809414b9a742631501870588",
+        "d3527e98af97afd06ffef6ded8195ee4e2ae512e45b859f28635802df0742cf1",
     ("no_perfect", "pred", "0", "milp"):
         "3ff75d7fdf610606c68919a7ee8d968c8c16fa07ec294b8df6d8c0068ae02b2b",
     ("no_perfect", "pred", "0", "milp+opt"):
@@ -77,27 +80,27 @@ DIGESTS = {
     ("scholarship", "jaccard", "0", "milp"):
         "dc148692d15e18c40b51afe1771ba97f2e14e4dbce798178ce45036b4e519b40",
     ("scholarship", "jaccard", "0", "milp+opt"):
-        "dc148692d15e18c40b51afe1771ba97f2e14e4dbce798178ce45036b4e519b40",
+        "6f118f42758ae4e37e345a9b362fd733d21f6a1b74df2f6d520cb217f42aac8b",
     ("scholarship", "jaccard", "1/2", "milp"):
         "a26d190046c7b90afbda4d1dd96d309e389bd9c1486636536ac58cbf96e6c5b0",
     ("scholarship", "jaccard", "1/2", "milp+opt"):
-        "a26d190046c7b90afbda4d1dd96d309e389bd9c1486636536ac58cbf96e6c5b0",
+        "dde79f535c63f688a4d26da4e995109afc47cbe8bfe8763fc8ce6e750ccec338",
     ("scholarship", "kendall", "0", "milp"):
         "365a8ec32a97c70ee1fc6f41af578baaf229fc0f5f925a6a5185d08affbd36b4",
     ("scholarship", "kendall", "0", "milp+opt"):
-        "365a8ec32a97c70ee1fc6f41af578baaf229fc0f5f925a6a5185d08affbd36b4",
+        "f2f4fe965d81e7126b4de3d47bd4a2ea9e5e10245eb9691c7c4ff1a60c97de6f",
     ("scholarship", "kendall", "1/2", "milp"):
         "04f306ce899c71bfadb23a1d9cb8bc63a7fbbad0194030c14c5246bc40b671be",
     ("scholarship", "kendall", "1/2", "milp+opt"):
-        "04f306ce899c71bfadb23a1d9cb8bc63a7fbbad0194030c14c5246bc40b671be",
+        "aa7ede593dec6f679a596b09f9f51d78b4bfd4c71dddb9bbf5676813130e4e98",
     ("scholarship", "pred", "0", "milp"):
         "335128f18ae31dc1746b3a3c8b3a0507284714b041157f37670720853a0e7c91",
     ("scholarship", "pred", "0", "milp+opt"):
-        "335128f18ae31dc1746b3a3c8b3a0507284714b041157f37670720853a0e7c91",
+        "d120be428b0904f17ae0d50d06da309c463c3191873c0cb65e8611ff12d10057",
     ("scholarship", "pred", "1/2", "milp"):
         "636c6825cd3701909eadcd68574194bface62059195e4938fd4201d6874c821e",
     ("scholarship", "pred", "1/2", "milp+opt"):
-        "636c6825cd3701909eadcd68574194bface62059195e4938fd4201d6874c821e",
+        "6f217105fd0a3630203eac7c978de46163aec31906f1d27fce1c7f542aa01b4f",
 }
 
 

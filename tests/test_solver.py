@@ -181,12 +181,13 @@ def _satisfies_rows(model, sol):
 def test_stats_reported():
     rng = random.Random(9)
     sol = solve(_random_model(rng, n_bin=5, n_cont=1))
-    assert {"nodes", "mip_gap", "dual_bound", "wall_s"} <= set(sol.stats)
-    assert "lp_iterations" not in sol.stats
+    assert {"nodes", "lp_iterations", "mip_gap", "dual_bound", "wall_s"} <= set(sol.stats)
     assert sol.stats["wall_s"] >= 0.0
     branched = solve(_knapsack())
     assert branched.status == "optimal"
     assert branched.stats["nodes"] >= 1
+    assert branched.stats["lp_iterations"] > 0
+    assert solve(_knapsack()).stats["lp_iterations"] == branched.stats["lp_iterations"]
     assert branched.stats["mip_gap"] == 0.0
     assert math.isclose(branched.stats["dual_bound"], branched.objective_value,
                         abs_tol=1e-6)

@@ -1,0 +1,197 @@
+"""Model size, solver counters and request times of ``milp+opt`` in two
+source trees, written as one JSON file.
+
+    git archive <before-sha> | tar -x -C /tmp/before
+    python3 tools/bench_dominance.py --before /tmp/before --after . \
+        --repeats 10 --out BENCH_dominance.json
+
+Rows: every request of perfbench's ``roster-sweep`` and ``join-scale``
+cycles on their seed-1 inputs, and three larger rosters from perfbench's
+generator (structure seed 1, surface 1) under ``roster-sweep``'s query with
+"at least 4 women in the top 10" at epsilon 0: 10^3 rows on a 50-value grid
+(``pred`` and ``kendall``) and 5*10^3 rows on a 200-value grid (``pred``).
+
+Each tree is measured in its own interpreter, importing ``rankrefine`` from
+its ``src``.  Per row and tree:
+
+* ``answer``: status and exact distance of one ``run``;
+* ``encoded_tuples`` and ``nnz`` by row family, counted from the row labels;
+* ``nodes`` and ``lp_iterations`` of one HiGHS solve of the built model
+  (the engine skips HiGHS on a ``settled`` row, whose original query meets
+  the constraints; the counts show what the model would cost);
+* ``prune_ms``: median of ``relevancy_prune`` alone;
+* ``setup_ms``, ``solve_ms`` and ``total_ms``: medians of ``--repeats`` cold
+  requests on a prepared instance, the kept models dropped before each one,
+  so every request builds its model (``setup_ms``) and solves it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LARGE = [  # (label, rows, grid, distance)
+    ("roster-1000-grid50-pred", 1000, 50, "pred"),
+    ("roster-1000-grid50-kendall", 1000, 50, "kendall"),
+    ("roster-5000-grid200-pred", 5000, 200, "pred"),
+]
+FOUR_WOMEN_IN_TEN = json.dumps([{"group": {"Gender": "F"}, "k": 10, "sense": "lower", "n": 4}])
+
+
+def requests(work: Path):
+    """(label, relation files, query text, constraints JSON, epsilon, distance)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from gen import RosterSpec, write_roster
+    from workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        directory = work / workload.name
+        directory.mkdir()
+        files = workload.resident(directory, 1)
+        for req in workload.cycle:
+            yield (f"{workload.name}/{req.label}", files, workload.query, req.constraints,
+                   req.epsilon, req.distance)
+    query = WORKLOADS["roster-sweep"].query
+    for label, rows, grid, distance in LARGE:
+        directory = work / label
+        directory.mkdir()
+        files = write_roster(directory, 1, 1, RosterSpec(rows=rows, grid=grid))
+        yield label, files, query, FOUR_WOMEN_IN_TEN, "0", distance
+
+
+def _ms(seconds: float) -> float:
+    return round(seconds * 1000.0, 3)
+
+
+def measure(repeats: int) -> list[dict]:
+    """Every row, measured with the ``rankrefine`` this interpreter imports."""
+    import rankrefine as rr
+    from rankrefine.constraints import deviation
+    from rankrefine.milp import build, solver
+
+    options = build.BuildOptions(True, True, True)
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, files, text, cons, eps, distance in requests(Path(tmp)):
+            db = rr.Database()
+            for name, path in sorted(files.items()):
+                db.add(rr.load_csv(path, name=name))
+            query = rr.parse_query(text)
+            config = rr.RunConfig(query, db, rr.parse_constraints(cons), Fraction(eps),
+                                  rr.DistanceKind(distance))
+            result = rr.run(config)
+            prep = db.last_prepared
+            instance = prep.instance
+            cs = config.constraints.over(instance.schema)
+            original = instance.original_ranking
+            settled = (len(original) >= cs.k_star
+                       and deviation(original, instance.tuples_by_id, cs) <= config.epsilon)
+
+            def builder():
+                return build.ModelBuilder(query, db, cs, config.epsilon, config.kind, options)
+
+            prune = []
+            for _ in range(repeats):
+                b = builder()
+                t0 = time.perf_counter()
+                b.relevancy_prune()
+                prune.append(time.perf_counter() - t0)
+            built = builder().build()
+            model = built.model
+            nnz = dict.fromkeys(build.ROW_FAMILIES, 0)
+            family = {lab: f for f, labels in build.ROW_FAMILIES.items() for lab in labels}
+            for r, row_label in enumerate(model.row_labels):
+                nnz[family[row_label[0]]] += model.row_start[r + 1] - model.row_start[r]
+            h = solver._highs(model)
+            h.setOptionValue("mip_rel_gap", 0.0)
+            h.run()
+            info = h.getInfo()
+
+            timings = []
+            for _ in range(repeats):
+                prep.models.clear()  # a cold build every time
+                timings.append(rr.run(config).timing_ms)
+            rows.append({
+                "request": label,
+                "answer": [result.status, None if result.distance is None
+                           else str(Fraction(result.distance))],
+                "settled": settled,
+                "tuples": len(instance),
+                "encoded_tuples": built.stats["encoded_tuples"],
+                "nnz": len(model.row_index),
+                "nnz_by_family": nnz,
+                "nodes": max(info.mip_node_count, 0),
+                "lp_iterations": info.simplex_iteration_count,
+                "prune_ms": _ms(statistics.median(prune)),
+                **{key: round(statistics.median(t[key] for t in timings), 3)
+                   for key in ("setup_ms", "solve_ms", "total_ms")},
+            })
+            print(label, rows[-1]["encoded_tuples"], rows[-1]["total_ms"], file=sys.stderr)
+    return rows
+
+
+def measure_tree(tree: Path, repeats: int) -> list[dict]:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    out = subprocess.run([sys.executable, __file__, "--measure", "--repeats", str(repeats)],
+                         env=env, check=True, stdout=subprocess.PIPE, text=True)
+    return json.loads(out.stdout)
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          stdout=subprocess.PIPE, text=True).stdout.strip()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--before", type=Path, help="source tree measured as 'before'")
+    parser.add_argument("--after", type=Path, default=ROOT)
+    parser.add_argument("--repeats", type=int, default=10)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_dominance.json")
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        json.dump(measure(args.repeats), sys.stdout)
+        return 0
+    if args.before is None:
+        parser.error("--before is required")
+    import numpy
+    import scipy
+
+    before = measure_tree(args.before.resolve(), args.repeats)
+    after = measure_tree(args.after.resolve(), args.repeats)
+    report = {
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "nproc": os.cpu_count(),
+            "head": git("rev-parse", "HEAD"),
+            "uncommitted_changes": bool(git("status", "--porcelain", "--", "src")),
+        },
+        "commands": ["git archive <before-sha> | tar -x -C <before>",
+                     f"python3 tools/bench_dominance.py --before <before> --after . "
+                     f"--repeats {args.repeats} --out {args.out.name}"],
+        "repeats": args.repeats,
+        "rows": [{"request": b["request"], "before": b, "after": a}
+                 for b, a in zip(before, after)],
+    }
+    for row in report["rows"]:
+        del row["before"]["request"], row["after"]["request"]
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
