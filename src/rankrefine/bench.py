@@ -30,7 +30,6 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from .constraints import LOWER, UPPER, CardinalityConstraint, ConstraintSet
@@ -168,7 +167,7 @@ class Scenario:
     def configs(self, axis: str, value) -> list[RunConfig]:
         query = parse_query(self._resolve(self.raw["query"]).read_text(encoding="utf-8"))
         entries = _load_constraint_entries(self._resolve(self.raw["constraints"]))
-        epsilon = Fraction(parse_number(str(self.raw.get("epsilon", "0.5"))))
+        epsilon = parse_number(str(self.raw.get("epsilon", "0.5")))
         scale = None
 
         if axis == "k":
@@ -186,7 +185,7 @@ class Scenario:
         else:
             constraints = materialize_constraints(entries)
             if axis == "epsilon":
-                epsilon = Fraction(parse_number(str(value)))
+                epsilon = parse_number(str(value))
             elif axis == "scale":
                 scale = int(value)
 

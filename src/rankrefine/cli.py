@@ -15,7 +15,6 @@ import contextlib
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .bench import DEFAULT_REPEATS, run_suite
@@ -115,7 +114,7 @@ def _cmd_run(args) -> int:
         query=query,
         db=db,
         constraints=constraints,
-        epsilon=Fraction(parse_number(args.epsilon)),
+        epsilon=parse_number(args.epsilon),
         kind=DistanceKind(args.distance, k),
         engine=args.engine,
         timeout_s=args.timeout_s,

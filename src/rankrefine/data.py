@@ -3,7 +3,9 @@
 Numeric cells are held as exact :class:`fractions.Fraction` values so that
 predicate comparisons (``GPA >= 3.7``) behave like decimal arithmetic, not
 binary floating point.  Floats only appear once values are handed to the LP
-solver.
+solver.  A cell is a number iff ``Fraction(cell.strip())`` reads it, and
+:func:`load_csv` parses each cell once, inferring a column's kind as it goes.
+:func:`natural_join` hashes its keys as ints, pairs and strings.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import JoinError, KindMismatchError, LoadError
 
@@ -154,37 +157,31 @@ def read_sidecar(path: str | Path) -> dict[str, str]:
     return spec
 
 
-def infer_schema(header: list[str], records: list[list[str]],
-                 kinds: Mapping[str, str] | None = None) -> Schema:
-    """A column listed in ``kinds`` takes the kind given there; any other
-    is numerical iff every non-empty cell parses as a number."""
-    kinds = kinds or {}
-    pairs = []
-    for col, name in enumerate(header):
-        if name in kinds:
-            pairs.append((name, kinds[name]))
-            continue
-        numeric = True
-        for rec in records:
-            cell = rec[col].strip()
-            if not cell:
-                continue
+def _numbers(cells: Sequence[str]) -> list[Fraction]:
+    """The exact values of ``cells`` up to the first one that is not a number,
+    so a short list points at that cell; a repeated string is parsed once."""
+    seen: dict[str, Fraction] = {}
+    values = []
+    for cell in cells:
+        value = seen.get(cell)
+        if value is None:
             try:
-                parse_number(cell)
+                value = seen[cell] = (Fraction(int(cell)) if cell.isdecimal()
+                                      else parse_number(cell))
             except (ValueError, ZeroDivisionError):
-                numeric = False
                 break
-        pairs.append((name, NUMERICAL if numeric else CATEGORICAL))
-    return Schema.from_pairs(pairs)
+        values.append(value)
+    return values
 
 
 def load_csv(path: str | Path, kinds: Mapping[str, str] | None = None,
              name: str | None = None) -> Relation:
     """Load a comma separated UTF-8 file with a header row.
 
-    Column kinds are inferred from the values, except for the columns that
-    ``kinds`` lists (see :func:`read_sidecar`).  Tuple ids follow file order
-    starting at 1.  Errors name the offending row and column.
+    A column that ``kinds`` lists (see :func:`read_sidecar`) takes the kind
+    given there; any other is numerical iff every cell is a number, so an
+    empty cell makes it categorical.  Tuple ids follow file order starting
+    at 1.  Errors name the offending row and column.
     """
     path = Path(path)
     if not path.exists():
@@ -195,70 +192,75 @@ def load_csv(path: str | Path, kinds: Mapping[str, str] | None = None,
             header = next(reader)
         except StopIteration:
             raise LoadError(f"{path}: empty file, header row required") from None
-        records = [row for row in reader]
+        if len(set(header)) != len(header):
+            raise LoadError(f"{path}: duplicate column in header: {header}")
+        cells: list[list[str]] = [[] for _ in header]
+        n = 0
+        # 512 rows at a time: each row's list dies before the GC promotes it
+        while chunk := list(islice(reader, 512)):
+            for i, rec in enumerate(chunk, start=n + 1):
+                if len(rec) != len(header):
+                    raise LoadError(f"{path}: row {i} has {len(rec)} cells, "
+                                    f"expected {len(header)}")
+            for column, part in zip(cells, zip(*chunk)):
+                column.extend(part)
+            n += len(chunk)
 
-    if len(set(header)) != len(header):
-        raise LoadError(f"{path}: duplicate column in header: {header}")
-    for i, rec in enumerate(records, start=1):
-        if len(rec) != len(header):
-            raise LoadError(f"{path}: row {i} has {len(rec)} cells, expected {len(header)}")
-
-    missing = set(kinds or ()) - set(header)
+    kinds = kinds or {}
+    missing = set(kinds) - set(header)
     if missing:
         raise LoadError(f"{path}: schema lists column(s) {sorted(missing)} "
                         f"not in the header; expected {_SIDECAR_FORM}")
-    schema = infer_schema(header, records, kinds)
 
-    rows = []
-    for i, rec in enumerate(records, start=1):
-        values: dict[str, Value] = {}
-        for (attr, kind), cell in zip(schema.attributes, rec):
+    attributes, columns, bad = [], [], []
+    for col, (attr, texts) in enumerate(zip(header, cells)):
+        kind = kinds.get(attr)
+        values = texts if kind == CATEGORICAL else _numbers(texts)
+        if len(values) < n:  # an empty or non-numeric cell
             if kind == NUMERICAL:
-                try:
-                    values[attr] = parse_number(cell)
-                except (ValueError, ZeroDivisionError):
-                    raise LoadError(
-                        f"{path}: cell {cell!r} at (row {i}, {attr!r}) is not numeric"
-                    ) from None
-            else:
-                values[attr] = cell
-        rows.append(Tuple(tid=i, values=values))
-    return Relation(name=name or path.stem, schema=schema, rows=tuple(rows))
+                bad.append((len(values) + 1, col, attr, texts[len(values)]))
+            values, kind = texts, kind or CATEGORICAL
+        attributes.append((attr, kind or NUMERICAL))
+        columns.append(values)
+    schema = Schema.from_pairs(attributes)
+    if bad:
+        i, _, attr, cell = min(bad)
+        raise LoadError(f"{path}: cell {cell!r} at (row {i}, {attr!r}) is not numeric")
+
+    rows = tuple(Tuple(tid=i, values=dict(zip(header, values))) for i, values
+                 in enumerate(zip(*columns) if columns else [()] * n, start=1))
+    return Relation(name=name or path.stem, schema=schema, rows=rows)
+
+
+def _join_keys(rel: Relation, shared: list[str]) -> Iterable:
+    """Each row's values of ``shared`` as keys that hash and compare in C:
+    an integral number becomes an int, any other a (numerator, denominator)
+    pair, and a string stays as it is."""
+    keys = [[(v.numerator if v.denominator == 1 else (v.numerator, v.denominator))
+             if isinstance(v, Fraction) else v
+             for v in (t.values[n] for t in rel.rows)] for n in shared]
+    return keys[0] if len(keys) == 1 else zip(*keys)
 
 
 def natural_join(left: Relation, right: Relation, name: str | None = None) -> Relation:
-    """Standard natural join on all same-named attributes.
-
-    Result tids are fresh (left-major order).
-    """
+    """Standard natural join on all same-named attributes; result tids are
+    fresh, in left-major order."""
     shared = [n for n in left.schema.names if right.schema.has(n)]
     if not shared:
-        raise JoinError(
-            f"no shared attributes between {left.name!r} and {right.name!r}"
-        )
+        raise JoinError(f"no shared attributes between {left.name!r} and {right.name!r}")
     for n in shared:
         if left.schema.kind_of(n) != right.schema.kind_of(n):
             raise JoinError(f"shared attribute {n!r} has mismatched kinds")
 
-    out_attrs = list(left.schema.attributes) + [
-        (n, k) for n, k in right.schema.attributes if n not in shared
-    ]
-    index: dict[tuple, list[Tuple]] = {}
-    for rt in right.rows:
-        index.setdefault(tuple(rt[n] for n in shared), []).append(rt)
-
-    rows = []
-    tid = 0
-    for lt in left.rows:
-        for rt in index.get(tuple(lt[n] for n in shared), ()):
-            tid += 1
-            values = dict(lt.values)
-            for n, _ in right.schema.attributes:
-                if n not in shared:
-                    values[n] = rt[n]
-            rows.append(Tuple(tid=tid, values=values))
+    right_attrs = [(n, k) for n, k in right.schema.attributes if n not in shared]
+    index: dict = {}
+    for key, rt in zip(_join_keys(right, shared), right.rows):
+        index.setdefault(key, []).append({n: rt.values[n] for n, _ in right_attrs})
+    joined = ({**lt.values, **extra}
+              for lt, key in zip(left.rows, _join_keys(left, shared))
+              for extra in index.get(key, ()))
     return Relation(
         name=name or f"{left.name}_{right.name}",
-        schema=Schema.from_pairs(out_attrs),
-        rows=tuple(rows),
+        schema=Schema.from_pairs(list(left.schema.attributes) + right_attrs),
+        rows=tuple(Tuple(tid=tid, values=values) for tid, values in enumerate(joined, start=1)),
     )

@@ -1,7 +1,8 @@
+import csv
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rankrefine.data import (
@@ -10,7 +11,6 @@ from rankrefine.data import (
     Schema,
     Tuple,
     format_number,
-    infer_schema,
     load_csv,
     natural_join,
     parse_number,
@@ -52,6 +52,81 @@ def test_schema_inference_mixed_column(tmp_path):
     rel = load_csv(p)
     assert rel.schema.kind_of("a") == "numerical"
     assert rel.schema.kind_of("b") == "categorical"
+
+
+def test_an_empty_cell_makes_an_inferred_column_categorical(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,c\n1,,x\n,,y\n")
+    rel = load_csv(p)
+    assert rel.schema.attributes == (
+        ("a", "categorical"), ("b", "categorical"), ("c", "categorical"))
+    assert [t["a"] for t in rel.rows] == ["1", ""]
+    assert [t["b"] for t in rel.rows] == ["", ""]
+
+
+def test_an_empty_cell_in_a_numerical_sidecar_column_is_an_error(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1,x\n,y\n")
+    with pytest.raises(LoadError, match=r"cell '' at \(row 2, 'a'\) is not numeric"):
+        load_csv(p, {"a": "numerical"})
+
+
+def test_the_first_bad_cell_in_file_order_is_reported(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1,2\n3,x\ny,4\n")
+    with pytest.raises(LoadError, match=r"cell 'x' at \(row 2, 'b'\)"):
+        load_csv(p, {"a": "numerical", "b": "numerical"})
+
+
+def _load_cells(path, cells, kinds=None):
+    """``cells`` as one row of a CSV file, one column each."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"c{j}" for j in range(len(cells))])
+        writer.writerow(cells)
+    return load_csv(path, kinds)
+
+
+def _exact(cell):
+    try:
+        return Fraction(cell.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+PINNED_CELLS = ["1_000", "１２", "\xa012\xa0", "1e3", ".5", "12.", "٣.٥", "1/0", " 1 / 3"]
+
+
+@given(st.lists(st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.from_regex(r"\s?[-+]?[0-9٣１]{0,3}[._]?[0-9]{0,2}([eE/][-+]?[0-9]{1,2})?\s?",
+                  fullmatch=True),
+    st.integers().map(str),
+    st.fractions().map(str),
+    st.decimals(allow_nan=False, allow_infinity=False).map(str),
+), min_size=1, max_size=6))
+@example(PINNED_CELLS)
+def test_each_cell_reads_as_fraction_of_its_stripped_text(tmp_path_factory, cells):
+    path = tmp_path_factory.mktemp("cells") / "t.csv"
+    [row] = _load_cells(path, cells).rows
+    for j, cell in enumerate(cells):
+        exact = _exact(cell)
+        assert row[f"c{j}"] == (cell if exact is None else exact)
+        assert isinstance(row[f"c{j}"], str if exact is None else Fraction)
+    numerical = {f"c{j}": "numerical" for j in range(len(cells))}
+    if all(_exact(c) is not None for c in cells):
+        assert _load_cells(path, cells, numerical).rows == (row,)
+    else:
+        with pytest.raises(LoadError, match="is not numeric"):
+            _load_cells(path, cells, numerical)
+
+
+@pytest.mark.parametrize("cell", ["1/0", " 1 / 3"])
+def test_cells_fraction_rejects_are_categorical_or_errors(tmp_path, cell):
+    rel = _load_cells(tmp_path / "t.csv", [cell])
+    assert rel.schema.kind_of("c0") == "categorical" and rel.rows[0]["c0"] == cell
+    with pytest.raises(LoadError, match=r"at \(row 1, 'c0'\) is not numeric"):
+        _load_cells(tmp_path / "t.csv", [cell], {"c0": "numerical"})
 
 
 def test_sidecar_schema_overrides_inference(tmp_path):
@@ -117,6 +192,34 @@ def test_join_kind_mismatch():
                  (Tuple(1, {"k": "1"}),))
     with pytest.raises((JoinError, KindMismatchError)):
         natural_join(a, b)
+
+
+def _nested_loop_join(left, right):
+    shared = [n for n in left.schema.names if right.schema.has(n)]
+    return [{**lt.values, **rt.values} for lt in left.rows for rt in right.rows
+            if all(lt[n] == rt[n] for n in shared)]
+
+
+def _relation(tmp_path, name, text):
+    p = tmp_path / f"{name}.csv"
+    p.write_text(text)
+    return load_csv(p)
+
+
+@pytest.mark.parametrize("left, right, rows", [
+    ("k,a\n2,x\n3,y\n", "k,b\n2.0,p\n3.5,q\n", 1),             # 2 joins 2.0
+    ("k,a\n3/2,x\n1/3,y\n3,z\n", "k,b\n1.5,p\n0.33,q\n", 1),  # 3/2 joins 1.5
+    ("k,m,a\n1,u,x\n1,v,y\n2,u,z\n", "m,k,b\nu,1.0,p\nv,2,q\nu,2,r\n", 2),  # two shared
+    ("k,a\nRB,x\nGD,y\n2,z\n", "k,b\nRB,p\n2,q\n02,r\n", 2),   # string keys
+    ("k,a\n1,x\n1,y\n2,z\n", "k,b\n1,p\n1.0,q\n2,r\n", 5),     # duplicates on both sides
+])
+def test_join_matches_a_nested_loop_join(tmp_path, left, right, rows):
+    lrel, rrel = _relation(tmp_path, "L", left), _relation(tmp_path, "R", right)
+    joined = natural_join(lrel, rrel)
+    assert [t.tid for t in joined.rows] == list(range(1, rows + 1))
+    assert [dict(t.values) for t in joined.rows] == _nested_loop_join(lrel, rrel)
+    assert joined.schema.names == lrel.schema.names + tuple(
+        n for n in rrel.schema.names if not lrel.schema.has(n))
 
 
 def test_cross_kind_comparison_is_an_error():
