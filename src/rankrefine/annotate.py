@@ -16,9 +16,9 @@ DISTINCT-free result by the ``ORDER BY`` attribute and returns an
 The annotated universe contains the output of every refinement, and
 filtering it (``filter_annotated``) is how the MILP builder, the exhaustive
 oracle and the exact verifier evaluate refinements without re-running the
-join.  ``prepared`` hands one instance to all three, and the database keeps
-it for the next request on the same query and relations, together with the
-last few models built on it (:class:`Prepared`).
+join.  ``preparation`` hands one instance to all three, and the database
+keeps it for the next request on the same query and relations, together
+with the last few models built on it (:class:`Prepared`).
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ def distinct_key_attrs(rel: Relation, q: Query) -> tuple[str, ...]:
         return ()
     if q.select_attrs == ("*",):
         return rel.schema.names
+    for attr in q.select_attrs:
+        if not rel.schema.has(attr):
+            raise PreconditionError(f"SELECT DISTINCT attribute {attr!r} not in joined schema")
     return q.select_attrs
 
 
@@ -111,7 +114,7 @@ def _ranked(rel: Relation, q: Query) -> list[Tuple]:
 
 
 def annotate(q: Query, d: Database) -> Instance:
-    """Prepare ``q``'s instance over the database afresh; ``prepared``
+    """Prepare ``q``'s instance over the database afresh; ``preparation``
     reuses one."""
     rel = joined_relation(q, d)
     key_attrs = distinct_key_attrs(rel, q)
@@ -176,11 +179,6 @@ def preparation(q: Query, d: Database) -> Prepared:
         return last
     d.last_prepared = Prepared(rels, annotate(q, d), Refinement.unchanged(q), {})
     return d.last_prepared
-
-
-def prepared(q: Query, d: Database) -> Instance:
-    """``q``'s instance over ``d``, as :func:`preparation` finds or makes it."""
-    return preparation(q, d).instance
 
 
 def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query,

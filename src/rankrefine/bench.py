@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .constraints import LOWER, UPPER, CardinalityConstraint, ConstraintSet
+from .constraints import ConstraintSet, read_constraint
 from .data import Database, Relation, load_csv, parse_number, read_sidecar
 from .distances import DistanceKind
 from .engine import RunConfig, run
@@ -108,12 +108,7 @@ def materialize_constraints(entries: list[dict], k_override: int | None = None) 
             n = min(int(e["n"]), k)
         else:
             raise PreconditionError("constraint entry needs 'n' or 'n_ratio'")
-        out.append(CardinalityConstraint(
-            group=tuple(sorted(e["group"].items())),
-            k=k,
-            n=n,
-            sense=e["sense"],
-        ))
+        out.append(read_constraint(e, k, n))
     return ConstraintSet(tuple(out))
 
 
@@ -198,7 +193,7 @@ class Scenario:
                     db=db,
                     constraints=constraints,
                     epsilon=epsilon,
-                    kind=DistanceKind(dist, constraints.k_star),
+                    kind=DistanceKind(dist),
                     engine=engine,
                     timeout_s=self.raw.get("timeout_s"),
                 ))

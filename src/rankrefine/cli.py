@@ -5,7 +5,8 @@
 
 Exit codes: 0 a refinement was found, 2 no refinement exists, 3 timed out,
 1 invalid input (usage errors included), 4 internal error (a result failed
-exact re-verification, or the solver ended in an unexpected state).
+exact re-verification, the solver ended in an unexpected state, or any
+other exception).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from pathlib import Path
 from .bench import DEFAULT_REPEATS, run_suite
 from .constraints import parse_constraints
 from .data import Database, load_csv, parse_number, read_sidecar
-from .distances import JACCARD, KENDALL, PRED, DistanceKind
-from .engine import NO_REFINEMENT, REFINED, TIMEOUT, RunConfig, result_to_dict, run
+from .distances import DISTANCES, PRED, DistanceKind
+from .engine import ENGINES, NO_REFINEMENT, REFINED, TIMEOUT, RunConfig, result_to_dict, run
 from .errors import InternalConsistencyError, RankRefineError
 from .query import parse_query
 
@@ -58,13 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON sidecar schema for a relation, repeatable")
     p.add_argument("--query", required=True, help="file containing the SQL query")
     p.add_argument("--constraints", required=True, help="constraint JSON file")
-    p.add_argument("--distance", choices=[PRED, JACCARD, KENDALL], default=PRED)
-    p.add_argument("--k", type=int, default=None,
-                   help="prefix length for outcome distances (default: k*)")
+    p.add_argument("--distance", choices=DISTANCES, default=PRED)
     p.add_argument("--epsilon", default="0.5",
                    help="maximum allowed deviation (default 0.5; exact, e.g. '1/3')")
-    p.add_argument("--engine", choices=["milp", "milp+opt", "naive", "naive+prov"],
-                   default="milp+opt")
+    p.add_argument("--engine", choices=ENGINES, default="milp+opt")
     p.add_argument("--no-prune", action="store_true",
                    help="disable relevancy pruning (milp+opt)")
     p.add_argument("--no-merge", action="store_true",
@@ -105,17 +103,16 @@ def _cmd_run(args) -> int:
         db.add(load_csv(path, kinds, name=name))
     query = parse_query(Path(args.query).read_text(encoding="utf-8"))
     constraints = parse_constraints(Path(args.constraints).read_text(encoding="utf-8"))
-    k = args.k if args.k is not None else constraints.k_star
-    if args.distance in (JACCARD, KENDALL) and k != constraints.k_star:
-        raise RankRefineError(
-            f"outcome distances are measured at k*={constraints.k_star}; "
-            f"--k {k} is not supported")
+    try:
+        epsilon = parse_number(args.epsilon)
+    except (ValueError, ZeroDivisionError):
+        raise RankRefineError(f"--epsilon {args.epsilon!r} is not a number") from None
     config = RunConfig(
         query=query,
         db=db,
         constraints=constraints,
-        epsilon=parse_number(args.epsilon),
-        kind=DistanceKind(args.distance, k),
+        epsilon=epsilon,
+        kind=DistanceKind(args.distance),
         engine=args.engine,
         timeout_s=args.timeout_s,
         prune=not args.no_prune,
@@ -170,9 +167,13 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (RankRefineError, OSError, ValueError, KeyError) as exc:
+    # a non-UTF-8 input file raises UnicodeError
+    except (RankRefineError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

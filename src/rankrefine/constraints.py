@@ -113,9 +113,22 @@ def deviation(
     return total / len(cs)
 
 
+def read_constraint(entry: dict, k: int | None = None, n: int | None = None
+                    ) -> CardinalityConstraint:
+    """One constraint file entry, ``{"group": {attr: value, ...}, "k": int,
+    "sense": "lower"|"upper", "n": int}``, its group values read as text; a
+    ``k`` or ``n`` given here takes the place of the entry's."""
+    return CardinalityConstraint(
+        group=tuple(sorted((str(a), str(v)) for a, v in entry["group"].items())),
+        k=int(entry["k"]) if k is None else k,
+        n=int(entry["n"]) if n is None else n,
+        sense=str(entry["sense"]),
+    )
+
+
 def parse_constraints(text: str) -> ConstraintSet:
-    """Constraint file: JSON array of
-    ``{"group": {attr: value, ...}, "k": int, "sense": "lower"|"upper", "n": int}``."""
+    """Constraint file: a non-empty JSON array of entries (see
+    ``read_constraint``)."""
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -125,15 +138,7 @@ def parse_constraints(text: str) -> ConstraintSet:
     out = []
     for i, entry in enumerate(spec):
         try:
-            group = tuple(sorted((str(a), str(v)) for a, v in entry["group"].items()))
-            out.append(
-                CardinalityConstraint(
-                    group=group,
-                    k=int(entry["k"]),
-                    n=int(entry["n"]),
-                    sense=str(entry["sense"]),
-                )
-            )
+            out.append(read_constraint(entry))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ConstraintValidationError(f"constraint #{i}: {exc}") from exc
     return ConstraintSet(tuple(out))

@@ -1,4 +1,5 @@
-"""Reference implementations of the three distance measures.
+"""Reference implementations of the three distance measures, and the rules
+a request must meet before any engine searches.
 
 These are the oracle side of every dual-route check: the MILP objectives in
 ``milp.build`` must agree with the values computed here on the refinement
@@ -17,18 +18,47 @@ from .query import Query
 PRED = "pred"
 JACCARD = "jaccard"
 KENDALL = "kendall"
+DISTANCES = (PRED, JACCARD, KENDALL)
 
 
 @dataclass(frozen=True)
 class DistanceKind:
     name: str
-    k: int | None = None  # outcome-based kinds only
 
     def __post_init__(self):
-        if self.name not in (PRED, JACCARD, KENDALL):
+        if self.name not in DISTANCES:
             raise ValueError(f"unknown distance kind {self.name!r}")
-        if self.name != PRED and self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
+
+
+def check_request(q: Query, kind: DistanceKind, epsilon: Fraction, k_star: int,
+                  original: Ranking) -> None:
+    """Raise PreconditionError unless every engine can answer the request:
+    epsilon is non-negative, an outcome distance has the original query's
+    top-k* (``original`` is its ranking) to compare with, and the predicate
+    distance has a positive original constant to normalize by."""
+    if epsilon < 0:
+        raise PreconditionError("epsilon must be non-negative")
+    if kind.name != PRED and len(original) < k_star:
+        raise PreconditionError(
+            "outcome distances need the original query to return at least "
+            f"k*={k_star} tuples, got {len(original)}")
+    if kind.name == PRED:
+        for p in sorted(q.numeric_preds, key=lambda p: (p.attribute, p.op)):
+            if p.constant <= 0:
+                raise PreconditionError(
+                    f"predicate distance needs a positive original constant on "
+                    f"{p.attribute!r} {p.op}")
+
+
+def distance(kind: DistanceKind, q: Query, q2: Query, original: Ranking,
+             ranking: Ranking, k: int) -> Fraction | int:
+    """``kind``'s distance of ``q2`` from ``q``; outcome distances compare
+    their rankings' top ``k`` (``ranking`` and ``original``)."""
+    if kind.name == PRED:
+        return dis_pred(q, q2)
+    if kind.name == JACCARD:
+        return dis_jaccard(original, ranking, k)
+    return dis_kendall(original, ranking, k)
 
 
 def dis_pred(q: Query, q2: Query) -> Fraction:

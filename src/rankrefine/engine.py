@@ -23,7 +23,7 @@ from .annotate import Instance, filter_annotated, preparation
 from .annotate import annotate, joined_relation  # noqa: F401
 from .constraints import ConstraintSet, deviation
 from .data import Database, format_number
-from .distances import JACCARD, KENDALL, PRED, DistanceKind, dis_jaccard, dis_kendall, dis_pred
+from .distances import DistanceKind, distance
 from .errors import InternalConsistencyError, PreconditionError
 from .milp import BuildOptions, SolveOptions, build_model, extract_refinement, solve, write_lp
 from .oracle import exhaustive_solve
@@ -94,7 +94,7 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     """
     def inconsistent(message: str) -> InternalConsistencyError:
         detail = json.dumps({"refinement": _refinement_dict(ref),
-                             "model_stats": _public_stats(stats)}, sort_keys=True)
+                             "model_stats": stats}, sort_keys=True)
         return InternalConsistencyError(f"{message}; {detail}")
 
     q, cs = config.query, config.constraints
@@ -111,14 +111,7 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     if dev > config.epsilon:
         raise inconsistent(
             f"refined query deviates by {dev}, above epsilon {config.epsilon}")
-    if config.kind.name == PRED:
-        dist = dis_pred(q, q2)
-    else:
-        original = instance.original_ranking
-        if config.kind.name == JACCARD:
-            dist = dis_jaccard(original, ranking, k_star)
-        else:
-            dist = dis_kendall(original, ranking, k_star)
+    dist = distance(config.kind, q, q2, instance.original_ranking, ranking, k_star)
     # a caller may keep every result, so the rows are named tuples that
     # share one label string per constraint (and the empty groups tuple)
     labels = [(c, c.label()) for c in cs]
@@ -211,16 +204,11 @@ def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> R
     stats.update(solution.stats)
     if solution.status == "infeasible":
         return RefineResult(status=NO_REFINEMENT, timing_ms=timing, model_stats=stats)
-    if solution.status == "timeout" and not solution.assignment:
+    if solution.status == "timeout" and not solution.values:
         return RefineResult(status=TIMEOUT, timing_ms=timing, model_stats=stats)
     ref = extract_refinement(built, solution)
     status = TIMEOUT if solution.status == "timeout" else REFINED
     return _verified_result(config, instance, ref, status, timing, stats)
-
-
-def _public_stats(stats: dict) -> dict:
-    """Model stats as reported: everything but the solver's wall time."""
-    return {k: v for k, v in stats.items() if k != "wall_s"}
 
 
 def _refinement_dict(ref: Refinement) -> dict:
@@ -246,7 +234,7 @@ def result_to_dict(result: RefineResult, include_timing: bool = True) -> dict:
         "distance": num(result.distance),
         "deviation": num(result.deviation),
         "topk": [row._asdict() for row in result.topk],
-        "model_stats": _public_stats(result.model_stats),
+        "model_stats": dict(result.model_stats),
     }
     if result.refinement is not None:
         out["refinement"] = _refinement_dict(result.refinement)

@@ -11,7 +11,6 @@ from .model import (
     MILPModel,
     Row,
     Solution,
-    Variable,
 )
 from .solver import SolveOptions, solve, write_lp
 
@@ -27,7 +26,6 @@ __all__ = [
     "Row",
     "Solution",
     "SolveOptions",
-    "Variable",
     "solve",
     "write_lp",
 ]

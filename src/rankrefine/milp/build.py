@@ -49,8 +49,8 @@ from ..annotate import AnnotatedTuple, preparation
 from ..annotate import annotate, filter_annotated, joined_relation  # noqa: F401
 from ..constraints import LOWER, ConstraintSet
 from ..data import Database, format_number
-from ..distances import JACCARD, KENDALL, PRED, DistanceKind
-from ..errors import BuildError, InternalConsistencyError, PreconditionError
+from ..distances import JACCARD, KENDALL, PRED, DistanceKind, check_request
+from ..errors import BuildError, InternalConsistencyError
 from ..oracle import numeric_candidates
 from ..query import Query, Refinement
 from .model import BINARY, CONTINUOUS, MILPModel, Solution
@@ -125,24 +125,16 @@ def _deviation_row(constraints: ConstraintSet, epsilon: Fraction) -> tuple[list[
 @dataclass
 class BuildResult:
     model: MILPModel
-    encoded: list[AnnotatedTuple]  # base-rank order
     num_families: dict[tuple[str, str], NumericFamily]
     cat_families: dict[str, CatFamily]
-    r_col: dict[int, int]  # tid -> membership column (shared when merged)
-    l_col: dict[tuple[int, int], int]  # (tid, k) -> top-k membership column
-    original_topk: list[int]  # top-k* tids of the unrefined query
     stats: dict = field(default_factory=dict)
 
     def copy(self) -> BuildResult:
         """A result equal to this one that the caller may change freely."""
         return BuildResult(
             model=self.model.copy(),
-            encoded=list(self.encoded),
             num_families={key: fam.copy() for key, fam in self.num_families.items()},
             cat_families={attr: fam.copy() for attr, fam in self.cat_families.items()},
-            r_col=dict(self.r_col),
-            l_col=dict(self.l_col),
-            original_topk=list(self.original_topk),
             stats={**self.stats, "rows_by_family": dict(self.stats["rows_by_family"])},
         )
 
@@ -168,22 +160,14 @@ class ModelBuilder:
         instance = preparation(query, db).instance
         self.key_attrs = instance.key_attrs
         self.merged = self.options.merge_lineage and not self.key_attrs
-        original_ranking = instance.original_ranking
-        self.original_topk = original_ranking[: self.k_star]
-        if kind.name in (JACCARD, KENDALL) and len(original_ranking) < self.k_star:
-            raise PreconditionError(
-                "outcome distances need the original query to return at least "
-                f"k*={self.k_star} tuples, got {len(original_ranking)}"
-            )
-
+        self.original_topk = instance.original_ranking[: self.k_star]
         self.instance = instance
         self.encoded: list[AnnotatedTuple] = []  # set by build
 
         self.num_families: dict[tuple[str, str], NumericFamily] = {}
         self.cat_families: dict[str, CatFamily] = {}
-        self.r_col: dict[int, int] = {}
-        self.l_col: dict[tuple[int, int], int] = {}
-        self.e_cols: list[tuple] = []  # (constraint, column)
+        self.r_col: dict[int, int] = {}  # tid -> membership column (shared when merged)
+        self.l_col: dict[tuple[int, int], int] = {}  # (tid, k) -> top-k membership column
         self.deviation_row = -1  # set by build
         # per constraint, the encoded tuples in its group (base-rank order)
         self.members: list[list[AnnotatedTuple]] = []
@@ -477,9 +461,10 @@ class ModelBuilder:
             sum_r[rcol] = sum_r.get(rcol, 0) + 1
         self._row(sum_r, ">=", self.k_star, "size")
 
+        e_cols = []
         for i, (c, members) in enumerate(zip(self.constraints, self.members)):
             e = self.model.add_column(CONTINUOUS, 0, c.k, "E", i)
-            self.e_cols.append((c, e))
+            e_cols.append(e)
             coeffs = {e: 1.0}
             for at in members:
                 lcol = self.l_col[(at.tuple.tid, c.k)]
@@ -489,7 +474,7 @@ class ModelBuilder:
 
         values, rhs = _deviation_row(self.constraints, self.epsilon)
         self.deviation_row = len(self.model.row_lower)
-        self.model.add_row([e for _, e in self.e_cols], values, "<=", rhs, "deviation")
+        self.model.add_row(e_cols, values, "<=", rhs, "deviation")
 
     # -- objectives --------------------------------------------------------
 
@@ -503,11 +488,7 @@ class ModelBuilder:
 
     def _objective_pred(self) -> None:
         model = self.model
-        for (attr, op), fam in self.num_families.items():
-            if fam.original <= 0:
-                raise PreconditionError(
-                    f"predicate distance needs a positive original constant on "
-                    f"{attr!r} {op}")
+        for fam in self.num_families.values():
             model.objective_constant += fam.empty_cost
             for v, step in zip(fam.domain, fam.cost_steps):
                 model.col_cost[fam.indicators[v]] = step
@@ -635,12 +616,8 @@ class ModelBuilder:
         families = Counter(_ROW_FAMILY[label[0]] for label in model.row_labels)
         return BuildResult(
             model=model,
-            encoded=self.encoded,
             num_families=self.num_families,
             cat_families=self.cat_families,
-            r_col=self.r_col,
-            l_col=self.l_col,
-            original_topk=list(self.original_topk),
             stats={
                 "variables": len(model.col_names),
                 "rows": len(model.row_lower),
@@ -688,10 +665,10 @@ def build_model(
     entry for entry the model a fresh build makes; a build that raises keeps
     nothing."""
     epsilon = Fraction(epsilon)
-    if epsilon < 0:
-        raise PreconditionError("epsilon must be non-negative")
+    prep = preparation(query, db)
+    check_request(query, kind, epsilon, constraints.k_star, prep.instance.original_ranking)
     options = options or BuildOptions()
-    models = preparation(query, db).models
+    models = prep.models
     key = (constraints, kind, options)
     kept = models.pop(key, None)  # put back last, as the most recently used
     if kept is None:
@@ -712,10 +689,8 @@ def build_model(
 def extract_refinement(result: BuildResult, solution: Solution) -> Refinement:
     """Read the indicator pattern out of a solved model and look up, for
     every numeric predicate, the constant its selection maps to."""
-    names = result.model.col_names
-
     def selected(col: int) -> bool:
-        return round(solution.value(names[col])) == 1
+        return round(solution.values[col]) == 1
 
     numeric: dict[tuple[str, str], Fraction] = {}
     for pred, fam in result.num_families.items():

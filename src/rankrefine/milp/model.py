@@ -2,9 +2,9 @@
 HiGHS takes it: one entry per column in each column list, and the rows as
 a compressed row-wise matrix with lower and upper bounds.
 
-Columns are named when they are added, since a solution is read back by
-name.  A row keeps only the parts its name is made from; the names
-themselves are made on demand, for ``--lp-dump`` and the read-only
+Columns are named when they are added, and a solution holds one value per
+column, by index.  A row keeps only the parts its name is made from; the
+names themselves are made on demand, for ``--lp-dump`` and the read-only
 :attr:`MILPModel.rows` view.
 
 :mod:`rankrefine.milp.solver` loads it into HiGHS to solve it or to write
@@ -23,15 +23,6 @@ BINARY = "binary"
 CONTINUOUS = "continuous"
 
 _SENSES = ("<=", ">=", "=")
-
-
-@dataclass(frozen=True)
-class Variable:
-    """One column, as the :attr:`MILPModel.variables` view shows it."""
-    name: str
-    kind: str
-    lb: float
-    ub: float
 
 
 @dataclass(frozen=True)
@@ -139,11 +130,6 @@ class MILPModel:
         return [namer.fresh(label) for label in self.row_labels]
 
     @property
-    def variables(self) -> list[Variable]:
-        return [Variable(*v) for v in zip(self.col_names, self.col_kinds,
-                                          self.col_lower, self.col_upper)]
-
-    @property
     def rows(self) -> list[Row]:
         names, index, value, start = self.col_names, self.row_index, self.row_value, self.row_start
         out = []
@@ -162,9 +148,6 @@ class MILPModel:
 @dataclass
 class Solution:
     status: str  # "optimal" | "infeasible" | "timeout"
-    assignment: dict[str, float] = field(default_factory=dict)
+    values: list[float] = field(default_factory=list)  # by column; empty without one
     objective_value: float | None = None
     stats: dict = field(default_factory=dict)
-
-    def value(self, name: str) -> float:
-        return self.assignment[name]

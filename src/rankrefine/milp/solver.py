@@ -25,7 +25,6 @@ import os
 import shutil
 import sys
 import tempfile
-import time
 from dataclasses import dataclass
 
 # the bindings take every list through numpy, so it loads with this module
@@ -126,10 +125,9 @@ def _highs(model: MILPModel, integral: bool = True,
     return h
 
 
-def _assignment(model: MILPModel, h: highspy._Highs) -> dict[str, float]:
-    return {name: float(round(x)) if kind == BINARY else float(x)
-            for name, kind, x in zip(model.col_names, model.col_kinds,
-                                     h.getSolution().col_value)}
+def _values(model: MILPModel, h: highspy._Highs) -> list[float]:
+    return [float(round(x)) if kind == BINARY else float(x)
+            for kind, x in zip(model.col_kinds, h.getSolution().col_value)]
 
 
 def solve_lp_relaxation(model: MILPModel) -> Solution:
@@ -143,7 +141,7 @@ def solve_lp_relaxation(model: MILPModel) -> Solution:
     info = h.getInfo()
     return Solution(
         status="optimal",
-        assignment=_assignment(model, h),
+        values=_values(model, h),
         objective_value=info.objective_function_value,
         stats={"lp_iterations": info.simplex_iteration_count},
     )
@@ -157,7 +155,6 @@ def _finite(x: float) -> float | None:
 def solve(model: MILPModel, options: SolveOptions | None = None) -> Solution:
     """Minimize ``model`` exactly.  Returns status optimal/infeasible/timeout."""
     options = options or SolveOptions()
-    start = time.monotonic()
     h = _highs(model)
     h.setOptionValue("mip_rel_gap", 0.0)
     if options.timeout_s is not None:
@@ -179,13 +176,12 @@ def solve(model: MILPModel, options: SolveOptions | None = None) -> Solution:
         "lp_iterations": info.simplex_iteration_count,
         "mip_gap": _finite(info.mip_gap),
         "dual_bound": _finite(info.mip_dual_bound) if mip else None,
-        "wall_s": time.monotonic() - start,
     }
     if info.primal_solution_status != highspy.SolutionStatus.kSolutionStatusFeasible:
         return Solution(status=status, stats=stats)
     return Solution(
         status=status,
-        assignment=_assignment(model, h),
+        values=_values(model, h),
         objective_value=info.objective_function_value,
         stats=stats,
     )

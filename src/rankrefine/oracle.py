@@ -17,10 +17,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotate import evaluate, filter_annotated, prepared
+from .annotate import evaluate, filter_annotated, preparation
 from .constraints import ConstraintSet, deviation
 from .data import Database
-from .distances import JACCARD, KENDALL, PRED, DistanceKind, dis_jaccard, dis_kendall, dis_pred
+from .distances import DistanceKind, check_request, distance
 from .errors import PreconditionError
 from .query import Query, Refinement, apply_refinement
 
@@ -31,7 +31,6 @@ DEFAULT_CAP = 2_000_000
 class OracleResult:
     status: str  # "refined" | "no_refinement"
     refinement: Refinement | None
-    query: Query | None
     distance: Fraction | int | None
     candidates_checked: int
 
@@ -64,7 +63,6 @@ def cat_candidates(values: list[str], original: frozenset[str]) -> list[frozense
 
 @dataclass
 class RefinementSpace:
-    query: Query
     numeric: list[tuple[tuple[str, str], list[Fraction]]]
     categorical: list[tuple[str, list[frozenset[str]]]]
 
@@ -89,7 +87,7 @@ class RefinementSpace:
 
 
 def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP) -> RefinementSpace:
-    instance = prepared(q, d)
+    instance = preparation(q, d).instance
     numeric = [
         ((p.attribute, p.op),
          numeric_candidates(instance.domain(p.attribute), p.constant))
@@ -99,7 +97,7 @@ def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP) -> Refinemen
         (p.attribute, cat_candidates(instance.domain(p.attribute), p.values))
         for p in q.cat_preds
     ]
-    space = RefinementSpace(q, numeric, categorical)
+    space = RefinementSpace(numeric, categorical)
     if space.size > cap:
         raise PreconditionError(
             f"refinement space has {space.size} candidates, above the "
@@ -124,17 +122,14 @@ def exhaustive_solve(
     Candidates are filtered from ``q``'s prepared instance in ``d``, up to
     the k* tuples that feasibility and distance read; without provenance
     every candidate is still evaluated from ``d``."""
-    instance = prepared(q, d)
-    space = refinement_space(q, d, cap)
+    instance = preparation(q, d).instance
     k_star = constraints.k_star
     original_ranking = instance.original_ranking
-    if kind.name in (JACCARD, KENDALL) and len(original_ranking) < k_star:
-        raise PreconditionError(
-            "outcome distances need the original query to return at least "
-            f"k*={k_star} tuples, got {len(original_ranking)}")
+    check_request(q, kind, epsilon, k_star, original_ranking)
+    space = refinement_space(q, d, cap)
 
     unchanged = Refinement.unchanged(q).encoding_key(q)
-    best = None  # ((distance, differs, encoding_key), refinement, query)
+    best = None  # ((distance, differs, encoding_key), refinement)
     checked = 0
     for ref in space:
         checked += 1
@@ -147,17 +142,12 @@ def exhaustive_solve(
             continue
         if deviation(ranking, instance.tuples_by_id, constraints) > epsilon:
             continue
-        if kind.name == PRED:
-            dist = dis_pred(q, q2)
-        elif kind.name == JACCARD:
-            dist = dis_jaccard(original_ranking, ranking, k_star)
-        else:
-            dist = dis_kendall(original_ranking, ranking, k_star)
+        dist = distance(kind, q, q2, original_ranking, ranking, k_star)
         ref_key = ref.encoding_key(q)
         key = (dist, ref_key != unchanged, ref_key)
         if best is None or key < best[0]:
-            best = (key, ref, q2)
+            best = (key, ref)
     if best is None:
-        return OracleResult("no_refinement", None, None, None, checked)
-    (dist, _, _), ref, q2 = best
-    return OracleResult("refined", ref, q2, dist, checked)
+        return OracleResult("no_refinement", None, None, checked)
+    (dist, _, _), ref = best
+    return OracleResult("refined", ref, dist, checked)

@@ -35,7 +35,7 @@ from rankrefine.distances import (
 )
 from rankrefine.engine import RunConfig, run
 from rankrefine.errors import PreconditionError
-from rankrefine.milp.build import BuildOptions, build_model, extract_refinement
+from rankrefine.milp.build import BuildOptions, ModelBuilder, extract_refinement
 from rankrefine.milp.solver import solve, solve_lp_relaxation
 from rankrefine.oracle import exhaustive_solve
 from rankrefine.query import apply_refinement
@@ -61,12 +61,13 @@ N_INSTANCES = 200
 
 
 def _solve_instance(query, db, cs, epsilon, kind, options=None):
-    """Build, solve, extract; returns (status, objective, built, solution,
-    exact_distance_of_extracted_refinement)."""
-    built = build_model(query, db, cs, epsilon, kind, options)
+    """Build, solve, extract; returns (status, objective, builder, built,
+    solution, exact_distance_of_extracted_refinement)."""
+    builder = ModelBuilder(query, db, cs, epsilon, kind, options)
+    built = builder.build()
     solution = solve(built.model)
     if solution.status != "optimal":
-        return solution.status, None, built, solution, None
+        return solution.status, None, builder, built, solution, None
     ref = extract_refinement(built, solution)
     q2 = apply_refinement(query, ref)
     ann = annotate(query, db)
@@ -84,7 +85,7 @@ def _solve_instance(query, db, cs, epsilon, kind, options=None):
             dist = dis_jaccard(original, ranking, cs.k_star)
         else:
             dist = dis_kendall(original, ranking, cs.k_star)
-    return "optimal", solution.objective_value, built, solution, dist
+    return "optimal", solution.objective_value, builder, built, solution, dist
 
 
 def _counts_of(query, db, cs, ref):
@@ -110,12 +111,12 @@ def randomized_suite():
         i += 1
         query, db, cs, epsilon = random_instance(rng)
         kind_name = kinds[i % len(kinds)]
-        kind = DistanceKind(kind_name, cs.k_star if kind_name != PRED else None)
+        kind = DistanceKind(kind_name)
         try:
             oracle = exhaustive_solve(query, db, cs, epsilon, kind)
         except PreconditionError:
             continue  # original output shorter than k* under an outcome kind
-        status, objective, built, solution, dist = _solve_instance(
+        status, objective, builder, built, solution, dist = _solve_instance(
             query, db, cs, epsilon, kind)
 
         flags = {}
@@ -124,14 +125,15 @@ def randomized_suite():
             ("merge", BuildOptions(merge_lineage=True)),
             ("relax", BuildOptions(relax_single_sense=True)),
         ):
-            fstatus, fobjective, fbuilt, _, fdist = _solve_instance(
+            fstatus, fobjective, _, fbuilt, _, fdist = _solve_instance(
                 query, db, cs, epsilon, kind, options)
             flags[name] = (fstatus, fobjective, fbuilt, fdist)
 
         records.append({
             "query": query, "db": db, "cs": cs, "epsilon": epsilon,
             "kind": kind, "oracle": oracle, "status": status,
-            "objective": objective, "built": built, "solution": solution,
+            "objective": objective, "builder": builder, "built": built,
+            "solution": solution,
             "distance": dist, "flags": flags,
         })
     return {"records": records, "wall_s": time.monotonic() - started}
@@ -231,7 +233,7 @@ def test_acceptance_5_optimization_neutrality(randomized_suite):
                 plain_built = rec["built"]
                 pruned_built = rec["flags"]["prune"][2]
                 class_sizes = {}
-                for at in plain_built.encoded:
+                for at in rec["builder"].encoded:
                     class_sizes[at.lineage_class] = \
                         class_sizes.get(at.lineage_class, 0) + 1
                 if max(class_sizes.values()) > rec["cs"].k_star:
@@ -249,16 +251,17 @@ def test_acceptance_6_count_round_trip(randomized_suite):
             if rec["status"] != "optimal":
                 continue
             checked += 1
-            built, solution, cs = rec["built"], rec["solution"], rec["cs"]
+            builder, built = rec["builder"], rec["built"]
+            solution, cs = rec["solution"], rec["cs"]
             ref = extract_refinement(built, solution)
             counts = _counts_of(rec["query"], rec["db"], cs, ref)
             e_total = 0.0
             for i, c in enumerate(cs):
-                members = [built.model.col_names[built.l_col[(at.tuple.tid, c.k)]]
-                           for at in built.encoded if c.contains(at.tuple)]
-                l_sum = sum(round(solution.value(lv)) for lv in set(members))
+                members = [builder.l_col[(at.tuple.tid, c.k)]
+                           for at in builder.encoded if c.contains(at.tuple)]
+                l_sum = sum(round(solution.values[lv]) for lv in set(members))
                 assert l_sum == counts[i], f"instance {idx}, constraint {i}"
-                e_total += solution.value(f"E_{i}") / c.n
+                e_total += solution.values[built.model.col_names.index(f"E_{i}")] / c.n
             ann = annotate(rec["query"], rec["db"])
             by_id = {at.tuple.tid: at.tuple for at in ann}
             key_attrs = distinct_key_attrs(

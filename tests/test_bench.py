@@ -11,6 +11,8 @@ from rankrefine.bench import (
     run_scenario,
     run_suite,
 )
+from rankrefine.cli import EXIT_REFINED, main
+from rankrefine.constraints import parse_constraints
 from rankrefine.data import natural_join
 from rankrefine.errors import PreconditionError
 
@@ -61,6 +63,31 @@ def test_materialize_requires_bound():
     with pytest.raises(PreconditionError):
         materialize_constraints(
             [{"group": {"Gender": "F"}, "k": 6, "sense": "lower"}])
+
+
+def test_bench_reads_a_constraint_file_as_run_does(tmp_path, capsys):
+    """A group value written as a JSON number is read as text by both
+    commands, so it matches a categorical column's value."""
+    (tmp_path / "t.csv").write_text(
+        "ID,Zip,Score,X\n1,99999,50,5\n2,12345,40,1\n3,99999,30,4\n4,12345,20,3\n")
+    (tmp_path / "t.schema.json").write_text('{"Zip": "categorical"}')
+    (tmp_path / "query.sql").write_text("SELECT * FROM T WHERE X >= 4 ORDER BY Score DESC")
+    text = json.dumps([{"group": {"Zip": 12345}, "k": 2, "sense": "lower", "n": 1}])
+    (tmp_path / "constraints.json").write_text(text)
+    assert materialize_constraints(json.loads(text)) == parse_constraints(text)
+
+    # a 12345 enters the top 2 once X >= 1
+    path = _write_mini_scenario(tmp_path, data={"T": "t.csv"}, schemas={"T": "t.schema.json"},
+                                query="query.sql", constraints="constraints.json")
+    [row] = run_scenario(Scenario.load(path), repeats=1)
+    assert (row.status, row.distance_value) == ("refined", "3/4")
+    assert main(["run", "--data", f"T={tmp_path / 't.csv'}",
+                 "--schema", f"T={tmp_path / 't.schema.json'}",
+                 "--query", str(tmp_path / "query.sql"),
+                 "--constraints", str(tmp_path / "constraints.json"),
+                 "--epsilon", "0"]) == EXIT_REFINED
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["distance"]) == ("refined", "0.75")
 
 
 def test_scenario_without_sweep_runs_once(tmp_path):

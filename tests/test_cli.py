@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from conftest import read_lp
 
-from rankrefine import engine
+from rankrefine import cli, engine
 from rankrefine.cli import (
     EXIT_INTERNAL,
     EXIT_INVALID,
@@ -64,6 +64,7 @@ def test_run_no_refinement_exit_two(capsys):
     {"query": "/nonexistent/query.sql"},
     {"epsilon": "zero"},
     {"engine": "milp"},  # placeholder, replaced below
+    {"epsilon": "1/0"},
 ])
 def test_run_invalid_exit_one(capsys, tmp_path, breakage):
     if breakage.get("engine"):
@@ -103,9 +104,45 @@ def test_help_exits_zero(capsys, args):
     assert "usage:" in capsys.readouterr().out
 
 
-def test_outcome_distance_k_must_be_k_star(capsys):
-    assert main(_run_args(distance="jaccard", k=4)) == EXIT_INVALID
-    assert "k*" in capsys.readouterr().err
+def test_k_flag_is_a_usage_error(capsys):
+    # outcome distances are measured at k*, so no flag sets a prefix length
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args(k=3))
+    assert exc.value.code == EXIT_INVALID
+    assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
+
+def test_a_distinct_attribute_missing_from_the_joined_schema_is_invalid_input(tmp_path,
+                                                                              capsys):
+    query = tmp_path / "query.sql"
+    query.write_text("SELECT DISTINCT Foo FROM Students NATURAL JOIN Activities "
+                     "WHERE GPA >= 3.7 ORDER BY SAT DESC")
+    args = _run_args()
+    args[args.index("--query") + 1] = str(query)
+    assert main(args) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "", "error: SELECT DISTINCT attribute 'Foo' not in joined schema\n")
+
+
+def test_an_input_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys):
+    query = tmp_path / "query.sql"
+    query.write_bytes("SELECT * FROM Students WHERE Name = 'Zoë' ORDER BY SAT DESC"
+                      .encode("latin-1"))
+    args = _run_args()
+    args[args.index("--query") + 1] = str(query)
+    assert main(args) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("fault", [KeyError("tid"), ValueError("bad row"),
+                                   ZeroDivisionError("division by zero")])
+def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys, fault):
+    def broken(config):
+        raise fault
+
+    monkeypatch.setattr(cli, "run", broken)
+    assert main(_run_args()) == EXIT_INTERNAL
+    assert capsys.readouterr() == ("", f"internal error: {fault!r}\n")
 
 
 def test_out_file_and_sql_sidecar(tmp_path, capsys):
@@ -189,7 +226,7 @@ def test_failed_reverification_exit_four(monkeypatch, capsys):
     # tuple, so the exact re-check must reject it at epsilon 0.
     def select_everything(model, options):
         return Solution(status="optimal",
-                        assignment={v.name: 1.0 for v in model.variables},
+                        values=[1.0] * len(model.col_names),
                         objective_value=0.0, stats={"nodes": 0})
 
     monkeypatch.setattr(engine, "solve", select_everything)

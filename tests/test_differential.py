@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rankrefine.annotate import prepared
+from rankrefine.annotate import preparation
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet
 from rankrefine.data import Database, Relation, Schema, Tuple
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
@@ -70,7 +70,7 @@ def requests(draw):
 
 def _answer(db, q, cs, eps, kind, engine):
     try:
-        result = run(RunConfig(q, db, cs, eps, DistanceKind(kind, cs.k_star), engine=engine))
+        result = run(RunConfig(q, db, cs, eps, DistanceKind(kind), engine=engine))
     except PreconditionError as exc:  # e.g. outcome distance over too short a ranking
         return "rejected", str(exc), None
     return result.status, result.distance, result.refined_sql
@@ -125,14 +125,14 @@ def test_many_classes_match_the_oracle(select):
     db = _roster(3)
     q = parse_query(f"SELECT {select} FROM Astronauts WHERE Flights >= 20 "
                     "AND Status = 'Active' ORDER BY Hours DESC")
-    instance = prepared(q, db)
+    instance = preparation(q, db).instance
     assert len(instance.classes) >= 50
     assert sum(min(len(members), 10) for members in instance.classes) > len(instance) // 2
     for n, eps in [(4, Fraction(0)), (4, Fraction(1, 2)), (6, Fraction(0)),
                    (6, Fraction(1, 2))]:
         cs = ConstraintSet((CardinalityConstraint((("Gender", "F"),), 10, n, "lower"),))
         for kind in (PRED, JACCARD, KENDALL):
-            configs = [RunConfig(q, db, cs, eps, DistanceKind(kind, 10), engine=engine)
+            configs = [RunConfig(q, db, cs, eps, DistanceKind(kind), engine=engine)
                        for engine in ("milp+opt", "naive+prov")]
             milp, oracle = map(run, configs)
             assert (milp.status, milp.distance) == (oracle.status, oracle.distance), \

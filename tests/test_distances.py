@@ -6,7 +6,6 @@ import pytest
 
 from rankrefine.annotate import evaluate
 from rankrefine.distances import (
-    JACCARD,
     DistanceKind,
     dis_jaccard,
     dis_kendall,
@@ -162,5 +161,3 @@ def test_kendall_matches_pair_oracle_on_random_rankings():
 def test_distance_kind_validation():
     with pytest.raises(ValueError):
         DistanceKind("spearman")
-    with pytest.raises(ValueError):
-        DistanceKind(JACCARD, 0)

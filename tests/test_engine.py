@@ -10,7 +10,7 @@ from conftest import DATA, SCENARIOS, read_lp
 from test_golden import GOLDEN, RELATIONS, _args
 
 from rankrefine import engine
-from rankrefine.annotate import prepared
+from rankrefine.annotate import preparation
 from rankrefine.cli import EXIT_INVALID, main
 from rankrefine.constraints import (
     CardinalityConstraint,
@@ -69,8 +69,8 @@ def test_all_engines_agree_on_running_example(students_db, scholarship_query,
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("kind, want", [
-    (DistanceKind(JACCARD, 6), Fraction(2, 7)),
-    (DistanceKind(KENDALL, 6), 5),
+    (DistanceKind(JACCARD), Fraction(2, 7)),
+    (DistanceKind(KENDALL), 5),
 ])
 def test_outcome_distances_agree(students_db, scholarship_query,
                                  scholarship_constraints, engine, kind, want):
@@ -200,7 +200,7 @@ def test_timeout_with_incumbent_is_verified(monkeypatch, students_db,
     # extracted and re-checked, and the status stays "timeout"
     def stopped_early(model, options):
         found = solve(model, options)
-        return Solution(status="timeout", assignment=found.assignment,
+        return Solution(status="timeout", values=found.values,
                         objective_value=found.objective_value, stats=found.stats)
 
     monkeypatch.setattr(engine, "solve", stopped_early)
@@ -225,7 +225,7 @@ def test_solver_stats_in_model_stats(students_db, scholarship_query,
 
 # (the jaccard model of this request is solved without a simplex iteration)
 @pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
-@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(KENDALL, 6)],
+@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(KENDALL)],
                          ids=lambda k: k.name)
 def test_lp_iterations_are_reported_and_repeat(scholarship_query, scholarship_constraints,
                                                engine_name, kind):
@@ -357,12 +357,12 @@ def test_other_query_is_prepared_again(prepare_calls, scholarship_query,
 
 def test_shared_instance_is_read_only(scholarship_query, scholarship_constraints):
     db = _students_db()
-    instance = prepared(scholarship_query, db)
+    instance = preparation(scholarship_query, db).instance
     with pytest.raises(TypeError):
         instance.tuples_by_id[1] = instance.tuples_by_id[2]
     with pytest.raises(AttributeError):
         instance.original_ranking.append(1)
-    assert prepared(scholarship_query, db) is instance
+    assert preparation(scholarship_query, db).instance is instance
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="/".join)
@@ -374,7 +374,7 @@ def test_warm_reports_equal_cold_reports(case):
     q = parse_query((SCENARIOS / scenario / "query.sql").read_text())
     cs = parse_constraints((SCENARIOS / scenario / "constraints.json").read_text())
     config = _config(db, q, cs, epsilon=Fraction(epsilon),
-                     kind=DistanceKind(distance, cs.k_star))
+                     kind=DistanceKind(distance))
 
     def outcome():
         try:
@@ -403,6 +403,7 @@ PRECONDITION_CASES = {
 
 @pytest.mark.parametrize("name", sorted(PRECONDITION_CASES))
 def test_precondition_errors_fire_on_every_request(name, tmp_path, capsys):
+    """Each rule gives one message under every engine."""
     scenario, query_text, distance, epsilon, message = PRECONDITION_CASES[name]
     query_file = SCENARIOS / scenario / "query.sql"
     if query_text is not None:
@@ -410,26 +411,28 @@ def test_precondition_errors_fire_on_every_request(name, tmp_path, capsys):
         query_file.write_text(query_text)
     args = _args(scenario, distance, epsilon)
     args[args.index("--query") + 1] = str(query_file)
-    for _ in range(2):
-        assert main(args) == EXIT_INVALID
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+    for engine_name in ENGINES:
+        for _ in range(2):
+            assert main(args + ["--engine", engine_name]) == EXIT_INVALID, engine_name
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    db = Database()
-    for rel, csv in RELATIONS[scenario].items():
-        db.add(load_csv(DATA / csv, name=rel))
-    cs = parse_constraints((SCENARIOS / scenario / "constraints.json").read_text())
-    config = _config(db, parse_query(query_file.read_text()), cs,
-                     epsilon=Fraction(epsilon), kind=DistanceKind(distance))
-    if epsilon.startswith("-"):
-        # the database keeps this key's model, built for epsilon 0
-        assert run(replace(config, epsilon=Fraction(0))).status == REFINED
-    kept = dict(db.last_prepared.models) if db.last_prepared else {}
-    for _ in range(2):
-        with pytest.raises(PreconditionError) as exc:
-            run(config)
-        assert str(exc.value) == message
-        # a failed build keeps nothing
-        assert db.last_prepared.models == kept
+    for engine_name in ENGINES:
+        db = Database()
+        for rel, csv in RELATIONS[scenario].items():
+            db.add(load_csv(DATA / csv, name=rel))
+        cs = parse_constraints((SCENARIOS / scenario / "constraints.json").read_text())
+        config = _config(db, parse_query(query_file.read_text()), cs, engine=engine_name,
+                         epsilon=Fraction(epsilon), kind=DistanceKind(distance))
+        if epsilon.startswith("-"):
+            # a MILP engine's database keeps this key's model, built for epsilon 0
+            assert run(replace(config, epsilon=Fraction(0))).status == REFINED
+        kept = dict(db.last_prepared.models) if db.last_prepared else {}
+        for _ in range(2):
+            with pytest.raises(PreconditionError) as exc:
+                run(config)
+            assert str(exc.value) == message
+            # a failed build keeps nothing
+            assert db.last_prepared.models == kept
 
 
 TOL = 1e-6  # as in the acceptance suite
@@ -491,7 +494,7 @@ def test_large_magnitudes_match_the_oracle(base, gap):
 
 
 def _original_deviation(db, q, cs):
-    instance = prepared(q, db)
+    instance = preparation(q, db).instance
     return deviation(instance.original_ranking, instance.tuples_by_id, cs)
 
 
@@ -500,8 +503,8 @@ def _no_solve(model, options):
 
 
 @pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
-@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD, 6),
-                                  DistanceKind(KENDALL, 6)], ids=lambda k: k.name)
+@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD),
+                                  DistanceKind(KENDALL)], ids=lambda k: k.name)
 def test_original_query_within_epsilon_is_answered_without_solving(
         monkeypatch, students_db, scholarship_query, scholarship_constraints,
         engine_name, kind):
@@ -544,8 +547,8 @@ def test_original_query_just_outside_epsilon_is_solved(monkeypatch, students_db,
     assert result.status == REFINED and result.distance > 0
 
 
-@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD, 6),
-                                  DistanceKind(KENDALL, 6)], ids=lambda k: k.name)
+@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD),
+                                  DistanceKind(KENDALL)], ids=lambda k: k.name)
 def test_a_settled_request_filters_nothing(monkeypatch, students_db, scholarship_query,
                                            scholarship_constraints, kind):
     """A settled request is verified on the original ranking the instance
@@ -564,7 +567,7 @@ def test_a_settled_request_filters_nothing(monkeypatch, students_db, scholarship
                       kind=kind, epsilon=eps)
     result = run(settled)
     assert len(calls) == 0 and result.distance == 0
-    instance = prepared(scholarship_query, students_db)
+    instance = preparation(scholarship_query, students_db).instance
     settled.constraints = settled.constraints.over(instance.schema)
     filtered = engine._verified_result(settled, instance,
                                        Refinement.unchanged(scholarship_query),
@@ -579,8 +582,8 @@ def test_a_settled_request_filters_nothing(monkeypatch, students_db, scholarship
     assert solved.status == REFINED and solved.distance > 0
 
 
-@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD, 6),
-                                  DistanceKind(KENDALL, 6)], ids=lambda k: k.name)
+@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD),
+                                  DistanceKind(KENDALL)], ids=lambda k: k.name)
 def test_deviation_runs_once_per_ranking(monkeypatch, students_db, scholarship_query,
                                          scholarship_constraints, kind):
     """A settled request computes the original ranking's deviation once, for
@@ -626,7 +629,8 @@ def test_non_positive_pred_constant_is_rejected_at_any_epsilon(tmp_path, capsys,
     text = ("SELECT DISTINCT ID, Gender, Income FROM Students NATURAL JOIN Activities "
             "WHERE GPA >= 0 AND Activity = 'RB' ORDER BY SAT DESC")
     q = parse_query(text)
-    assert len(prepared(q, students_db).original_ranking) >= scholarship_constraints.k_star
+    original = preparation(q, students_db).instance.original_ranking
+    assert len(original) >= scholarship_constraints.k_star
     with pytest.raises(PreconditionError, match="positive original constant"):
         run(_config(students_db, q, scholarship_constraints, epsilon=Fraction(1)))
     query_file = tmp_path / "query.sql"
@@ -643,7 +647,7 @@ def test_short_original_ranking_is_rejected_at_any_epsilon(capsys, no_perfect_db
                                                            no_perfect_constraints, kind):
     with pytest.raises(PreconditionError, match="at least k"):
         run(_config(no_perfect_db, no_perfect_query, no_perfect_constraints,
-                    epsilon=Fraction(1), kind=DistanceKind(kind, 3)))
+                    epsilon=Fraction(1), kind=DistanceKind(kind)))
     assert main(_args("no_perfect", kind, "1")) == EXIT_INVALID
     assert capsys.readouterr().out == ""
 
@@ -652,7 +656,7 @@ def test_refinement_with_fewer_than_k_star_tuples_fails_verification(
         students_db, scholarship_query, scholarship_constraints):
     config = _config(students_db, scholarship_query, scholarship_constraints,
                      epsilon=Fraction(1))
-    instance = prepared(scholarship_query, students_db)
+    instance = preparation(scholarship_query, students_db).instance
     too_tight = Refinement(numeric_constants={("GPA", ">="): Fraction(4)})
     assert 0 < len(engine.filter_annotated(
         instance, apply_refinement(scholarship_query, too_tight), instance.key_attrs)) \

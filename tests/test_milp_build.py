@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rankrefine.annotate import prepared
+from rankrefine.annotate import preparation
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet
 from rankrefine.data import Database, Relation, Schema, Tuple
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_pred
@@ -33,8 +33,16 @@ def _build(q, db, cs, eps, kind=None, **opts):
                        BuildOptions(**opts) if opts else None)
 
 
-def _gpa_values(result):
-    return sorted({at.tuple["GPA"] for at in result.encoded})
+def _built(q, db, cs, eps, kind=None, **opts):
+    """A builder that has built its model, and the result it returned: the
+    builder holds the internals (encoded tuples, membership columns)."""
+    builder = ModelBuilder(q, db, cs, Fraction(eps), kind or DistanceKind(PRED),
+                           BuildOptions(**opts))
+    return builder, builder.build()
+
+
+def _gpa_values(builder):
+    return sorted({at.tuple["GPA"] for at in builder.encoded})
 
 
 def _gpa_query(op):
@@ -51,9 +59,9 @@ def test_numeric_family_parameters(students_db):
 
 def _check_numeric_family(students_db, op):
     q = _gpa_query(op)
-    result = _build(q, students_db, _ONE_LOWER, 1)
+    builder, result = _built(q, students_db, _ONE_LOWER, 1)
     fam = result.num_families[("GPA", op)]
-    values = _gpa_values(result)
+    values = _gpa_values(builder)
     assert fam.domain == values
     assert sorted(fam.indicators) == values
     # every selection the chain allows has a constant ...
@@ -107,17 +115,19 @@ def test_indicator_row_shapes(students_db):
         for row in _rows_touching(result.model, names):
             assert {row.coeffs[a] for a in names if a in row.coeffs} <= {1.0, -1.0}
             assert row.rhs == int(row.rhs)
-        assert not any(v.kind == CONTINUOUS and v.name.startswith(("C_", "d_"))
-                       for v in result.model.variables)
+        assert not any(kind == CONTINUOUS and name.startswith(("C_", "d_"))
+                       for kind, name in zip(result.model.col_kinds, result.model.col_names))
 
 
 def _chain_submodel(result, fam, selected):
     """The family's indicators and the rows among them, with the indicator
     of every domain value pinned to whether it is in ``selected``."""
     names = set(_indicator_names(result, fam, fam.domain))
-    sub = MILPModel()
-    col = {v.name: sub.add_column(v.kind, v.lb, v.ub, v.name)
-           for v in result.model.variables if v.name in names}
+    model, sub = result.model, MILPModel()
+    col = {name: sub.add_column(kind, lb, ub, name)
+           for name, kind, lb, ub in zip(model.col_names, model.col_kinds,
+                                         model.col_lower, model.col_upper)
+           if name in names}
     for r in result.model.rows:
         if set(r.coeffs) <= names:
             sub.add_row([col[a] for a in r.coeffs], r.coeffs.values(), r.sense, r.rhs, r.name)
@@ -148,9 +158,9 @@ def test_non_chain_selection_is_rejected_on_extract(students_db, scholarship_que
     result = _build(scholarship_query, students_db, scholarship_constraints, 0)
     sol = solve(result.model)
     fam = result.num_families[("GPA", ">=")]
-    bent = dict(sol.assignment)
-    bent.update({a: float(v in {Fraction(x) for x in on})
-                 for v, a in zip(fam.domain, _indicator_names(result, fam, fam.domain))})
+    bent = list(sol.values)
+    for v in fam.domain:
+        bent[fam.indicators[v]] = float(v in {Fraction(x) for x in on})
     with pytest.raises(InternalConsistencyError):
         extract_refinement(result, Solution("optimal", bent))
 
@@ -168,18 +178,19 @@ def test_equality_predicate_selects_at_most_one_value(students_db):
     sub = _chain_submodel(result, fam, {Fraction("3.7"), Fraction("3.8")})
     assert solve(sub).status == "infeasible"
     # selecting nothing picks the closer off-domain candidate, smaller first
-    none = {a: 0.0 for a in names}
-    empty = extract_refinement(result, Solution("optimal", {
-        **solve(result.model).assignment, **none}))
+    none = list(solve(result.model).values)
+    for v in fam.domain:
+        none[fam.indicators[v]] = 0.0
+    empty = extract_refinement(result, Solution("optimal", none))
     gap = min(b - a for a, b in zip(fam.domain, fam.domain[1:])) / 2
     assert empty.numeric_constants[("GPA", "=")] == Fraction("3.7") - gap
 
 
 def test_selection_rows_for_conjunction(students_db, scholarship_query,
                                         scholarship_constraints):
-    result = _build(scholarship_query, students_db, scholarship_constraints, 0)
-    at6 = next(at for at in result.encoded if at.tuple["ID"] == Fraction(6))
-    r = result.model.col_names[result.r_col[at6.tuple.tid]]
+    builder, result = _built(scholarship_query, students_db, scholarship_constraints, 0)
+    at6 = next(at for at in builder.encoded if at.tuple["ID"] == Fraction(6))
+    r = result.model.col_names[builder.r_col[at6.tuple.tid]]
     gpa_fam = result.num_families[("GPA", ">=")]
     act_fam = result.cat_families["Activity"]
     atoms = {*_indicator_names(result, gpa_fam, [at6.tuple["GPA"]]),
@@ -197,12 +208,12 @@ def test_selection_rows_for_conjunction(students_db, scholarship_query,
 
 def test_shadow_membership_coupling(students_db, scholarship_query,
                                     scholarship_constraints):
-    result = _build(scholarship_query, students_db, scholarship_constraints, 0)
-    fours = sorted((at for at in result.encoded if at.tuple["ID"] == Fraction(4)),
+    builder, result = _built(scholarship_query, students_db, scholarship_constraints, 0)
+    fours = sorted((at for at in builder.encoded if at.tuple["ID"] == Fraction(4)),
                    key=lambda at: at.base_rank)
     first, second = fours
-    r2 = result.model.col_names[result.r_col[second.tuple.tid]]
-    r1 = result.model.col_names[result.r_col[first.tuple.tid]]
+    r2 = result.model.col_names[builder.r_col[second.tuple.tid]]
+    r1 = result.model.col_names[builder.r_col[first.tuple.tid]]
     up = next(row for row in result.model.rows
               if row.sense == "<=" and row.coeffs.get(r2, 0) > 1 and r1 in row.coeffs)
     # one shadow: r gets coefficient atoms+shadows = 3, shadow +1, rhs 1
@@ -223,10 +234,11 @@ def test_deviation_row_zero_budget(students_db, scholarship_query,
 def test_relevancy_pruning_drops_hopeless_classmate(students_db,
                                                     scholarship_query):
     cs = ConstraintSet((CardinalityConstraint((("Gender", "F"),), 2, 1, "lower"),))
-    full = _build(scholarship_query, students_db, cs, 0)
-    pruned = _build(scholarship_query, students_db, cs, 0, relevancy_prune=True)
-    assert pruned.stats["pruned_tuples"] > 0
-    assert pruned.stats["encoded_tuples"] < full.stats["encoded_tuples"]
+    full, full_result = _built(scholarship_query, students_db, cs, 0)
+    pruned, pruned_result = _built(scholarship_query, students_db, cs, 0,
+                                   relevancy_prune=True)
+    assert pruned_result.stats["pruned_tuples"] > 0
+    assert pruned_result.stats["encoded_tuples"] < full_result.stats["encoded_tuples"]
     # student 14 trails students 7 and 10 in its own lineage class with k*=2
     tids_14 = {at.tuple.tid for at in full.encoded if at.tuple["ID"] == Fraction(14)}
     assert tids_14 and not any(
@@ -312,7 +324,7 @@ def test_relevancy_pruning_matches_the_dominance_walks():
     for _ in range(80):
         q, db = _dominance_instance(rng)
         distinct += q.distinct
-        instance = prepared(q, db)
+        instance = preparation(q, db).instance
         one_sided = {p.attribute for p in q.numeric_preds if p.attribute in "xy"}
         for k_star in range(1, 6):
             cs = ConstraintSet((CardinalityConstraint((("g", "a"),), k_star, 1, "lower"),))
@@ -340,18 +352,18 @@ def test_merge_lineage_collapses_classes(students_db):
     q = parse_query("SELECT * FROM Students NATURAL JOIN Activities "
                     "WHERE GPA >= 3.7 AND Activity = 'RB' ORDER BY SAT DESC")
     cs = ConstraintSet((CardinalityConstraint((("Gender", "F"),), 3, 1, "lower"),))
-    plain = _build(q, students_db, cs, 1)
-    merged = _build(q, students_db, cs, 1, merge_lineage=True)
-    assert merged.stats["lineage_classes"] < merged.stats["encoded_tuples"]
-    assert len(set(merged.r_col.values())) == merged.stats["lineage_classes"]
-    assert len(set(plain.r_col.values())) == plain.stats["encoded_tuples"]
+    plain, plain_result = _built(q, students_db, cs, 1)
+    merged, merged_result = _built(q, students_db, cs, 1, merge_lineage=True)
+    assert merged_result.stats["lineage_classes"] < merged_result.stats["encoded_tuples"]
+    assert len(set(merged.r_col.values())) == merged_result.stats["lineage_classes"]
+    assert len(set(plain.r_col.values())) == plain_result.stats["encoded_tuples"]
 
 
 def test_merge_lineage_ignored_under_distinct(students_db, scholarship_query,
                                               scholarship_constraints):
-    merged = _build(scholarship_query, students_db, scholarship_constraints, 0,
-                    merge_lineage=True)
-    assert len(set(merged.r_col.values())) == merged.stats["encoded_tuples"]
+    merged, result = _built(scholarship_query, students_db, scholarship_constraints, 0,
+                            merge_lineage=True)
+    assert len(set(merged.r_col.values())) == result.stats["encoded_tuples"]
 
 
 def test_build_is_deterministic(students_db, scholarship_query,
@@ -407,7 +419,7 @@ def test_outcome_build_requires_long_enough_original(students_db,
     cs = ConstraintSet((CardinalityConstraint((("Gender", "F"),), 9, 1, "lower"),))
     with pytest.raises(PreconditionError):
         _build(scholarship_query, students_db, cs, 1,
-               kind=DistanceKind(JACCARD, 9))
+               kind=DistanceKind(JACCARD))
 
 
 def test_negative_epsilon_rejected(students_db, scholarship_query,
@@ -419,8 +431,8 @@ def test_negative_epsilon_rejected(students_db, scholarship_query,
 def test_outcome_kinds_give_topk_binaries_to_every_tuple(students_db,
                                                          scholarship_query,
                                                          scholarship_constraints):
-    result = _build(scholarship_query, students_db, scholarship_constraints, 0,
-                    kind=DistanceKind(KENDALL, 6))
+    builder, _ = _built(scholarship_query, students_db, scholarship_constraints, 0,
+                        kind=DistanceKind(KENDALL))
     k_star = scholarship_constraints.k_star
-    for at in result.encoded:
-        assert (at.tuple.tid, k_star) in result.l_col
+    for at in builder.encoded:
+        assert (at.tuple.tid, k_star) in builder.l_col

@@ -78,10 +78,10 @@ def test_running_example_outcome_distances(students_db, scholarship_query,
                                            scholarship_constraints):
     jac = exhaustive_solve(scholarship_query, students_db,
                            scholarship_constraints, Fraction(0),
-                           DistanceKind(JACCARD, 6))
+                           DistanceKind(JACCARD))
     ken = exhaustive_solve(scholarship_query, students_db,
                            scholarship_constraints, Fraction(0),
-                           DistanceKind(KENDALL, 6))
+                           DistanceKind(KENDALL))
     assert jac.status == ken.status == "refined"
     assert jac.distance == Fraction(2, 7)
     assert ken.distance == 5
@@ -106,7 +106,7 @@ def test_provenance_matches_reevaluation(monkeypatch, students_db, scholarship_q
         return filter_annotated(*args, **kwargs)
 
     monkeypatch.setattr(oracle, "filter_annotated", recording_filter)
-    for kind in (DistanceKind(PRED), DistanceKind(JACCARD, 6), DistanceKind(KENDALL, 6)):
+    for kind in (DistanceKind(PRED), DistanceKind(JACCARD), DistanceKind(KENDALL)):
         for eps in (Fraction(0), Fraction(1, 4), Fraction(1)):
             fast = exhaustive_solve(scholarship_query, students_db,
                                     scholarship_constraints, eps,

@@ -36,7 +36,12 @@ def _random_model(rng, n_bin, n_cont):
 
 
 def _binaries(model):
-    return [v for v in model.variables if v.kind == BINARY]
+    return [j for j, kind in enumerate(model.col_kinds) if kind == BINARY]
+
+
+def _by_name(model, sol):
+    """The solution's values keyed by column name, as the rows view names them."""
+    return dict(zip(model.col_names, sol.values))
 
 
 def _lp_under_fixed_binaries(model, pattern):
@@ -52,8 +57,8 @@ def _lp_under_fixed_binaries(model, pattern):
 def brute_force(model):
     """Enumerate every binary pattern; solve the continuous remainder by LP
     (or plain evaluation when the model is purely binary)."""
-    bin_names = [v.name for v in _binaries(model)]
-    cont = [v for v in model.variables if v.kind == CONTINUOUS]
+    bin_names = [model.col_names[j] for j in _binaries(model)]
+    cont = CONTINUOUS in model.col_kinds
     best = None
     for pattern in itertools.product((0, 1), repeat=len(bin_names)):
         if not cont:
@@ -129,11 +134,12 @@ def test_integral_assignment_satisfies_rows():
         sol = solve(model)
         if sol.status != "optimal":
             continue
-        for v in _binaries(model):
-            x = sol.value(v.name)
+        for j in _binaries(model):
+            x = sol.values[j]
             assert abs(x - round(x)) <= 1e-6
+        value = _by_name(model, sol)
         for row in model.rows:
-            lhs = sum(c * sol.value(n) for n, c in row.coeffs.items())
+            lhs = sum(c * value[n] for n, c in row.coeffs.items())
             if row.sense == "<=":
                 assert lhs <= row.rhs + 1e-6
             elif row.sense == ">=":
@@ -150,7 +156,7 @@ def test_deterministic_resolve():
     assert first.status == second.status
     if first.status == "optimal":
         assert first.objective_value == second.objective_value
-        assert first.assignment == second.assignment
+        assert first.values == second.values
 
 
 def _knapsack(n=30, seed=1):
@@ -167,8 +173,9 @@ def _knapsack(n=30, seed=1):
 
 
 def _satisfies_rows(model, sol):
+    value = _by_name(model, sol)
     for row in model.rows:
-        lhs = sum(c * sol.value(n) for n, c in row.coeffs.items())
+        lhs = sum(c * value[n] for n, c in row.coeffs.items())
         if row.sense == "<=" and lhs > row.rhs + 1e-6:
             return False
         if row.sense == ">=" and lhs < row.rhs - 1e-6:
@@ -181,8 +188,7 @@ def _satisfies_rows(model, sol):
 def test_stats_reported():
     rng = random.Random(9)
     sol = solve(_random_model(rng, n_bin=5, n_cont=1))
-    assert {"nodes", "lp_iterations", "mip_gap", "dual_bound", "wall_s"} <= set(sol.stats)
-    assert sol.stats["wall_s"] >= 0.0
+    assert {"nodes", "lp_iterations", "mip_gap", "dual_bound"} <= set(sol.stats)
     branched = solve(_knapsack())
     assert branched.status == "optimal"
     assert branched.stats["nodes"] >= 1
@@ -205,10 +211,10 @@ def test_node_limit_keeps_the_incumbent():
     full = solve(model)
     capped = solve(model, SolveOptions(node_limit=1))
     assert capped.status == "timeout"
-    assert capped.assignment, "HiGHS finds an incumbent before the first branch"
+    assert capped.values, "HiGHS finds an incumbent before the first branch"
     assert capped.objective_value >= full.objective_value - 1e-6
     assert capped.stats["dual_bound"] <= full.objective_value + 1e-6
-    assert all(capped.value(v.name) in (0.0, 1.0) for v in _binaries(model))
+    assert all(capped.values[j] in (0.0, 1.0) for j in _binaries(model))
     assert _satisfies_rows(model, capped)
 
 
@@ -217,7 +223,7 @@ def test_node_limit_keeps_the_incumbent():
 def test_limit_without_incumbent_is_timeout(options):
     sol = solve(_knapsack(), options)
     assert sol.status == "timeout"
-    assert sol.assignment == {}
+    assert sol.values == []
     assert sol.objective_value is None
 
 

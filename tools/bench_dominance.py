@@ -11,18 +11,21 @@ generator (structure seed 1, surface 1) under ``roster-sweep``'s query with
 "at least 4 women in the top 10" at epsilon 0: 10^3 rows on a 50-value grid
 (``pred`` and ``kendall``) and 5*10^3 rows on a 200-value grid (``pred``).
 
-Each tree is measured in its own interpreter, importing ``rankrefine`` from
-its ``src``.  Per row and tree:
+Each repeat measures both trees, each in a new interpreter that imports
+``rankrefine`` from the tree's ``src``, and which tree goes first
+alternates, so drift on the host lands on both sides.  Per row and tree:
 
 * ``answer``: status and exact distance of one ``run``;
 * ``encoded_tuples`` and ``nnz`` by row family, counted from the row labels;
 * ``nodes`` and ``lp_iterations`` of one HiGHS solve of the built model
   (the engine skips HiGHS on a ``settled`` row, whose original query meets
   the constraints; the counts show what the model would cost);
-* ``prune_ms``: median of ``relevancy_prune`` alone;
-* ``setup_ms``, ``solve_ms`` and ``total_ms``: medians of ``--repeats`` cold
-  requests on a prepared instance, the kept models dropped before each one,
-  so every request builds its model (``setup_ms``) and solves it.
+* ``prune_ms``: ``relevancy_prune`` alone;
+* ``setup_ms``, ``solve_ms`` and ``total_ms``: a cold request on a prepared
+  instance, the kept models dropped before it, so it builds its model
+  (``setup_ms``) and solves it.
+
+Each time is the median over the ``--repeats`` interpreters of the tree.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ LARGE = [  # (label, rows, grid, distance)
     ("roster-1000-grid50-kendall", 1000, 50, "kendall"),
     ("roster-5000-grid200-pred", 5000, 200, "pred"),
 ]
+TIMES = ("prune_ms", "setup_ms", "solve_ms", "total_ms")
 FOUR_WOMEN_IN_TEN = json.dumps([{"group": {"Gender": "F"}, "k": 10, "sense": "lower", "n": 4}])
 
 
@@ -74,8 +78,9 @@ def _ms(seconds: float) -> float:
     return round(seconds * 1000.0, 3)
 
 
-def measure(repeats: int) -> list[dict]:
-    """Every row, measured with the ``rankrefine`` this interpreter imports."""
+def measure() -> list[dict]:
+    """Every row, measured once with the ``rankrefine`` this interpreter
+    imports."""
     import rankrefine as rr
     from rankrefine.constraints import deviation
     from rankrefine.milp import build, solver
@@ -101,12 +106,10 @@ def measure(repeats: int) -> list[dict]:
             def builder():
                 return build.ModelBuilder(query, db, cs, config.epsilon, config.kind, options)
 
-            prune = []
-            for _ in range(repeats):
-                b = builder()
-                t0 = time.perf_counter()
-                b.relevancy_prune()
-                prune.append(time.perf_counter() - t0)
+            b = builder()
+            t0 = time.perf_counter()
+            b.relevancy_prune()
+            prune = time.perf_counter() - t0
             built = builder().build()
             model = built.model
             nnz = dict.fromkeys(build.ROW_FAMILIES, 0)
@@ -118,10 +121,8 @@ def measure(repeats: int) -> list[dict]:
             h.run()
             info = h.getInfo()
 
-            timings = []
-            for _ in range(repeats):
-                prep.models.clear()  # a cold build every time
-                timings.append(rr.run(config).timing_ms)
+            prep.models.clear()  # a cold build
+            timing = rr.run(config).timing_ms
             rows.append({
                 "request": label,
                 "answer": [result.status, None if result.distance is None
@@ -133,19 +134,25 @@ def measure(repeats: int) -> list[dict]:
                 "nnz_by_family": nnz,
                 "nodes": max(info.mip_node_count, 0),
                 "lp_iterations": info.simplex_iteration_count,
-                "prune_ms": _ms(statistics.median(prune)),
-                **{key: round(statistics.median(t[key] for t in timings), 3)
-                   for key in ("setup_ms", "solve_ms", "total_ms")},
+                "prune_ms": _ms(prune),
+                **{key: round(timing[key], 3) for key in ("setup_ms", "solve_ms", "total_ms")},
             })
             print(label, rows[-1]["encoded_tuples"], rows[-1]["total_ms"], file=sys.stderr)
     return rows
 
 
-def measure_tree(tree: Path, repeats: int) -> list[dict]:
+def measure_tree(tree: Path) -> list[dict]:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    out = subprocess.run([sys.executable, __file__, "--measure", "--repeats", str(repeats)],
+    out = subprocess.run([sys.executable, __file__, "--measure"],
                          env=env, check=True, stdout=subprocess.PIPE, text=True)
     return json.loads(out.stdout)
+
+
+def median_rows(samples: list[list[dict]]) -> list[dict]:
+    """Per row: the first sample's answer and counts, and each time's median
+    over the samples."""
+    return [{**rows[0], **{k: round(statistics.median(r[k] for r in rows), 3) for k in TIMES}}
+            for rows in zip(*samples)]
 
 
 def git(*args: str) -> str:
@@ -162,15 +169,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
-        json.dump(measure(args.repeats), sys.stdout)
+        json.dump(measure(), sys.stdout)
         return 0
     if args.before is None:
         parser.error("--before is required")
     import numpy
     import scipy
 
-    before = measure_tree(args.before.resolve(), args.repeats)
-    after = measure_tree(args.after.resolve(), args.repeats)
+    trees = {"before": args.before.resolve(), "after": args.after.resolve()}
+    samples = {side: [] for side in trees}
+    for repeat in range(args.repeats):
+        for side, tree in list(trees.items())[::1 if repeat % 2 == 0 else -1]:
+            samples[side].append(measure_tree(tree))
+    before, after = (median_rows(samples[side]) for side in trees)
     report = {
         "environment": {
             "python": platform.python_version(),
