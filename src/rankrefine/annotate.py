@@ -78,14 +78,15 @@ def joined_relation(q: Query, d: Database) -> Relation:
 
 
 def distinct_key_attrs(rel: Relation, q: Query) -> tuple[str, ...]:
-    if not q.distinct:
-        return ()
+    """The SELECT attributes with DISTINCT and none without; every SELECT
+    attribute must be in ``rel``'s schema either way."""
     if q.select_attrs == ("*",):
-        return rel.schema.names
+        return rel.schema.names if q.distinct else ()
     for attr in q.select_attrs:
         if not rel.schema.has(attr):
-            raise PreconditionError(f"SELECT DISTINCT attribute {attr!r} not in joined schema")
-    return q.select_attrs
+            select = "SELECT DISTINCT" if q.distinct else "SELECT"
+            raise PreconditionError(f"{select} attribute {attr!r} not in joined schema")
+    return q.select_attrs if q.distinct else ()
 
 
 def _ranked(rel: Relation, q: Query) -> list[Tuple]:

@@ -94,7 +94,8 @@ def _parse_pairs(pairs: list[str], flag: str) -> dict[str, str]:
     return out
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, str | None]:
+    """The run's exit code, and its report unless ``--out`` takes it."""
     data = _parse_pairs(args.data, "--data")
     schemas = _parse_pairs(args.schema, "--schema")
     db = Database()
@@ -122,14 +123,14 @@ def _cmd_run(args) -> int:
     )
     result = _run_with_stdout_on_stderr(config)
     report = json.dumps(result_to_dict(result), indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(report + "\n", encoding="utf-8")
-        if result.refined_sql:
-            Path(args.out).with_suffix(".sql").write_text(
-                result.refined_sql + "\n", encoding="utf-8")
-    else:
-        print(report)
-    return _STATUS_EXIT[result.status]
+    status = _STATUS_EXIT[result.status]
+    if not args.out:
+        return status, report
+    Path(args.out).write_text(report + "\n", encoding="utf-8")
+    if result.refined_sql:
+        Path(args.out).with_suffix(".sql").write_text(
+            result.refined_sql + "\n", encoding="utf-8")
+    return status, None
 
 
 def _run_with_stdout_on_stderr(config: RunConfig):
@@ -150,20 +151,28 @@ def _run_with_stdout_on_stderr(config: RunConfig):
         os.close(saved)
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple[int, str]:
     report = run_suite(args.suite, repeats=args.repeats)
     if args.out:
         report.write_csv(args.out)
-    print(report.summary())
-    return EXIT_REFINED
+    return EXIT_REFINED, report.summary()
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_bench(args)
+        status, out = (_cmd_run if args.command == "run" else _cmd_bench)(args)
+        if out is not None:
+            try:
+                print(out, flush=True)
+            except BrokenPipeError:
+                # whoever reads stdout has gone, which leaves the outcome as
+                # it is; stdout now goes to the null device, so that the
+                # interpreter's last flush does not raise again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+        return status
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -135,8 +135,10 @@ def run(config: RunConfig) -> RefineResult:
     which the database keeps across requests until its relations change.
     ``setup_ms`` covers the preparation, when this request made it, and, for
     the MILP engines, the model build; a request that repeats the
-    constraints, distance and options of a model the database keeps gets a
-    copy of it instead (see ``milp.build``).
+    constraints, distance and options of a model the database keeps is
+    served from that model instead, its deviation row rewritten in place
+    for the request's epsilon (see ``milp.build``).  The result's
+    ``model_stats`` are its own, copied from the kept model's.
 
     The constraints are checked against the joined schema here, once the
     instance is prepared, and every later step reads them as checked."""
@@ -184,6 +186,9 @@ def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> R
     setup_ms = (time.monotonic() - t0) * 1000.0
     if config.lp_dump:
         write_lp(built.model, config.lp_dump)
+    # the database keeps ``built`` for later requests, so a report that a
+    # caller edits must not share its stats
+    stats = {**built.stats, "rows_by_family": dict(built.stats["rows_by_family"])}
     # checked after the build, which still raises on bad input and reports
     # the model's size
     cs, original = config.constraints, instance.original_ranking
@@ -192,15 +197,13 @@ def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> R
         if dev <= config.epsilon:
             # no distance is below 0, so the original query is the optimum
             timing = {"setup_ms": setup_ms, "solve_ms": 0.0}
-            stats = {**built.stats, "nodes": 0, "lp_iterations": 0, "mip_gap": 0.0,
-                     "dual_bound": 0.0}
+            stats.update(nodes=0, lp_iterations=0, mip_gap=0.0, dual_bound=0.0)
             return _verified_result(config, instance, unchanged, REFINED, timing, stats,
                                     ranking=list(original[:cs.k_star]), dev=dev)
     t1 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))
     solve_ms = (time.monotonic() - t1) * 1000.0
     timing = {"setup_ms": setup_ms, "solve_ms": solve_ms}
-    stats = dict(built.stats)
     stats.update(solution.stats)
     if solution.status == "infeasible":
         return RefineResult(status=NO_REFINEMENT, timing_ms=timing, model_stats=stats)

@@ -29,9 +29,11 @@ The whole model depends on the request only through its constraints, its
 distance, the build options and epsilon, and on epsilon only in the
 deviation row.  The database keeps the last ``KEPT_MODELS`` built models
 with the prepared instance (``annotate.Prepared``), by the other three;
-``build_model`` answers a request that repeats one with a copy whose
-deviation row is rewritten for the request's epsilon, and builds and keeps
-the rest.
+``build_model`` answers a request that repeats one with the kept result
+itself, its deviation row rewritten in place for the request's epsilon, and
+builds and keeps the rest.  A build result belongs to the database: it is
+read-only, and it holds the latest request's epsilon until the next request
+on that database.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
@@ -82,10 +84,6 @@ class NumericFamily:
     empty_cost: float = 0.0
     cost_steps: list[float] = field(default_factory=list)
 
-    def copy(self) -> NumericFamily:
-        return replace(self, domain=list(self.domain), indicators=dict(self.indicators),
-                       constants=dict(self.constants), cost_steps=list(self.cost_steps))
-
 
 def _selection(op: str, domain: list[Fraction], c: Fraction) -> range:
     """Positions of the ``domain`` values that satisfy ``value op c``."""
@@ -109,9 +107,6 @@ class CatFamily:
     kept: frozenset[str]  # original values absent from the domain
     indicators: dict[str, int]  # value -> column
 
-    def copy(self) -> CatFamily:
-        return replace(self, domain=list(self.domain), indicators=dict(self.indicators))
-
 
 def _deviation_row(constraints: ConstraintSet, epsilon: Fraction) -> tuple[list[int], int]:
     """The deviation budget ``sum_c E_c / (n_c * |C|) <= eps`` scaled to
@@ -127,16 +122,8 @@ class BuildResult:
     model: MILPModel
     num_families: dict[tuple[str, str], NumericFamily]
     cat_families: dict[str, CatFamily]
+    deviation_row: int  # the only row that depends on epsilon
     stats: dict = field(default_factory=dict)
-
-    def copy(self) -> BuildResult:
-        """A result equal to this one that the caller may change freely."""
-        return BuildResult(
-            model=self.model.copy(),
-            num_families={key: fam.copy() for key, fam in self.num_families.items()},
-            cat_families={attr: fam.copy() for attr, fam in self.cat_families.items()},
-            stats={**self.stats, "rows_by_family": dict(self.stats["rows_by_family"])},
-        )
 
 
 class ModelBuilder:
@@ -618,6 +605,7 @@ class ModelBuilder:
             model=model,
             num_families=self.num_families,
             cat_families=self.cat_families,
+            deviation_row=self.deviation_row,
             stats={
                 "variables": len(model.col_names),
                 "rows": len(model.row_lower),
@@ -661,29 +649,27 @@ def build_model(
 
     The database keeps the last :data:`KEPT_MODELS` results with the
     instance, by constraints, distance and options.  A request that repeats
-    one gets a copy of it with the deviation row rewritten for its epsilon,
-    entry for entry the model a fresh build makes; a build that raises keeps
-    nothing."""
+    one gets the kept result itself, its deviation row rewritten in place
+    for the request's epsilon: entry for entry the model a fresh build
+    makes.  The result is the database's and is read-only; the next request
+    on the database may rewrite it.  A build that raises keeps nothing."""
     epsilon = Fraction(epsilon)
     prep = preparation(query, db)
     check_request(query, kind, epsilon, constraints.k_star, prep.instance.original_ranking)
     options = options or BuildOptions()
     models = prep.models
     key = (constraints, kind, options)
-    kept = models.pop(key, None)  # put back last, as the most recently used
-    if kept is None:
-        builder = ModelBuilder(query, db, constraints, epsilon, kind, options)
-        kept = builder.build(), builder.deviation_row
+    built = models.pop(key, None)  # put back last, as the most recently used
+    if built is None:
+        built = ModelBuilder(query, db, constraints, epsilon, kind, options).build()
         if len(models) == KEPT_MODELS:
             del models[next(iter(models))]  # the least recently used
-    models[key] = kept
-    built, row = kept
-    result = built.copy()
-    model = result.model
+    models[key] = built
+    model, row = built.model, built.deviation_row
     values, rhs = _deviation_row(constraints, epsilon)
     model.row_value[model.row_start[row]:model.row_start[row + 1]] = values
     model.row_upper[row] = float(rhs)
-    return result
+    return built
 
 
 def extract_refinement(result: BuildResult, solution: Solution) -> Refinement:

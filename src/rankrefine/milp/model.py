@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 from ..errors import InternalConsistencyError
 
@@ -90,13 +90,6 @@ class MILPModel:
         self.row_value.extend(value)
         self.row_start.append(len(self.row_index))
         self.row_labels.append(label)
-
-    def copy(self) -> MILPModel:
-        """A model equal to this one that grows on its own: the lists and
-        the used names are copied."""
-        lists = {f.name: list(getattr(self, f.name)) for f in fields(self)
-                 if isinstance(getattr(self, f.name), list)}
-        return replace(self, **lists, _namer=_Namer(self._namer.used))
 
     def validate(self) -> None:
         """Raise InternalConsistencyError unless HiGHS can take the model

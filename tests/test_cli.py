@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,8 @@ from rankrefine.cli import (
 )
 from rankrefine.milp import Solution
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 DATA = SCENARIOS / "data"
 
 
@@ -122,6 +125,19 @@ def test_a_distinct_attribute_missing_from_the_joined_schema_is_invalid_input(tm
     assert main(args) == EXIT_INVALID
     assert capsys.readouterr() == (
         "", "error: SELECT DISTINCT attribute 'Foo' not in joined schema\n")
+
+
+def test_a_select_attribute_missing_from_the_joined_schema_is_invalid_input(tmp_path, capsys):
+    # checked as ORDER BY is, with or without DISTINCT
+    query = tmp_path / "query.sql"
+    query.write_text("SELECT Foo FROM Students NATURAL JOIN Activities "
+                     "WHERE GPA >= 3.7 ORDER BY SAT DESC")
+    args = _run_args()
+    args[args.index("--query") + 1] = str(query)
+    for engine_name in ("milp+opt", "naive+prov"):
+        assert main(args + ["--engine", engine_name]) == EXIT_INVALID
+        assert capsys.readouterr() == (
+            "", "error: SELECT attribute 'Foo' not in joined schema\n")
 
 
 def test_an_input_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys):
@@ -273,6 +289,29 @@ def test_solver_output_on_descriptor_one_stays_off_stdout(monkeypatch, capfd):
     out, err = capfd.readouterr()
     assert json.loads(out)["status"] == "refined"
     assert "descriptor 1" in err and "sys.stdout" in err
+
+
+@pytest.mark.parametrize("scenario, tables, want", [
+    ("scholarship", {"Students": "students.csv", "Activities": "activities.csv"},
+     EXIT_REFINED),
+    ("no_perfect", {"Jobs": "no_perfect.csv"}, EXIT_NO_REFINEMENT),
+])
+def test_a_closed_stdout_keeps_the_runs_exit_code(scenario, tables, want):
+    args = [arg for name, csv in tables.items() for arg in ("--data", f"{name}={DATA / csv}")]
+    args += ["--query", str(SCENARIOS / scenario / "query.sql"),
+             "--constraints", str(SCENARIOS / scenario / "constraints.json"),
+             "--epsilon", "0"]
+    read, write = os.pipe()
+    os.close(read)  # nobody reads the report
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from rankrefine.cli import main; "
+             "sys.exit(main())", "run", *args],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (want, "")
 
 
 @pytest.mark.parametrize("sidecar", [

@@ -387,6 +387,24 @@ def test_warm_reports_equal_cold_reports(case):
     assert outcome() == cold
 
 
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
+def test_an_edited_report_leaves_later_ones_alone(scholarship_query, scholarship_constraints,
+                                                  engine_name):
+    """The database keeps the model a request is served from, so each result
+    holds model stats of its own: editing them changes no later report."""
+    db = _students_db()
+    settled = _original_deviation(db, scholarship_query, scholarship_constraints)
+    for eps in (Fraction(0), settled):  # solved, then settled by the original query
+        config = _config(db, scholarship_query, scholarship_constraints,
+                         engine=engine_name, epsilon=eps)
+        first = run(config)
+        want = json.dumps(_report(first), sort_keys=True)
+        first.model_stats["rows_by_family"]["position"] += 1
+        first.model_stats["rows"] += 1
+        assert json.dumps(_report(run(config)), sort_keys=True) == want, eps
+    assert len(db.last_prepared.models) == 1
+
+
 # name -> (scenario, query text or None for the scenario's, distance,
 # epsilon, error message)
 PRECONDITION_CASES = {

@@ -10,12 +10,12 @@ when relevancy pruning moved from lineage classes to dominance, which
 encodes fewer tuples there.
 
 The database keeps built models with the prepared instance, and a request
-that repeats one's constraints, distance and options gets a copy with only
-the deviation row rewritten for its epsilon.  So each pinned model is also
-built warm, on one database shared with builds at another k*, under the
-other engine and for the other distances, and each kept model is checked
-against a cold build along an epsilon sequence, together with the report it
-leads to.
+that repeats one's constraints, distance and options is served the kept
+result itself, with only its deviation row rewritten in place for the
+request's epsilon.  So each pinned model is also built warm, on one
+database shared with builds at another k*, under the other engine and for
+the other distances, and each kept model is checked against a cold build
+along an epsilon sequence, together with the report it leads to.
 """
 
 import hashlib
@@ -35,7 +35,7 @@ from rankrefine.data import Database, load_csv
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.engine import RunConfig, result_to_dict, run
 from rankrefine.errors import RankRefineError
-from rankrefine.milp import BINARY, solver
+from rankrefine.milp import solver
 from rankrefine.milp import build as build_module
 from rankrefine.milp.build import KEPT_MODELS, ROW_FAMILIES, BuildOptions, build_model
 from rankrefine.query import parse_query
@@ -166,47 +166,27 @@ def test_warm_builds_load_the_pinned_models():
         assert len(prep.models) == 2 + len({(c[1], c[3]) for c in cases})
 
 
-def _scribble(built):
-    """Change everything a build result holds."""
-    model = built.model
-    for values in (model.col_names, model.col_cost, model.row_index, model.row_value,
-                   model.row_upper, model.row_labels):
-        values.reverse()
-    model.add_column(BINARY, 0, 1, "extra")
-    model.add_row([0], [1.0], "<=", 1, "extra")
-    for fam in built.num_families.values():
-        fam.domain.clear()
-        fam.indicators.clear()
-        fam.constants.clear()
-        fam.cost_steps.clear()
-    for fam in built.cat_families.values():
-        fam.domain.append("extra")
-        fam.indicators.clear()
-    built.num_families.clear()
-    built.cat_families.clear()
-    built.stats["rows_by_family"].clear()
-    built.stats.clear()
+EPSILON_SEQUENCE = ("0", "1/2", "0", "1/4", "1")
 
 
-def test_a_build_result_is_the_callers_own():
-    case = ("astronauts", "pred", "0", "milp+opt")
-    cold_built = _golden_build(*case)
-    cold = cold_built.model
-    db = _golden_db("astronauts")
-    # the first build compiles the model and keeps it, the next ones are
-    # served from what was kept
-    for _ in range(3):
-        built = _golden_build(*case, db)
-        assert built.model == cold and _digest(built.model) == DIGESTS[case]
-        assert built.stats == cold_built.stats
-        assert built.num_families == cold_built.num_families
-        assert built.cat_families == cold_built.cat_families
-        assert len(db.last_prepared.models) == 1
-        _scribble(built)
-    again = _golden_build(*case, db).model
-    # the names a build makes next are the cold build's
-    assert again.add_column(BINARY, 0, 1, "extra") == cold.add_column(BINARY, 0, 1, "extra")
-    assert again.col_names[-1] == cold.col_names[-1] == "extra"
+def test_a_hit_is_served_the_kept_result():
+    scenario, distance, _, engine = case = ("astronauts", "pred", "0", "milp+opt")
+    db = _golden_db(scenario)
+    kept = _golden_build(*case, db)
+    models = db.last_prepared.models
+    assert len(models) == 1 and next(iter(models.values())) is kept
+    # every later request gets that very object, its deviation row rewritten
+    # in place: entry for entry a cold build at the request's epsilon
+    for epsilon in EPSILON_SEQUENCE:
+        built = _golden_build(scenario, distance, epsilon, engine, db)
+        cold = _golden_build(scenario, distance, epsilon, engine)
+        assert built is kept and len(models) == 1
+        assert _digest(built.model) == _digest(cold.model), epsilon
+        assert built.model == cold.model and built.stats == cold.stats
+        assert built.num_families == cold.num_families
+        assert built.cat_families == cold.cat_families
+        if (scenario, distance, epsilon, engine) in DIGESTS:
+            assert _digest(built.model) == DIGESTS[(scenario, distance, epsilon, engine)]
 
     # replacing a relation drops the instance and the model kept with it
     prep = db.last_prepared
@@ -265,9 +245,6 @@ def test_the_least_recently_used_model_is_dropped_first(builds):
     assert len(builds) == KEPT_MODELS + 3
     assert _digest(warm.model) == _digest(cold.model)
     assert [key[0] for key in models] == sets[3:KEPT_MODELS] + [sets[0], sets[-1], sets[1]]
-
-
-EPSILON_SEQUENCE = ("0", "1/2", "0", "1/4", "1")
 
 
 @pytest.mark.parametrize("engine", ["milp", "milp+opt"])
