@@ -24,7 +24,7 @@ with the last few models built on it (:class:`Prepared`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import attrgetter, is_
 from types import MappingProxyType
@@ -49,7 +49,7 @@ class AnnotatedTuple:
 class Instance:
     """``query``'s annotated universe over one database; iterating it yields
     the annotated tuples in base-rank order.  Requests share it, so every
-    field is read-only."""
+    field but ``interned`` is read-only."""
 
     query: Query
     schema: Schema  # of the joined relation
@@ -59,6 +59,8 @@ class Instance:
     tuples_by_id: Mapping[int, Tuple]
     annotated_by_id: Mapping[int, AnnotatedTuple]
     original_ranking: tuple[int, ...]
+    # values that equal results share, each its own key (``engine._interned``)
+    interned: dict = field(default_factory=dict, repr=False)
 
     def __iter__(self):
         return iter(self.annotated)

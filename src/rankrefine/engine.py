@@ -64,7 +64,7 @@ class TopkRow(NamedTuple):
     groups: tuple[str, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class RefineResult:
     status: str
     refinement: Refinement | None = None
@@ -76,6 +76,14 @@ class RefineResult:
     model_stats: dict = field(default_factory=dict)
 
 
+MAX_INTERNED = 4096  # the most values one instance interns for its results
+
+
+def _interned(table: dict, value):
+    """The equal value ``table`` holds; it takes ``value`` while it has room."""
+    return table.setdefault(value, value) if len(table) < MAX_INTERNED else table.get(value, value)
+
+
 def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
                      status: str, timing: dict, stats: dict, *,
                      ranking: list[int] | None = None,
@@ -83,6 +91,8 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     """Re-evaluate the refined query exactly over the prepared instance and
     package the certificate.
 
+    A caller may keep every result, so equal answers share their interned
+    top-k rows and refined SQL.
     Deviation, distance and the top-k listing read only the refined
     ranking's first k* tuples, so the filter stops there; a shorter ranking
     means it reached the end of the instance.  A caller that holds those
@@ -97,7 +107,7 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
                              "model_stats": stats}, sort_keys=True)
         return InternalConsistencyError(f"{message}; {detail}")
 
-    q, cs = config.query, config.constraints
+    q, cs, table = config.query, config.constraints, instance.interned
     q2 = apply_refinement(q, ref)
     tuples_by_id = instance.tuples_by_id
     k_star = cs.k_star
@@ -112,16 +122,14 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
         raise inconsistent(
             f"refined query deviates by {dev}, above epsilon {config.epsilon}")
     dist = distance(config.kind, q, q2, instance.original_ranking, ranking, k_star)
-    # a caller may keep every result, so the rows are named tuples that
-    # share one label string per constraint (and the empty groups tuple)
     labels = [(c, c.label()) for c in cs]
-    topk = [TopkRow(pos, tid, tuple(label for c, label in labels
-                                     if c.contains(tuples_by_id[tid])))
+    topk = [_interned(table, TopkRow(pos, tid, tuple(label for c, label in labels
+                                                      if c.contains(tuples_by_id[tid]))))
             for pos, tid in enumerate(ranking, start=1)]
     return RefineResult(
         status=status,
         refinement=ref,
-        refined_sql=render_sql(q2),
+        refined_sql=_interned(table, render_sql(q2)),
         distance=dist,
         deviation=dev,
         topk=topk,
@@ -187,8 +195,9 @@ def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> R
     if config.lp_dump:
         write_lp(built.model, config.lp_dump)
     # the database keeps ``built`` for later requests, so a report that a
-    # caller edits must not share its stats
-    stats = {**built.stats, "rows_by_family": dict(built.stats["rows_by_family"])}
+    # caller edits must not share its stats; each is made at its final size
+    def own_stats(counters: dict) -> dict:
+        return {**built.stats, "rows_by_family": dict(built.stats["rows_by_family"]), **counters}
     # checked after the build, which still raises on bad input and reports
     # the model's size
     cs, original = config.constraints, instance.original_ranking
@@ -197,14 +206,14 @@ def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> R
         if dev <= config.epsilon:
             # no distance is below 0, so the original query is the optimum
             timing = {"setup_ms": setup_ms, "solve_ms": 0.0}
-            stats.update(nodes=0, lp_iterations=0, mip_gap=0.0, dual_bound=0.0)
+            stats = own_stats({"nodes": 0, "lp_iterations": 0, "mip_gap": 0.0, "dual_bound": 0.0})
             return _verified_result(config, instance, unchanged, REFINED, timing, stats,
                                     ranking=list(original[:cs.k_star]), dev=dev)
     t1 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))
     solve_ms = (time.monotonic() - t1) * 1000.0
     timing = {"setup_ms": setup_ms, "solve_ms": solve_ms}
-    stats.update(solution.stats)
+    stats = own_stats(solution.stats)
     if solution.status == "infeasible":
         return RefineResult(status=NO_REFINEMENT, timing_ms=timing, model_stats=stats)
     if solution.status == "timeout" and not solution.values:

@@ -8,9 +8,10 @@ The encoding follows the provenance of the ranked, predicate-free universe:
   a lower set for ``<=``/``<``, at most one value for ``=``), and no row
   holds a constant or a data value,
 * one binary per encoded tuple for output membership (with DISTINCT handled
-  through shadow sets), a continuous refined-rank variable, top-k membership
-  binaries, and per-constraint deficit variables feeding a single deviation
-  budget row,
+  through shadow sets); for each tuple that needs top-k membership binaries,
+  a running count of the selected tuples up to it, set from the previous
+  such tuple's count by one row, so the position rows grow linearly with
+  the encoded tuples; per-constraint deficits feeding one deviation row,
 * a distance objective (predicate-space, or a top-k outcome surrogate).  A
   numeric predicate's distance telescopes along its chain (the incremental
   formulation of Vielma, Ahmed & Nemhauser, 2010) over the constant that
@@ -19,8 +20,8 @@ The encoding follows the provenance of the ranked, predicate-free universe:
 Optional optimizations: relevancy pruning, which drops every tuple that k*
 better-ranked tuples dominate (any refinement selecting it selects them, so
 it can never reach a top-k* position; see ``ModelBuilder.relevancy_prune``),
-sharing one membership binary across a lineage class, and dropping one side
-of the rank-equality rows when every constraint has the same sense (sound
+sharing one membership binary across a lineage class, and dropping the rows
+that force a top-k binary to 1 when every constraint is a lower bound (sound
 only for the predicate-space objective).  Pruning leaves every predicate's
 domain whole: indicators and candidate constants cover the values of pruned
 tuples too.
@@ -124,6 +125,7 @@ class BuildResult:
     cat_families: dict[str, CatFamily]
     deviation_row: int  # the only row that depends on epsilon
     stats: dict = field(default_factory=dict)
+    refinements: dict = field(default_factory=dict)  # see ``extract_refinement``
 
 
 class ModelBuilder:
@@ -395,49 +397,33 @@ class ModelBuilder:
         return {tid: sorted(ks) for tid, ks in needed.items()}
 
     def gen_position_exprs(self) -> None:
+        """P_t counts the selected tuples up to each t that needs a top-k
+        binary: one row adds the membership columns since the previous such
+        tuple to its count, O(n) entries in all.  l(t, k) = [r_t and P_t <= k]."""
         n_enc = len(self.encoded)
-        senses = {c.sense for c in self.constraints}
-        relax = (self.options.relax_single_sense and len(senses) == 1
-                 and self.kind.name == PRED)
-        lo_rows = not relax or senses == {LOWER}
-        up_rows = not relax or senses != {LOWER}
+        # with only lower bounds a top-k binary at 0 only adds deficit, so
+        # the ``pred`` optimum needs no row forcing it to 1
+        lo_rows = not (self.options.relax_single_sense and self.kind.name == PRED
+                       and all(c.sense == LOWER for c in self.constraints))
         needed = self._needed_ks()
-        names = self.model.col_names
-        # -(number of encoded tuples so far) per membership column, in the
-        # order the columns first appear
-        prefix_cols: list[int] = []
-        prefix_neg: list[int] = []
-        slot: dict[int, int] = {}  # membership column -> its place in the prefix
+        count: dict[int, float] = {}  # the running count's new terms
         for at in self.encoded:  # base-rank order
-            rcol = self.r_col[at.tuple.tid]
-            if rcol in slot:
-                prefix_neg[slot[rcol]] -= 1
-            else:
-                slot[rcol] = len(prefix_cols)
-                prefix_cols.append(rcol)
-                prefix_neg.append(-1)
             tid = at.tuple.tid
+            rcol = self.r_col[tid]
+            count[rcol] = count.get(rcol, 0.0) - 1.0
             if tid not in needed:
                 continue
-            s = self.model.add_column(CONTINUOUS, 1, 2 * n_enc, "s", tid)
-            if lo_rows:
-                # s >= (number of selected tuples ranked at or before t)
-                self.model.add_row((s, *prefix_cols), (1.0, *prefix_neg), ">=", 0,
-                                   "pos_lo", tid)
-                # unselected tuples sit beyond every meaningful position
-                self._row({s: 1, rcol: n_enc + 1}, ">=", n_enc + 1, "pos_out", tid)
-            if up_rows:
-                values = [1.0, *prefix_neg]
-                values[1 + slot[rcol]] += 2 * n_enc
-                self.model.add_row((s, *prefix_cols), values, "<=", 2 * n_enc,
-                                   "pos_up", tid)
+            p = self.model.add_column(CONTINUOUS, 0, n_enc, "P", tid)
+            self._row({p: 1.0, **count}, "=", 0, "pos", tid)
+            count = {p: -1.0}
             for k in needed[tid]:
                 lcol = self._binary("l", tid, k)
                 self.l_col[(tid, k)] = lcol
-                name = names[lcol]
-                # l=1 -> s <= k ; l=0 -> s >= k + 1 (positions are integral)
-                self._row({s: 1, lcol: 2 * n_enc}, "<=", k + 2 * n_enc, "top_up", name)
-                self._row({s: 1, lcol: 2 * n_enc}, ">=", k + 1, "top_lo", name)
+                name = self.model.col_names[lcol]
+                if k < n_enc:  # l=1 -> P <= k, which always holds otherwise
+                    self._row({p: 1, lcol: n_enc - k}, "<=", n_enc, "top_up", name)
+                if lo_rows:  # r=1 and l=0 -> P >= k + 1 (counts are integral)
+                    self._row({p: 1, rcol: -(k + 1), lcol: k + 1}, ">=", 0, "top_lo", name)
                 self._row({lcol: 1, rcol: -1}, "<=", 0, "top_sel", name)
 
     def gen_size_topk_deficit_deviation(self) -> None:
@@ -622,6 +608,7 @@ class ModelBuilder:
 # the most built models a prepared instance keeps (see ``build_model``);
 # perfbench's request cycles hold at most five keys
 KEPT_MODELS = 16
+KEPT_REFINEMENTS = 64  # the most a built model keeps (see ``extract_refinement``)
 
 _OP_CODE = {"<": "lt", "<=": "le", "=": "eq", ">": "gt", ">=": "ge"}
 
@@ -629,7 +616,7 @@ _OP_CODE = {"<": "lt", "<=": "le", "=": "eq", ">": "gt", ">=": "ge"}
 ROW_FAMILIES = {
     "indicator": ("eq_one", "chain", "nonempty"),
     "selection": ("sel_up", "sel_lo"),
-    "position": ("pos_lo", "pos_out", "pos_up"),
+    "position": ("pos",),
     "topk": ("top_up", "top_lo", "top_sel", "size"),
     "deviation": ("deficit", "deviation"),
     "objective": ("gl1", "gl2", "gl3", "gl4", "cc_norm", "c2d_lo", "c3_lo", "c2e_lo"),
@@ -674,10 +661,17 @@ def build_model(
 
 def extract_refinement(result: BuildResult, solution: Solution) -> Refinement:
     """Read the indicator pattern out of a solved model and look up, for
-    every numeric predicate, the constant its selection maps to."""
+    every numeric predicate, the constant its selection maps to.  Equal
+    patterns of one model share one read-only refinement, which the model
+    keeps by pattern, up to :data:`KEPT_REFINEMENTS` of them."""
     def selected(col: int) -> bool:
         return round(solution.values[col]) == 1
 
+    families = [*result.num_families.values(), *result.cat_families.values()]
+    pattern = tuple(selected(col) for fam in families for col in fam.indicators.values())
+    known = result.refinements.get(pattern)
+    if known is not None:
+        return known
     numeric: dict[tuple[str, str], Fraction] = {}
     for pred, fam in result.num_families.items():
         on = [i for i, v in enumerate(fam.domain) if selected(fam.indicators[v])]
@@ -693,4 +687,7 @@ def extract_refinement(result: BuildResult, solution: Solution) -> Refinement:
         cats[attr] = frozenset(chosen) | fam.kept
         if not cats[attr]:
             raise InternalConsistencyError(f"empty refined value set on {attr!r}")
-    return Refinement(numeric_constants=numeric, cat_values=cats)
+    ref = Refinement(numeric_constants=numeric, cat_values=cats)
+    if len(result.refinements) < KEPT_REFINEMENTS:
+        result.refinements[pattern] = ref
+    return ref

@@ -87,7 +87,7 @@ class Query:
             raise QuerySyntaxError(f"bad ORDER BY direction {self.order_by[1]!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Refinement:
     """Substitution of predicate constants/value sets; never adds or removes
     predicates.  Unmapped predicates keep their original constants."""

@@ -1,5 +1,6 @@
 import importlib
 import json
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -402,6 +403,29 @@ def test_an_edited_report_leaves_later_ones_alone(scholarship_query, scholarship
         first.model_stats["rows_by_family"]["position"] += 1
         first.model_stats["rows"] += 1
         assert json.dumps(_report(run(config)), sort_keys=True) == want, eps
+    assert len(db.last_prepared.models) == 1
+
+
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
+def test_equal_answers_from_one_kept_model_share_their_parts(
+        scholarship_query, scholarship_constraints, engine_name):
+    """A caller may keep every result, so two equal answers served from one
+    kept model share their refinement, refined SQL and top-k rows; the
+    top-k list and the model stats stay each result's own."""
+    db = _students_db()
+    settled = _original_deviation(db, scholarship_query, scholarship_constraints)
+    for eps in (Fraction(0), settled):  # solved, then settled by the original query
+        config = _config(db, scholarship_query, scholarship_constraints,
+                         engine=engine_name, epsilon=eps)
+        first, second = run(config), run(config)
+        assert first.status == REFINED and _report(first) == _report(second)
+        assert first.refinement is second.refinement
+        assert first.refined_sql is second.refined_sql
+        assert first.topk is not second.topk
+        assert all(map(operator.is_, first.topk, second.topk))
+        assert first.model_stats is not second.model_stats
+        assert first.model_stats["rows_by_family"] is not second.model_stats["rows_by_family"]
+        assert not hasattr(first, "__dict__") and not hasattr(first.refinement, "__dict__")
     assert len(db.last_prepared.models) == 1
 
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from rankrefine.annotate import preparation
+from conftest import random_instance
+
+from rankrefine.annotate import filter_annotated, preparation
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet
 from rankrefine.data import Database, Relation, Schema, Tuple
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_pred
@@ -412,6 +414,77 @@ def test_relaxation_preserves_optimum_single_sense(students_db,
     a, b = solve(plain.model), solve(relaxed.model)
     assert a.status == b.status == "optimal"
     assert a.objective_value == pytest.approx(b.objective_value, abs=1e-9)
+
+
+def test_upper_only_relaxed_build_keeps_every_row(students_db, scholarship_query):
+    cs = ConstraintSet((CardinalityConstraint((("Gender", "M"),), 6, 3, "upper"),))
+    opts = dict(relevancy_prune=True, merge_lineage=True)
+    plain = _build(scholarship_query, students_db, cs, 0, **opts)
+    relaxed = _build(scholarship_query, students_db, cs, 0, relax_single_sense=True, **opts)
+    assert relaxed.model == plain.model
+    assert relaxed.stats == plain.stats
+
+
+def _position_nnz(model) -> int:
+    return sum(model.row_start[r + 1] - model.row_start[r]
+               for r, label in enumerate(model.row_labels) if label[0] == "pos")
+
+
+def test_position_rows_grow_linearly_with_the_encoded_tuples():
+    schema = Schema.from_pairs([("g", "categorical"), ("x", "numerical"),
+                                ("score", "numerical")])
+    q = parse_query("SELECT * FROM T WHERE x >= 2 ORDER BY score DESC")
+    cs = ConstraintSet((CardinalityConstraint((("g", "a"),), 5, 2, "lower"),))
+    rng = random.Random(3)
+    for n in (20, 80, 320):
+        rows = tuple(Tuple(tid, {"g": rng.choice("ab"), "x": Fraction(rng.randint(0, 4)),
+                                 "score": Fraction(rng.randint(0, 1000))})
+                     for tid in range(1, n + 1))
+        db = Database()
+        db.add(Relation("T", schema, rows))
+        # every encoded tuple needs a top-k* binary under an outcome distance
+        builder, result = _built(q, db, cs, 0, kind=DistanceKind(KENDALL))
+        encoded = len(builder.encoded)
+        assert encoded == n
+        # each running count lists its own column, the previous count and
+        # the membership columns since: every membership column once
+        assert _position_nnz(result.model) == 3 * encoded - 1
+        assert result.stats["rows_by_family"]["position"] == encoded
+
+
+@pytest.mark.parametrize("opt", [False, True], ids=["milp", "milp+opt"])
+def test_running_counts_are_the_refined_positions(opt):
+    """The solved count of each selected tuple that has one is its 1-based
+    position in the refined query's exact ranking; pruning leaves it exact
+    up to k*, beyond which it only tells that the tuple is past k*."""
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(60):
+        q, db, cs, eps = random_instance(rng)
+        kind = DistanceKind(rng.choice([PRED, JACCARD, KENDALL]))
+        try:
+            builder, result = _built(q, db, cs, eps, kind=kind, relevancy_prune=opt,
+                                     merge_lineage=opt, relax_single_sense=opt)
+        except PreconditionError:
+            continue
+        solution = solve(result.model)
+        if solution.status != "optimal":
+            continue
+        ranking = filter_annotated(builder.instance, apply_refinement(
+            q, extract_refinement(result, solution)), builder.key_attrs)
+        column = {name: col for col, name in enumerate(result.model.col_names)}
+        for at in builder.encoded:
+            tid = at.tuple.tid
+            if round(solution.values[builder.r_col[tid]]) != 1 or f"P_{tid}" not in column:
+                continue
+            count = solution.values[column[f"P_{tid}"]]
+            position = ranking.index(tid) + 1
+            if opt and position > cs.k_star:
+                assert count > cs.k_star
+            else:
+                assert count == pytest.approx(position, abs=1e-6)
+            checked += 1
+    assert checked > 100
 
 
 def test_outcome_build_requires_long_enough_original(students_db,

@@ -7,7 +7,10 @@ offset, row bounds and names, and the matrix.  Any change to the encoding,
 its column, row or entry order, or its names changes them.  The
 ``astronauts`` and ``scholarship`` ``milp+opt`` digests were recorded again
 when relevancy pruning moved from lineage classes to dominance, which
-encodes fewer tuples there.
+encodes fewer tuples there.  All of them were recorded again when the
+position rows became running counts, one per tuple that needs a top-k
+binary and each set from the one before it, and the single-sense
+relaxation came to drop only the ``top_lo`` rows of lower-bound requests.
 
 The database keeps built models with the prepared instance, and a request
 that repeats one's constraints, distance and options is served the kept
@@ -46,61 +49,61 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # golden cases missing here are rejected before a model is built
 DIGESTS = {
     ("astronauts", "jaccard", "0", "milp"):
-        "cd8ad05eb48892194e7103ae7f515004363e09a7350f473ced79b593f2b7c9bc",
+        "190d261cadb31b0f66d63b37a1e08b9cdeb0e842b53c8ca755acfefcb63b15dc",
     ("astronauts", "jaccard", "0", "milp+opt"):
-        "fca0162f8a2a1d45c3d203ccdc5d175590c3f86975da3f1ad71611c064fcb76f",
+        "cd10abbe63c1a416bc6b8902a189136e7761fe70f374eb10cf1c02adf34f7a7e",
     ("astronauts", "jaccard", "1/2", "milp"):
-        "44ca38655b276a59a37181e7cf087c6a3798a8929945fcc96b114976ed9b363d",
+        "302d98b90037f280bd1ceca0d62e5a33fa7a5fe637d84906d784ba07a5107a8e",
     ("astronauts", "jaccard", "1/2", "milp+opt"):
-        "3a8e21d9589b5e32ec4185ce9289fb89327c5448fd5891160477f2149aed397b",
+        "fce9b787aba98a66581917625fd716b87248d11c89682c044a93935e02b0ab09",
     ("astronauts", "kendall", "0", "milp"):
-        "0b9d00450d99a073e5646f3dba01196b3ae9914ef42dba61854023ce43c4393a",
+        "4f3a4ad200027bd99ca65ef8f19441276d52c96feee79e57fbc714c913ebe4ac",
     ("astronauts", "kendall", "0", "milp+opt"):
-        "80c22b3538ec45d5c80ef3c512fde516cbc58eddc5dff207796ded0110d8b34e",
+        "b7a75b8579795cf49da981efcd95d5df3e7d9f1ba26a6d10e702c3e321011090",
     ("astronauts", "kendall", "1/2", "milp"):
-        "b41f0d35168d06f9529c9f15b3b7165ec80e7ba109fb5f7c41a766882855e117",
+        "82284edf3213bb8527286408ecfae1894ad10a2c1d7dc9d1ef33373091d974df",
     ("astronauts", "kendall", "1/2", "milp+opt"):
-        "787c68b9a1085595bceb033e426708ff05664500d419fc7bc4e9ee41743a34ab",
+        "227a13993707dec1fb56850396f7de12bfac1433027605e72a718eb24412bf4f",
     ("astronauts", "pred", "0", "milp"):
-        "5b61782e0934d6b5a148f0b73cacdea7b5f9425d2668f8a61ee794e15349eadc",
+        "fd817b530a40c15bfeb4c420ae7ecf6c37ee9e381ecb9cc300266b7c505ff5c5",
     ("astronauts", "pred", "0", "milp+opt"):
-        "684342065879544139f1a90ae72082b6e61ab8b66e4313a573c28b438549a0d9",
+        "860a5aacdd3c4c442f2f2eaf36839d9cfe382dedd307218cee8e86dd1f874380",
     ("astronauts", "pred", "1/2", "milp"):
-        "ffde9477a9d70b52021753b894c3848fbfdcaa2e49d22b93cd4439e892f389ff",
+        "b2c7116715ac7f71be4e79c99e4fd047e54e5c04c36d045a0b7e94a43a095544",
     ("astronauts", "pred", "1/2", "milp+opt"):
-        "d3527e98af97afd06ffef6ded8195ee4e2ae512e45b859f28635802df0742cf1",
+        "7f0e4eeefe20d02ce1a0d22533fe5969a8d10fb14906dc249acd264900c9fa39",
     ("no_perfect", "pred", "0", "milp"):
-        "3ff75d7fdf610606c68919a7ee8d968c8c16fa07ec294b8df6d8c0068ae02b2b",
+        "195204a4c43f7ac2bac90ca2dece691fcb0bf99bd1340a6ea3f43686f0f02fbe",
     ("no_perfect", "pred", "0", "milp+opt"):
-        "e1880a256b632502d307c673e936298ed28e247293e13d1dddac0e225006d9b8",
+        "6eef424bf0180ce60400c72f59fa6810c3c9f38f94aed5f6674ba6d79afb60e3",
     ("no_perfect", "pred", "1/2", "milp"):
-        "170859cedf2592f654d12cffb2de64fc8827fc31d7e8008147f92fe6eeec443c",
+        "6d4d8f4bb88d81591b444be6a1cf027d4c90d57518b49a124d8d39cabf35d3ac",
     ("no_perfect", "pred", "1/2", "milp+opt"):
-        "db6eec24fdc546553d9c023396c2ab2e1fbe1bbc0b7e8356564062b430c087ac",
+        "3a67d89b21e36823913ffce6ff4070cce07ee99052633e9edd8afbab84344901",
     ("scholarship", "jaccard", "0", "milp"):
-        "dc148692d15e18c40b51afe1771ba97f2e14e4dbce798178ce45036b4e519b40",
+        "1fd93cd02eeab4bb674c6e8f7ff42be1ce0ffb7a0fe44b1db3910a79053bc396",
     ("scholarship", "jaccard", "0", "milp+opt"):
-        "6f118f42758ae4e37e345a9b362fd733d21f6a1b74df2f6d520cb217f42aac8b",
+        "f879b1d013e4820a85cc97908409d83c666353d9aabd94a4b26e33053d8b4eaf",
     ("scholarship", "jaccard", "1/2", "milp"):
-        "a26d190046c7b90afbda4d1dd96d309e389bd9c1486636536ac58cbf96e6c5b0",
+        "4361615b8aed3d71833a5efa6ef4c610a5133fc7167989886822dd0b5dbd083c",
     ("scholarship", "jaccard", "1/2", "milp+opt"):
-        "dde79f535c63f688a4d26da4e995109afc47cbe8bfe8763fc8ce6e750ccec338",
+        "b1aec45f8dede7d1b74fa3972723668a13dcfa38dd220c39dbc824dd0f5e741c",
     ("scholarship", "kendall", "0", "milp"):
-        "365a8ec32a97c70ee1fc6f41af578baaf229fc0f5f925a6a5185d08affbd36b4",
+        "4d39424dbf4ea574486f5e01333dfacafe638522516bc4e05c4f02f8deb97edc",
     ("scholarship", "kendall", "0", "milp+opt"):
-        "f2f4fe965d81e7126b4de3d47bd4a2ea9e5e10245eb9691c7c4ff1a60c97de6f",
+        "519e23510ea4ffc4301de3f4812cc6be15f521548b9b3e6b2043b52cc80a7d1f",
     ("scholarship", "kendall", "1/2", "milp"):
-        "04f306ce899c71bfadb23a1d9cb8bc63a7fbbad0194030c14c5246bc40b671be",
+        "b0749f9446820612414de547a2b9a838cc5ecf7470c9a5d0b20f30272f589cd4",
     ("scholarship", "kendall", "1/2", "milp+opt"):
-        "aa7ede593dec6f679a596b09f9f51d78b4bfd4c71dddb9bbf5676813130e4e98",
+        "a6882f6fe27b4454e2282ddf3459b670b47100cf5ac22ea30b581d86d6d2e295",
     ("scholarship", "pred", "0", "milp"):
-        "335128f18ae31dc1746b3a3c8b3a0507284714b041157f37670720853a0e7c91",
+        "bd51afa5115fa7cb1f2f40353035356a86dfebb31ea66fea32a5e65997239c39",
     ("scholarship", "pred", "0", "milp+opt"):
-        "d120be428b0904f17ae0d50d06da309c463c3191873c0cb65e8611ff12d10057",
+        "363783ebab9a6dda15b9962b1090d4a218635ef2b80e7ebb6fe0122ceaf33f58",
     ("scholarship", "pred", "1/2", "milp"):
-        "636c6825cd3701909eadcd68574194bface62059195e4938fd4201d6874c821e",
+        "24afd6ee04049b0e1374b46bf4974d639d09bda8e46a9d20cf4a40bf69db6442",
     ("scholarship", "pred", "1/2", "milp+opt"):
-        "6f217105fd0a3630203eac7c978de46163aec31906f1d27fce1c7f542aa01b4f",
+        "eba33f7d25b71a6b799b60e64c2c7a01232df9aba39a8fec6b1b0f68d040f62c",
 }
 
 

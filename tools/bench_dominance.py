@@ -17,9 +17,10 @@ alternates, so drift on the host lands on both sides.  Per row and tree:
 
 * ``answer``: status and exact distance of one ``run``;
 * ``encoded_tuples`` and ``nnz`` by row family, counted from the row labels;
-* ``nodes`` and ``lp_iterations`` of one HiGHS solve of the built model
-  (the engine skips HiGHS on a ``settled`` row, whose original query meets
-  the constraints; the counts show what the model would cost);
+* ``nodes`` and ``lp_iterations`` of one ``solver.solve`` of the built
+  model, with the tree's own HiGHS options (the engine skips HiGHS on a
+  ``settled`` row, whose original query meets the constraints; the counts
+  show what the model would cost);
 * ``prune_ms``: ``relevancy_prune`` alone;
 * ``setup_ms``, ``solve_ms`` and ``total_ms``: a cold request on a prepared
   instance, the kept models dropped before it, so it builds its model
@@ -120,10 +121,7 @@ def measure() -> list[dict]:
             family = {lab: f for f, labels in build.ROW_FAMILIES.items() for lab in labels}
             for r, row_label in enumerate(model.row_labels):
                 nnz[family[row_label[0]]] += model.row_start[r + 1] - model.row_start[r]
-            h = solver._highs(model)
-            h.setOptionValue("mip_rel_gap", 0.0)
-            h.run()
-            info = h.getInfo()
+            counters = solver.solve(model).stats
 
             prep.models.clear()  # a cold build
             timing = rr.run(config).timing_ms
@@ -137,8 +135,8 @@ def measure() -> list[dict]:
                 "encoded_tuples": built.stats["encoded_tuples"],
                 "nnz": len(model.row_index),
                 "nnz_by_family": nnz,
-                "nodes": max(info.mip_node_count, 0),
-                "lp_iterations": info.simplex_iteration_count,
+                "nodes": counters["nodes"],
+                "lp_iterations": counters["lp_iterations"],
                 "prune_ms": _ms(prune),
                 **{key: round(timing[key], 3) for key in ("setup_ms", "solve_ms", "total_ms")},
                 "warm_ms": round(warm, 3),
