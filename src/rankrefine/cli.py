@@ -45,6 +45,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rankrefine",
@@ -79,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a benchmark suite")
     b.add_argument("--suite", required=True,
                    help="directory of *.scenario.json files")
-    b.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
+    b.add_argument("--repeats", type=_at_least_one, default=DEFAULT_REPEATS)
     b.add_argument("--out", default=None, help="CSV output path")
     return parser
 

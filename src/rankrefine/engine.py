@@ -16,6 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple
 
 from .annotate import Instance, filter_annotated, preparation
@@ -53,6 +54,9 @@ class RunConfig:
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise PreconditionError(f"unknown engine {self.engine!r}")
+        t = self.timeout_s
+        if t is not None and not (isinstance(t, Real) and t >= 0):  # NaN fails >= 0
+            raise PreconditionError(f"timeout_s must be a non-negative number, got {t!r}")
 
 
 class TopkRow(NamedTuple):

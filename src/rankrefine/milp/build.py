@@ -12,10 +12,11 @@ The encoding follows the provenance of the ranked, predicate-free universe:
   a running count of the selected tuples up to it, set from the previous
   such tuple's count by one row, so the position rows grow linearly with
   the encoded tuples; per-constraint deficits feeding one deviation row,
-* a distance objective (predicate-space, or a top-k outcome surrogate).  A
-  numeric predicate's distance telescopes along its chain (the incremental
-  formulation of Vielma, Ahmed & Nemhauser, 2010) over the constant that
-  each selection maps to: the candidate closest to the original one.
+* a distance objective: for ``pred``, each numeric predicate's distance
+  telescoped along its chain (the incremental formulation of Vielma, Ahmed
+  & Nemhauser, 2010) over the constant each selection maps to, the candidate
+  closest to the original one; for ``jaccard``, the retained count of the
+  original top-k*; for ``kendall``, the exact distance in closed form.
 
 Optional optimizations: relevancy pruning, which drops every tuple that k*
 better-ranked tuples dominate (any refinement selecting it selects them, so
@@ -52,7 +53,7 @@ from ..annotate import AnnotatedTuple, preparation
 from ..annotate import annotate, filter_annotated, joined_relation  # noqa: F401
 from ..constraints import LOWER, ConstraintSet
 from ..data import Database, format_number
-from ..distances import JACCARD, KENDALL, PRED, DistanceKind, check_request
+from ..distances import JACCARD, PRED, DistanceKind, check_request
 from ..errors import BuildError, InternalConsistencyError
 from ..oracle import numeric_candidates
 from ..query import Query, Refinement
@@ -157,6 +158,7 @@ class ModelBuilder:
         self.cat_families: dict[str, CatFamily] = {}
         self.r_col: dict[int, int] = {}  # tid -> membership column (shared when merged)
         self.l_col: dict[tuple[int, int], int] = {}  # (tid, k) -> top-k membership column
+        self.p_col: dict[int, int] = {}  # tid -> running-count column
         self.deviation_row = -1  # set by build
         # per constraint, the encoded tuples in its group (base-rank order)
         self.members: list[list[AnnotatedTuple]] = []
@@ -386,14 +388,15 @@ class ModelBuilder:
         self._row(lo, ">=", 1 - n, "sel_lo", name)
 
     def _needed_ks(self) -> dict[int, list[int]]:
-        """tid -> sorted list of k values needing a top-k membership binary."""
+        """tid -> sorted list of k values needing a top-k membership binary;
+        both outcome objectives read l(t, k*) only on the original top-k*."""
         needed: dict[int, set[int]] = {}
         for c, members in zip(self.constraints, self.members):
             for at in members:
                 needed.setdefault(at.tuple.tid, set()).add(c.k)
-        if self.kind.name in (JACCARD, KENDALL):
-            for at in self.encoded:
-                needed.setdefault(at.tuple.tid, set()).add(self.k_star)
+        if self.kind.name != PRED:
+            for tid in self.original_topk:
+                needed.setdefault(tid, set()).add(self.k_star)
         return {tid: sorted(ks) for tid, ks in needed.items()}
 
     def gen_position_exprs(self) -> None:
@@ -413,7 +416,7 @@ class ModelBuilder:
             count[rcol] = count.get(rcol, 0.0) - 1.0
             if tid not in needed:
                 continue
-            p = self.model.add_column(CONTINUOUS, 0, n_enc, "P", tid)
+            p = self.p_col[tid] = self.model.add_column(CONTINUOUS, 0, n_enc, "P", tid)
             self._row({p: 1.0, **count}, "=", 0, "pos", tid)
             count = {p: -1.0}
             for k in needed[tid]:
@@ -502,71 +505,32 @@ class ModelBuilder:
             model.col_cost[z[v]] -= 1.0
 
     def _objective_jaccard(self) -> None:
-        # |topk ∩ topk'| = sum of l at k* over the original top-k* tuples; the
-        # Jaccard distance 1 - I / (2k* - I) is strictly decreasing in that
-        # retained count I, so maximizing it finds the exact minimizer
-        # (the distance itself is recomputed exactly downstream)
-        t1 = set(self.original_topk)
-        for at in self.encoded:
-            if at.tuple.tid in t1:
-                self.model.col_cost[self.l_col[(at.tuple.tid, self.k_star)]] -= 1.0
+        # the Jaccard distance 1 - I / (2k* - I) strictly decreases in the
+        # retained count I = sum of l(t, k*) over the original top-k*, so
+        # maximizing I finds the exact minimizer
+        for tid in self.original_topk:
+            self.model.col_cost[self.l_col[(tid, self.k_star)]] -= 1.0
         self.model.objective_constant += float(self.k_star)
 
     def _objective_kendall(self) -> None:
-        """Fagin top-k Kendall distance against the original top-k* list.
-
-        Retained tuples keep their relative order, so only three pair classes
-        cost anything: (departed, retained-below-it originally),
-        (entered, retained-below-it in the refined list), and
-        (departed, entered).
-        """
-        k, m = self.k_star, len(self.encoded) + 1
-        t1 = set(self.original_topk)
-        in_t1 = [at for at in self.encoded if at.tuple.tid in t1]
-        out_t1 = [at for at in self.encoded if at.tuple.tid not in t1]
-        entrants = {self.l_col[(at.tuple.tid, k)]: 1.0 for at in out_t1}
-
-        def emit(prefix: str, tid: int, active_low: bool,
-                 count: dict[int, float]) -> None:
-            """Objective term v = (count expression) gated on l_{tid, k*}.
-
-            active_low=True charges the count when the tuple departed
-            (l = 0), active_low=False when it entered (l = 1).  Minimization
-            pins v to the gated count, so only lower-bound rows are needed:
-                v >= count - m * l        (departures)
-                v >= count - m * (1 - l)  (entrants)
-            """
+        """Fagin top-k Kendall distance against the original top-k* list, in
+        closed form.  Retained tuples keep their relative order, so with R
+        the retained original top-k* tuples u (l_u = 1) and pos1(u), P_u
+        their original and refined positions, the departed x retained pairs
+        number sum_R (pos1(u) - 1) - C(|R|, 2), the entered x retained ones
+        sum_R (P_u - 1) - C(|R|, 2) and the departed x entered ones
+        (k* - |R|)^2.  The |R|^2 terms cancel: the distance is
+        k*^2 + sum_u l_u (pos1(u) - 2k* - 1) + sum_u w_u, where one row,
+        w_u >= P_u - n (1 - l_u), pins w_u to l_u P_u under minimization."""
+        k, n = self.k_star, len(self.encoded)
+        model = self.model
+        model.objective_constant += float(k * k)
+        for pos1, tid in enumerate(self.original_topk, 1):
             lcol = self.l_col[(tid, k)]
-            v = self.model.add_column(CONTINUOUS, 0, k, prefix, tid)
-            coeffs = {v: 1.0}
-            for col, c in count.items():
-                coeffs[col] = coeffs.get(col, 0.0) - c
-            if active_low:
-                coeffs[lcol] = coeffs.get(lcol, 0.0) + m
-                rhs = 0.0
-            else:
-                coeffs[lcol] = coeffs.get(lcol, 0.0) - m
-                rhs = -m
-            self._row(coeffs, ">=", rhs, f"{prefix}_lo", tid)
-            self.model.col_cost[v] += 1.0
-
-        for at in in_t1:
-            tid = at.tuple.tid
-            below = {self.l_col[(o.tuple.tid, k)]: 1.0
-                     for o in in_t1 if o.base_rank > at.base_rank}
-            if below:
-                # departed-tuple discordances with retained tuples below it
-                emit("c2d", tid, True, below)
-            if entrants:
-                # departed x entered pairs, attributed to the departed tuple
-                emit("c3", tid, True, dict(entrants))
-        for at in out_t1:
-            tid = at.tuple.tid
-            below = {self.l_col[(o.tuple.tid, k)]: 1.0
-                     for o in in_t1 if o.base_rank > at.base_rank}
-            if below:
-                # entered-tuple discordances with retained tuples below it
-                emit("c2e", tid, False, below)
+            model.col_cost[lcol] += pos1 - 2 * k - 1
+            w = model.add_column(CONTINUOUS, 0, k, "w", tid)
+            model.col_cost[w] = 1.0
+            self._row({w: 1, self.p_col[tid]: -1, lcol: -n}, ">=", -n, "kd", tid)
 
     # -- orchestration ------------------------------------------------------
 
@@ -619,7 +583,7 @@ ROW_FAMILIES = {
     "position": ("pos",),
     "topk": ("top_up", "top_lo", "top_sel", "size"),
     "deviation": ("deficit", "deviation"),
-    "objective": ("gl1", "gl2", "gl3", "gl4", "cc_norm", "c2d_lo", "c3_lo", "c2e_lo"),
+    "objective": ("gl1", "gl2", "gl3", "gl4", "cc_norm", "kd"),
 }
 _ROW_FAMILY = {label: family for family, labels in ROW_FAMILIES.items() for label in labels}
 

@@ -121,10 +121,16 @@ def _highs(model: MILPModel, integral: bool = True,
     lp.a_matrix_.index_ = model.row_index
     lp.a_matrix_.value_ = model.row_value
     h = highspy._Highs()
-    h.setOptionValue("output_flag", False)
+    _set_option(h, "output_flag", False)
     if h.passModel(lp) == highspy.HighsStatus.kError:
         raise InternalConsistencyError("HiGHS rejected the model")
     return h
+
+
+def _set_option(h: highspy._Highs, name: str, value) -> None:
+    """Set a HiGHS option; HiGHS keeps the old value of one it rejects."""
+    if h.setOptionValue(name, value) == highspy.HighsStatus.kError:
+        raise InternalConsistencyError(f"HiGHS rejected option {name} = {value!r}")
 
 
 def _values(model: MILPModel, h: highspy._Highs) -> list[float]:
@@ -158,12 +164,12 @@ def solve(model: MILPModel, options: SolveOptions | None = None) -> Solution:
     """Minimize ``model`` exactly.  Returns status optimal/infeasible/timeout."""
     options = options or SolveOptions()
     h = _highs(model)
-    h.setOptionValue("mip_rel_gap", 0.0)
-    h.setOptionValue("mip_heuristic_run_feasibility_jump", False)
+    _set_option(h, "mip_rel_gap", 0.0)
+    _set_option(h, "mip_heuristic_run_feasibility_jump", False)
     if options.timeout_s is not None:
-        h.setOptionValue("time_limit", float(options.timeout_s))
+        _set_option(h, "time_limit", float(options.timeout_s))
     if options.node_limit is not None:
-        h.setOptionValue("mip_max_nodes", int(options.node_limit))
+        _set_option(h, "mip_max_nodes", int(options.node_limit))
     h.run()
     model_status = h.getModelStatus()
     status = _STATUS.get(model_status)

@@ -177,6 +177,13 @@ def test_unknown_axis_rejected(tmp_path):
         run_scenario(Scenario.load(path), repeats=1)
 
 
+def test_a_negative_scenario_timeout_is_an_error_row(tmp_path):
+    rows = run_scenario(Scenario.load(_write_mini_scenario(tmp_path, timeout_s=-1)),
+                        repeats=1)
+    assert [(r.status, r.error) for r in rows] == [
+        ("error", "timeout_s must be a non-negative number, got -1")]
+
+
 def test_bad_sweep_point_records_error_and_continues(tmp_path):
     path = _write_mini_scenario(
         tmp_path, epsilon="1",

@@ -222,6 +222,22 @@ def test_bench_subcommand(tmp_path, capsys):
     assert out.read_text().splitlines()[0].startswith("scenario,")
 
 
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_bench_needs_at_least_one_repeat(capsys, repeats):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", str(SCENARIOS / "suite"), "--repeats", repeats])
+    assert exc.value.code == EXIT_INVALID
+    assert "--repeats: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout", ["-1", "nan"])
+def test_a_negative_or_nan_timeout_is_invalid_input(capsys, timeout):
+    assert main(_run_args(timeout_s=timeout)) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: timeout_s must be a non-negative number" in captured.err
+
+
 def test_bench_empty_suite_fails(tmp_path, capsys):
     assert main(["bench", "--suite", str(tmp_path)]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err

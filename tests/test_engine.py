@@ -99,6 +99,13 @@ def test_unknown_engine_rejected(students_db, scholarship_query,
                 engine="quantum")
 
 
+@pytest.mark.parametrize("timeout_s", [-1, -0.5, float("nan")])
+def test_a_negative_or_nan_timeout_is_rejected(students_db, scholarship_query,
+                                               scholarship_constraints, timeout_s):
+    with pytest.raises(PreconditionError, match="timeout_s"):
+        _config(students_db, scholarship_query, scholarship_constraints, timeout_s=timeout_s)
+
+
 def _astronauts_config(group: dict, sense: str, engine_name: str) -> RunConfig:
     db = Database()
     db.add(load_csv(DATA / "astronauts.csv", name="Astronauts"))

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -7,11 +8,12 @@ import pytest
 from conftest import random_instance
 
 from rankrefine.annotate import filter_annotated, preparation
-from rankrefine.constraints import CardinalityConstraint, ConstraintSet
+from rankrefine.constraints import CardinalityConstraint, ConstraintSet, deviation
 from rankrefine.data import Database, Relation, Schema, Tuple
-from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_pred
+from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_kendall, dis_pred
 from rankrefine.errors import InternalConsistencyError, PreconditionError
 from rankrefine.milp.build import (
+    ROW_FAMILIES,
     BuildOptions,
     ModelBuilder,
     build_model,
@@ -19,7 +21,7 @@ from rankrefine.milp.build import (
 )
 from rankrefine.milp.model import CONTINUOUS, MILPModel, Solution
 from rankrefine.milp.solver import solve
-from rankrefine.oracle import numeric_candidates
+from rankrefine.oracle import numeric_candidates, refinement_space
 from rankrefine.query import (
     CatPredicate,
     NumPredicate,
@@ -425,16 +427,20 @@ def test_upper_only_relaxed_build_keeps_every_row(students_db, scholarship_query
     assert relaxed.stats == plain.stats
 
 
-def _position_nnz(model) -> int:
+def _family_nnz(model, family: str) -> int:
+    labels = ROW_FAMILIES[family]
     return sum(model.row_start[r + 1] - model.row_start[r]
-               for r, label in enumerate(model.row_labels) if label[0] == "pos")
+               for r, label in enumerate(model.row_labels) if label[0] in labels)
 
 
-def test_position_rows_grow_linearly_with_the_encoded_tuples():
+_ROSTER_QUERY = parse_query("SELECT * FROM T WHERE x >= 2 ORDER BY score DESC")
+_ROSTER_CONSTRAINTS = ConstraintSet((CardinalityConstraint((("g", "a"),), 5, 2, "lower"),))
+
+
+def _rosters():
+    """Random n-row rosters for n = 20, 80 and 320."""
     schema = Schema.from_pairs([("g", "categorical"), ("x", "numerical"),
                                 ("score", "numerical")])
-    q = parse_query("SELECT * FROM T WHERE x >= 2 ORDER BY score DESC")
-    cs = ConstraintSet((CardinalityConstraint((("g", "a"),), 5, 2, "lower"),))
     rng = random.Random(3)
     for n in (20, 80, 320):
         rows = tuple(Tuple(tid, {"g": rng.choice("ab"), "x": Fraction(rng.randint(0, 4)),
@@ -442,14 +448,33 @@ def test_position_rows_grow_linearly_with_the_encoded_tuples():
                      for tid in range(1, n + 1))
         db = Database()
         db.add(Relation("T", schema, rows))
-        # every encoded tuple needs a top-k* binary under an outcome distance
-        builder, result = _built(q, db, cs, 0, kind=DistanceKind(KENDALL))
-        encoded = len(builder.encoded)
-        assert encoded == n
+        yield n, db
+
+
+def test_position_rows_grow_linearly_with_the_encoded_tuples():
+    for n, db in _rosters():
+        builder, result = _built(_ROSTER_QUERY, db, _ROSTER_CONSTRAINTS, 0,
+                                 kind=DistanceKind(KENDALL))
+        encoded = builder.encoded
+        assert len(encoded) == n
+        # the constraint's members and the original top-k* have a count
+        needed = set(builder.original_topk)
+        needed.update(at.tuple.tid for at in builder.members[0])
+        last = max(i for i, at in enumerate(encoded) if at.tuple.tid in needed)
         # each running count lists its own column, the previous count and
-        # the membership columns since: every membership column once
-        assert _position_nnz(result.model) == 3 * encoded - 1
-        assert result.stats["rows_by_family"]["position"] == encoded
+        # the membership columns since: each one up to the last count once
+        nnz = _family_nnz(result.model, "position")
+        assert nnz == 2 * len(needed) - 1 + last + 1 <= 3 * n - 1
+        assert result.stats["rows_by_family"]["position"] == len(needed)
+
+
+def test_kendall_objective_has_three_entries_per_original_topk_tuple():
+    k_star = _ROSTER_CONSTRAINTS.k_star
+    for _, db in _rosters():
+        _, result = _built(_ROSTER_QUERY, db, _ROSTER_CONSTRAINTS, 0,
+                           kind=DistanceKind(KENDALL))
+        assert _family_nnz(result.model, "objective") == 3 * k_star
+        assert result.stats["rows_by_family"]["objective"] == k_star
 
 
 @pytest.mark.parametrize("opt", [False, True], ids=["milp", "milp+opt"])
@@ -487,6 +512,52 @@ def test_running_counts_are_the_refined_positions(opt):
     assert checked > 100
 
 
+_SATISFIES = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+              ">": operator.gt, ">=": operator.ge}
+
+
+@pytest.mark.parametrize("opt", [False, True], ids=["milp", "milp+opt"])
+def test_kendall_objective_is_the_distance_at_every_refinement(opt):
+    """With its indicators fixed to a refinement, the ``kendall`` model is
+    feasible exactly when the refinement is, and its optimum is then the
+    exact distance of the refined top-k* from the original one."""
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(150):
+        q, db, cs, _ = random_instance(rng)
+        try:
+            result = _build(q, db, cs, 1, kind=DistanceKind(KENDALL), relevancy_prune=opt,
+                            merge_lineage=opt, relax_single_sense=opt)
+        except PreconditionError:
+            continue
+        instance, k_star, model = preparation(q, db).instance, cs.k_star, result.model
+        seen = set()
+        for ref in refinement_space(q, db):
+            pattern = []
+            for (attr, op), fam in result.num_families.items():
+                c = ref.numeric_constants[(attr, op)]
+                pattern += [(col, _SATISFIES[op](v, c)) for v, col in fam.indicators.items()]
+            for attr, fam in result.cat_families.items():
+                pattern += [(col, v in ref.cat_values[attr])
+                            for v, col in fam.indicators.items()]
+            if tuple(pattern) in seen:
+                continue
+            seen.add(tuple(pattern))
+            for col, on in pattern:  # a binary's bounds must stay [0, 1]
+                model.col_kinds[col] = CONTINUOUS
+                model.col_lower[col] = model.col_upper[col] = float(on)
+            solution = solve(model)
+            ranking = filter_annotated(instance, apply_refinement(q, ref), instance.key_attrs)
+            if len(ranking) < k_star or deviation(ranking, instance.tuples_by_id, cs) > 1:
+                assert solution.status == "infeasible"
+                continue
+            assert solution.status == "optimal"
+            assert solution.objective_value == pytest.approx(
+                dis_kendall(instance.original_ranking, ranking, k_star), abs=1e-6)
+            checked += 1
+    assert checked > 1000
+
+
 def test_outcome_build_requires_long_enough_original(students_db,
                                                      scholarship_query):
     cs = ConstraintSet((CardinalityConstraint((("Gender", "F"),), 9, 1, "lower"),))
@@ -501,11 +572,15 @@ def test_negative_epsilon_rejected(students_db, scholarship_query,
         _build(scholarship_query, students_db, scholarship_constraints, -1)
 
 
-def test_outcome_kinds_give_topk_binaries_to_every_tuple(students_db,
-                                                         scholarship_query,
-                                                         scholarship_constraints):
+@pytest.mark.parametrize("distance", [JACCARD, KENDALL])
+def test_outcome_kinds_give_topk_binaries_to_the_original_topk_and_members(
+        students_db, scholarship_query, scholarship_constraints, distance):
     builder, _ = _built(scholarship_query, students_db, scholarship_constraints, 0,
-                        kind=DistanceKind(KENDALL))
+                        kind=DistanceKind(distance))
     k_star = scholarship_constraints.k_star
-    for at in builder.encoded:
-        assert (at.tuple.tid, k_star) in builder.l_col
+    wanted = {(tid, k_star) for tid in builder.original_topk}
+    for c, members in zip(scholarship_constraints, builder.members):
+        wanted.update((at.tuple.tid, c.k) for at in members)
+    assert set(builder.l_col) == wanted
+    # some encoded tuple is neither, and has no top-k binary
+    assert len({tid for tid, _ in wanted}) < len(builder.encoded)

@@ -11,6 +11,10 @@ encodes fewer tuples there.  All of them were recorded again when the
 position rows became running counts, one per tuple that needs a top-k
 binary and each set from the one before it, and the single-sense
 relaxation came to drop only the ``top_lo`` rows of lower-bound requests.
+The ``kendall`` digests and the ``scholarship`` ``jaccard`` ones were
+recorded again when the Kendall objective became one row per original
+top-k* tuple and the outcome distances stopped giving a top-k* binary to
+the other tuples.
 
 The database keeps built models with the prepared instance, and a request
 that repeats one's constraints, distance and options is served the kept
@@ -57,13 +61,13 @@ DIGESTS = {
     ("astronauts", "jaccard", "1/2", "milp+opt"):
         "fce9b787aba98a66581917625fd716b87248d11c89682c044a93935e02b0ab09",
     ("astronauts", "kendall", "0", "milp"):
-        "4f3a4ad200027bd99ca65ef8f19441276d52c96feee79e57fbc714c913ebe4ac",
+        "cca5597d0af324ac609aedd098d3681c347c882d8605e074ce609848b9a3deaa",
     ("astronauts", "kendall", "0", "milp+opt"):
-        "b7a75b8579795cf49da981efcd95d5df3e7d9f1ba26a6d10e702c3e321011090",
+        "4a19ac1459316946386bfc81b9c774ae1314856a53fc3ad684048d0e2491cfaa",
     ("astronauts", "kendall", "1/2", "milp"):
-        "82284edf3213bb8527286408ecfae1894ad10a2c1d7dc9d1ef33373091d974df",
+        "ab0eacc05b128e5a30fdf6e658e02f15a25868e1cf14a369027b4390454e64f3",
     ("astronauts", "kendall", "1/2", "milp+opt"):
-        "227a13993707dec1fb56850396f7de12bfac1433027605e72a718eb24412bf4f",
+        "cf9299d1ffdf413519b35d7ba5e768f7146b7f1d6e324cef071f67f37b65fd62",
     ("astronauts", "pred", "0", "milp"):
         "fd817b530a40c15bfeb4c420ae7ecf6c37ee9e381ecb9cc300266b7c505ff5c5",
     ("astronauts", "pred", "0", "milp+opt"):
@@ -81,21 +85,21 @@ DIGESTS = {
     ("no_perfect", "pred", "1/2", "milp+opt"):
         "3a67d89b21e36823913ffce6ff4070cce07ee99052633e9edd8afbab84344901",
     ("scholarship", "jaccard", "0", "milp"):
-        "1fd93cd02eeab4bb674c6e8f7ff42be1ce0ffb7a0fe44b1db3910a79053bc396",
+        "3765cd74e1f657ece2f14fb6c4243c10b423f7ccc924d39767bb51c94782b96a",
     ("scholarship", "jaccard", "0", "milp+opt"):
-        "f879b1d013e4820a85cc97908409d83c666353d9aabd94a4b26e33053d8b4eaf",
+        "175886de7e0e19c543d65b8b42e90a316e4f9119897cddc13fc33d38c8a5f8e1",
     ("scholarship", "jaccard", "1/2", "milp"):
-        "4361615b8aed3d71833a5efa6ef4c610a5133fc7167989886822dd0b5dbd083c",
+        "f50a38a4b65cac37308da9f0e52a3912bfcd2882073b942a3c98d2a8ca402ed0",
     ("scholarship", "jaccard", "1/2", "milp+opt"):
-        "b1aec45f8dede7d1b74fa3972723668a13dcfa38dd220c39dbc824dd0f5e741c",
+        "e3f61a5def06b096cff09fd5e7e68c64d24668f56e3aadc4480c50f2d4f53f0b",
     ("scholarship", "kendall", "0", "milp"):
-        "4d39424dbf4ea574486f5e01333dfacafe638522516bc4e05c4f02f8deb97edc",
+        "276d7aded9ba17e691b2ee425906c4f65decb1ded2028db880d73440e4b41bf6",
     ("scholarship", "kendall", "0", "milp+opt"):
-        "519e23510ea4ffc4301de3f4812cc6be15f521548b9b3e6b2043b52cc80a7d1f",
+        "875c5756a7a5af5ed3e6961ad1a1a5ebf6cc90e450ba79b319e7581a7638ce25",
     ("scholarship", "kendall", "1/2", "milp"):
-        "b0749f9446820612414de547a2b9a838cc5ecf7470c9a5d0b20f30272f589cd4",
+        "859e1fbef19f016a8b3174734a54e49bd2f0105fc413e77ce71c5c10d9732b52",
     ("scholarship", "kendall", "1/2", "milp+opt"):
-        "a6882f6fe27b4454e2282ddf3459b670b47100cf5ac22ea30b581d86d6d2e295",
+        "2d84140b7c61184d45dfe6ff52d63e7f185bfcfc9f11d16842fcda579a81a5a9",
     ("scholarship", "pred", "0", "milp"):
         "bd51afa5115fa7cb1f2f40353035356a86dfebb31ea66fea32a5e65997239c39",
     ("scholarship", "pred", "0", "milp+opt"):

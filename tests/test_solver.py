@@ -227,6 +227,13 @@ def test_limit_without_incumbent_is_timeout(options):
     assert sol.objective_value is None
 
 
+@pytest.mark.parametrize("options", [SolveOptions(timeout_s=-1.0),
+                                     SolveOptions(node_limit=-1)])
+def test_an_option_highs_rejects_raises(options):
+    with pytest.raises(InternalConsistencyError, match="HiGHS rejected option"):
+        solve(_knapsack(), options)
+
+
 class _StubbedStatus:
     """A loaded HiGHS whose run ends in ``status``."""
 

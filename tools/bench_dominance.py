@@ -6,10 +6,11 @@ source trees, written as one JSON file.
         --repeats 10 --out BENCH_dominance.json
 
 Rows: every request of perfbench's ``roster-sweep`` and ``join-scale``
-cycles on their seed-1 inputs, and three larger rosters from perfbench's
+cycles on their seed-1 inputs, and four larger rosters from perfbench's
 generator (structure seed 1, surface 1) under ``roster-sweep``'s query with
 "at least 4 women in the top 10" at epsilon 0: 10^3 rows on a 50-value grid
-(``pred`` and ``kendall``) and 5*10^3 rows on a 200-value grid (``pred``).
+(``pred``, ``jaccard`` and ``kendall``) and 5*10^3 rows on a 200-value grid
+(``pred``).
 
 Each repeat measures both trees, each in a new interpreter that imports
 ``rankrefine`` from the tree's ``src``, and which tree goes first
@@ -50,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LARGE = [  # (label, rows, grid, distance)
     ("roster-1000-grid50-pred", 1000, 50, "pred"),
+    ("roster-1000-grid50-jaccard", 1000, 50, "jaccard"),
     ("roster-1000-grid50-kendall", 1000, 50, "kendall"),
     ("roster-5000-grid200-pred", 5000, 200, "pred"),
 ]
