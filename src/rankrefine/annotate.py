@@ -10,7 +10,7 @@ DISTINCT-free result by the ``ORDER BY`` attribute and returns an
   hold the same values in every predicate attribute, so every refinement
   selects all of them or none);
 * each lineage class's tuples in base-rank order;
-* the DISTINCT key attributes and tuple-id indexes;
+* the DISTINCT key attributes and tuple-id index;
 * the original query's ranking.
 
 The annotated universe contains the output of every refinement, and
@@ -18,7 +18,7 @@ filtering it (``filter_annotated``) is how the MILP builder, the exhaustive
 oracle and the exact verifier evaluate refinements without re-running the
 join.  ``preparation`` hands one instance to all three, and the database
 keeps it for the next request on the same query and relations, together
-with the last few models built on it (:class:`Prepared`).
+with the last few models built on it, each for one whole request.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import attrgetter, is_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .data import Database, Relation, Schema, Tuple, NUMERICAL, natural_join
 from .errors import KindMismatchError, PreconditionError
@@ -41,7 +41,7 @@ Ranking = list[int]  # tuple ids, positions 1..m
 class AnnotatedTuple:
     tuple: Tuple
     base_rank: int
-    shadow: tuple[int, ...]
+    shadow: tuple[AnnotatedTuple, ...]
     lineage_class: int
 
 
@@ -49,16 +49,23 @@ class AnnotatedTuple:
 class Instance:
     """``query``'s annotated universe over one database; iterating it yields
     the annotated tuples in base-rank order.  Requests share it, so every
-    field but ``interned`` is read-only."""
+    field but the ``models`` and ``interned`` memos is read-only.  The
+    database keeps it as a whole and drops it as a whole (by
+    ``Database.add``, a relation object swapped in, or a request on another
+    query), so no model outlives its instance."""
 
     query: Query
+    relations: tuple[Relation, ...]  # the relation objects it was joined from
     schema: Schema  # of the joined relation
     annotated: tuple[AnnotatedTuple, ...]
     classes: tuple[tuple[AnnotatedTuple, ...], ...]  # by lineage class id
     key_attrs: tuple[str, ...]
     tuples_by_id: Mapping[int, Tuple]
-    annotated_by_id: Mapping[int, AnnotatedTuple]
     original_ranking: tuple[int, ...]
+    unchanged: Refinement  # the query's own refinement, shared by its results
+    # built models, by the whole request, least recently used first (see
+    # ``milp.build.build_model``); never written after their build
+    models: dict = field(default_factory=dict, repr=False)
     # values that equal results share, each its own key (``engine._interned``)
     interned: dict = field(default_factory=dict, repr=False)
 
@@ -119,10 +126,11 @@ def _ranked(rel: Relation, q: Query) -> list[Tuple]:
 def annotate(q: Query, d: Database) -> Instance:
     """Prepare ``q``'s instance over the database afresh; ``preparation``
     reuses one."""
+    relations = tuple(d.get(name) for name in q.tables)
     rel = joined_relation(q, d)
     key_attrs = distinct_key_attrs(rel, q)
     pred_attrs = tuple(p.attribute for p in q.cat_preds + q.numeric_preds)
-    seen_keys: dict[tuple, list[int]] = {}
+    seen_keys: dict[tuple, list[AnnotatedTuple]] = {}
     # the predicate attributes' values determine the lineage class
     classes: dict[tuple, int] = {}
     members: list[list[AnnotatedTuple]] = []  # by class id
@@ -133,54 +141,40 @@ def annotate(q: Query, d: Database) -> Instance:
         if class_id is None:
             class_id = classes[pred_values] = len(classes)
             members.append([])
-        shadow: tuple[int, ...] = ()
+        seen: list[AnnotatedTuple] = []
         if key_attrs:
-            key = tuple(t[a] for a in key_attrs)
-            shadow = tuple(seen_keys.get(key, ()))
-            seen_keys.setdefault(key, []).append(t.tid)
+            seen = seen_keys.setdefault(tuple(t[a] for a in key_attrs), [])
         at = AnnotatedTuple(
             tuple=t,
             base_rank=rank,
-            shadow=shadow,
+            shadow=tuple(seen),
             lineage_class=class_id,
         )
+        seen.append(at)
         out.append(at)
         members[class_id].append(at)
     return Instance(
         query=q,
+        relations=relations,
         schema=rel.schema,
         annotated=tuple(out),
         classes=tuple(map(tuple, members)),
         key_attrs=key_attrs,
         tuples_by_id=MappingProxyType({at.tuple.tid: at.tuple for at in out}),
-        annotated_by_id=MappingProxyType({at.tuple.tid: at for at in out}),
         original_ranking=tuple(filter_annotated(out, q, key_attrs)),
+        unchanged=Refinement.unchanged(q),
     )
 
 
-class Prepared(NamedTuple):
-    """What a database keeps of its last preparation: the relation objects
-    it read, the instance, and the models later requests built on it.  It
-    is dropped as a whole (by ``Database.add``, a relation object swapped
-    in, or a request on another query), so no model outlives its instance."""
-
-    relations: tuple[Relation, ...]
-    instance: Instance
-    unchanged: Refinement  # the query's own refinement, shared by its results
-    # built models, by the request's constraints, distance and build
-    # options, least recently used first (see ``milp.build.build_model``)
-    models: dict
-
-
-def preparation(q: Query, d: Database) -> Prepared:
-    """What ``d`` kept from its last preparation, if that was of ``q`` over
-    the very relation objects ``q`` reads now; otherwise a fresh
+def preparation(q: Query, d: Database) -> Instance:
+    """The instance ``d`` kept from its last preparation, if that was of
+    ``q`` over the very relation objects ``q`` reads now; otherwise a fresh
     ``annotate``, which ``d`` keeps instead."""
     rels = tuple(d.get(name) for name in q.tables)
     last = d.last_prepared
-    if last is not None and last.instance.query == q and all(map(is_, last.relations, rels)):
+    if last is not None and last.query == q and all(map(is_, last.relations, rels)):
         return last
-    d.last_prepared = Prepared(rels, annotate(q, d), Refinement.unchanged(q), {})
+    d.last_prepared = annotate(q, d)
     return d.last_prepared
 
 

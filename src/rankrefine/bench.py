@@ -52,13 +52,13 @@ class BenchRow:
     engine: str
     distance: str
     status: str
-    distance_value: str
-    setup_ms: float
-    solve_ms: float
-    total_ms: float
-    model_vars: int
-    model_rows: int
-    repeats: int
+    distance_value: str = ""
+    setup_ms: float = 0.0
+    solve_ms: float = 0.0
+    total_ms: float = 0.0
+    model_vars: int = 0
+    model_rows: int = 0
+    repeats: int = 0
     error: str = ""
 
 
@@ -206,8 +206,7 @@ def run_scenario(scenario: Scenario, repeats: int = DEFAULT_REPEATS) -> list[Ben
         try:
             configs = scenario.configs(axis, value)
         except (RankRefineError, OSError, KeyError, ValueError) as exc:
-            rows.append(BenchRow(scenario.name, axis, value, "-", "-", "error",
-                                 "", 0.0, 0.0, 0.0, 0, 0, 0, error=str(exc)))
+            rows.append(BenchRow(scenario.name, axis, value, "-", "-", "error", error=str(exc)))
             continue
         for config in configs:
             rows.append(_timed_run(scenario.name, axis, value, config, repeats))
@@ -227,8 +226,8 @@ def _timed_run(name: str, axis: str, value, config: RunConfig, repeats: int) -> 
             solves.append(result.timing_ms.get("solve_ms", 0.0))
             totals.append(wall)
     except RankRefineError as exc:
-        return BenchRow(name, axis, value, config.engine, config.kind.name,
-                        "error", "", 0.0, 0.0, 0.0, 0, 0, 0, error=str(exc))
+        return BenchRow(name, axis, value, config.engine, config.kind.name, "error",
+                        error=str(exc))
     return BenchRow(
         scenario=name,
         axis=axis,
@@ -257,8 +256,7 @@ def run_suite(suite_dir: str | Path, repeats: int = DEFAULT_REPEATS) -> BenchRep
         try:
             scenario = Scenario.load(path)
         except (OSError, ValueError) as exc:
-            report.rows.append(BenchRow(path.stem, "-", "-", "-", "-", "error",
-                                        "", 0.0, 0.0, 0.0, 0, 0, 0, error=str(exc)))
+            report.rows.append(BenchRow(path.stem, "-", "-", "-", "-", "error", error=str(exc)))
             continue
         report.rows.extend(run_scenario(scenario, repeats))
     return report

@@ -97,6 +97,8 @@ def _parse_pairs(pairs: list[str], flag: str) -> dict[str, str]:
         if "=" not in pair:
             raise RankRefineError(f"{flag} expects NAME=PATH, got {pair!r}")
         name, path = pair.split("=", 1)
+        if name in out:
+            raise RankRefineError(f"{flag} names {name!r} more than once")
         out[name] = path
     return out
 

@@ -100,8 +100,10 @@ def deviation(
     tuples_by_id: Mapping[int, Tuple],
     cs: ConstraintSet,
 ) -> Fraction:
-    """Mean one-sided relative shortfall/excess across the constraint set,
-    in [0, 1].  Requires the ranking to cover the largest constrained k."""
+    """Mean one-sided relative shortfall/excess across the constraint set.
+    A lower bound adds at most 1 and an upper bound at most (k - n)/n, so
+    the mean can exceed 1.  Requires the ranking to cover the largest
+    constrained k."""
     if len(ranking) < cs.k_star:
         raise PreconditionError(
             f"ranking has {len(ranking)} tuples, needs at least k*={cs.k_star}"

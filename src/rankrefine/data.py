@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
 from .errors import JoinError, KindMismatchError, LoadError
+
+if TYPE_CHECKING:
+    from .annotate import Instance
 
 CATEGORICAL = "categorical"
 NUMERICAL = "numerical"
@@ -124,12 +127,12 @@ class Relation:
 @dataclass
 class Database:
     """Named relations.  ``last_prepared`` holds the instance last prepared
-    over them, with the relation objects it read and what was derived from
-    it (``annotate.Prepared``); relations are immutable, so replacing one is
-    the only way their data changes, and ``add`` drops it all."""
+    over them, which records the relation objects it read and keeps the
+    models built on it; relations are immutable, so replacing one is the
+    only way their data changes, and ``add`` drops the instance."""
 
     relations: dict[str, Relation] = field(default_factory=dict)
-    last_prepared: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    last_prepared: Instance | None = field(default=None, init=False, compare=False, repr=False)
 
     def add(self, rel: Relation) -> None:
         self.relations[rel.name] = rel
@@ -148,7 +151,7 @@ _SIDECAR_FORM = ('a JSON object mapping CSV columns to "numerical" or '
 def read_sidecar(path: str | Path) -> dict[str, str]:
     """Sidecar schema file: column kinds that override the inferred ones."""
     try:
-        spec = json.loads(Path(path).read_text())
+        spec = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise LoadError(f"cannot read schema file {path}: {exc}") from exc
     if not isinstance(spec, dict) or not all(

@@ -147,22 +147,20 @@ def run(config: RunConfig) -> RefineResult:
     which the database keeps across requests until its relations change.
     ``setup_ms`` covers the preparation, when this request made it, and, for
     the MILP engines, the model build; a request that repeats the
-    constraints, distance and options of a model the database keeps is
-    served from that model instead, its deviation row rewritten in place
-    for the request's epsilon (see ``milp.build``).  The result's
+    constraints, distance, options and epsilon of a model the database
+    keeps is served that model instead (see ``milp.build``).  The result's
     ``model_stats`` are its own, copied from the kept model's.
 
     The constraints are checked against the joined schema here, once the
     instance is prepared, and every later step reads them as checked."""
     t0 = time.monotonic()
-    prep = preparation(config.query, config.db)
-    instance = prep.instance
+    instance = preparation(config.query, config.db)
     config = replace(config, constraints=config.constraints.over(instance.schema))
     prepare_ms = (time.monotonic() - t0) * 1000.0
     if config.engine in ("naive", "naive+prov"):
         result = _run_oracle(config, instance)
     else:
-        result = _run_milp(config, instance, prep.unchanged)
+        result = _run_milp(config, instance)
     result.timing_ms["setup_ms"] += prepare_ms
     result.timing_ms["total_ms"] = (time.monotonic() - t0) * 1000.0
     return result
@@ -185,7 +183,7 @@ def _run_oracle(config: RunConfig, instance: Instance) -> RefineResult:
     return _verified_result(config, instance, oracle.refinement, REFINED, timing, stats)
 
 
-def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> RefineResult:
+def _run_milp(config: RunConfig, instance: Instance) -> RefineResult:
     opt = config.engine == "milp+opt"
     options = BuildOptions(
         relevancy_prune=opt and config.prune,
@@ -211,7 +209,7 @@ def _run_milp(config: RunConfig, instance: Instance, unchanged: Refinement) -> R
             # no distance is below 0, so the original query is the optimum
             timing = {"setup_ms": setup_ms, "solve_ms": 0.0}
             stats = own_stats({"nodes": 0, "lp_iterations": 0, "mip_gap": 0.0, "dual_bound": 0.0})
-            return _verified_result(config, instance, unchanged, REFINED, timing, stats,
+            return _verified_result(config, instance, instance.unchanged, REFINED, timing, stats,
                                     ranking=list(original[:cs.k_star]), dev=dev)
     t1 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))

@@ -28,14 +28,11 @@ domain whole: indicators and candidate constants cover the values of pruned
 tuples too.
 
 The whole model depends on the request only through its constraints, its
-distance, the build options and epsilon, and on epsilon only in the
-deviation row.  The database keeps the last ``KEPT_MODELS`` built models
-with the prepared instance (``annotate.Prepared``), by the other three;
-``build_model`` answers a request that repeats one with the kept result
-itself, its deviation row rewritten in place for the request's epsilon, and
-builds and keeps the rest.  A build result belongs to the database: it is
-read-only, and it holds the latest request's epsilon until the next request
-on that database.
+distance, the build options and epsilon.  The prepared instance keeps the
+last ``KEPT_MODELS`` built models, keyed by those four; ``build_model``
+answers a request that repeats one with the kept result itself, and builds
+and keeps the rest.  A build result belongs to the database: it is
+read-only, and nothing writes to it after its build.
 """
 
 from __future__ import annotations
@@ -110,21 +107,11 @@ class CatFamily:
     indicators: dict[str, int]  # value -> column
 
 
-def _deviation_row(constraints: ConstraintSet, epsilon: Fraction) -> tuple[list[int], int]:
-    """The deviation budget ``sum_c E_c / (n_c * |C|) <= eps`` scaled to
-    integer coefficients: the ``E_c`` coefficients in constraint order and
-    the right-hand side.  Nothing else in a model depends on epsilon."""
-    den = math.lcm(*(c.n for c in constraints))
-    scale = den * epsilon.denominator
-    return [scale // c.n for c in constraints], epsilon.numerator * den * len(constraints)
-
-
 @dataclass
 class BuildResult:
     model: MILPModel
     num_families: dict[tuple[str, str], NumericFamily]
     cat_families: dict[str, CatFamily]
-    deviation_row: int  # the only row that depends on epsilon
     stats: dict = field(default_factory=dict)
     refinements: dict = field(default_factory=dict)  # see ``extract_refinement``
 
@@ -147,7 +134,7 @@ class ModelBuilder:
         self.model = MILPModel()
         self.k_star = constraints.k_star
 
-        instance = preparation(query, db).instance
+        instance = preparation(query, db)
         self.key_attrs = instance.key_attrs
         self.merged = self.options.merge_lineage and not self.key_attrs
         self.original_topk = instance.original_ranking[: self.k_star]
@@ -159,7 +146,6 @@ class ModelBuilder:
         self.r_col: dict[int, int] = {}  # tid -> membership column (shared when merged)
         self.l_col: dict[tuple[int, int], int] = {}  # (tid, k) -> top-k membership column
         self.p_col: dict[int, int] = {}  # tid -> running-count column
-        self.deviation_row = -1  # set by build
         # per constraint, the encoded tuples in its group (base-rank order)
         self.members: list[list[AnnotatedTuple]] = []
 
@@ -266,10 +252,8 @@ class ModelBuilder:
                 add(tree, q, 1)
                 if own is not None:
                     add(tree, own, -1)
-        if key_attrs:
-            by_id = instance.annotated_by_id
-            for at in list(keep.values()):
-                keep.update((tid, by_id[tid]) for tid in at.shadow)
+        for at in list(keep.values()):
+            keep.update((s.tuple.tid, s) for s in at.shadow)
         self.encoded = sorted(keep.values(), key=attrgetter("base_rank"))
 
     # -- predicate encoding ----------------------------------------------
@@ -364,7 +348,7 @@ class ModelBuilder:
                 self.r_col[tid] = by_class[cls]
                 continue
             # shadow tuples rank better, so theirs are made already
-            shadows = [self.r_col[t] for t in at.shadow if t in self.r_col]
+            shadows = [self.r_col[s.tuple.tid] for s in at.shadow if s.tuple.tid in self.r_col]
             if len(shadows) != len(at.shadow):
                 raise InternalConsistencyError(f"tuple {tid} has pruned shadow tuples")
             self.r_col[tid] = self._binary("r", tid)
@@ -448,9 +432,11 @@ class ModelBuilder:
             # lower: E >= n - sum(l);  upper: E >= sum(l) - n
             self._row(coeffs, ">=", c.sign * c.n, "deficit", i)
 
-        values, rhs = _deviation_row(self.constraints, self.epsilon)
-        self.deviation_row = len(self.model.row_lower)
-        self.model.add_row(e_cols, values, "<=", rhs, "deviation")
+        # sum_c E_c / (n_c * |C|) <= eps, scaled to integer coefficients
+        den = math.lcm(*(c.n for c in self.constraints))
+        scale = den * self.epsilon.denominator
+        self.model.add_row(e_cols, [scale // c.n for c in self.constraints], "<=",
+                           self.epsilon.numerator * den * len(self.constraints), "deviation")
 
     # -- objectives --------------------------------------------------------
 
@@ -555,7 +541,6 @@ class ModelBuilder:
             model=model,
             num_families=self.num_families,
             cat_families=self.cat_families,
-            deviation_row=self.deviation_row,
             stats={
                 "variables": len(model.col_names),
                 "rows": len(model.row_lower),
@@ -570,7 +555,7 @@ class ModelBuilder:
 
 
 # the most built models a prepared instance keeps (see ``build_model``);
-# perfbench's request cycles hold at most five keys
+# perfbench's request cycles hold at most six keys
 KEPT_MODELS = 16
 KEPT_REFINEMENTS = 64  # the most a built model keeps (see ``extract_refinement``)
 
@@ -598,28 +583,23 @@ def build_model(
 ) -> BuildResult:
     """Compile the search over ``query``'s prepared instance in ``db``.
 
-    The database keeps the last :data:`KEPT_MODELS` results with the
-    instance, by constraints, distance and options.  A request that repeats
-    one gets the kept result itself, its deviation row rewritten in place
-    for the request's epsilon: entry for entry the model a fresh build
-    makes.  The result is the database's and is read-only; the next request
-    on the database may rewrite it.  A build that raises keeps nothing."""
+    The instance keeps the last :data:`KEPT_MODELS` results, by the whole
+    request: constraints, distance, options and epsilon.  A request that
+    repeats one gets the kept result itself, unchanged since its build.
+    The result is the database's and is read-only.  A build that raises
+    keeps nothing."""
     epsilon = Fraction(epsilon)
-    prep = preparation(query, db)
-    check_request(query, kind, epsilon, constraints.k_star, prep.instance.original_ranking)
+    instance = preparation(query, db)
+    check_request(query, kind, epsilon, constraints.k_star, instance.original_ranking)
     options = options or BuildOptions()
-    models = prep.models
-    key = (constraints, kind, options)
+    models = instance.models
+    key = (constraints, kind, options, epsilon)
     built = models.pop(key, None)  # put back last, as the most recently used
     if built is None:
         built = ModelBuilder(query, db, constraints, epsilon, kind, options).build()
         if len(models) == KEPT_MODELS:
             del models[next(iter(models))]  # the least recently used
     models[key] = built
-    model, row = built.model, built.deviation_row
-    values, rhs = _deviation_row(constraints, epsilon)
-    model.row_value[model.row_start[row]:model.row_start[row + 1]] = values
-    model.row_upper[row] = float(rhs)
     return built
 
 

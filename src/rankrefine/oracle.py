@@ -87,7 +87,7 @@ class RefinementSpace:
 
 
 def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP) -> RefinementSpace:
-    instance = preparation(q, d).instance
+    instance = preparation(q, d)
     numeric = [
         ((p.attribute, p.op),
          numeric_candidates(instance.domain(p.attribute), p.constant))
@@ -122,7 +122,7 @@ def exhaustive_solve(
     Candidates are filtered from ``q``'s prepared instance in ``d``, up to
     the k* tuples that feasibility and distance read; without provenance
     every candidate is still evaluated from ``d``."""
-    instance = preparation(q, d).instance
+    instance = preparation(q, d)
     k_star = constraints.k_star
     original_ranking = instance.original_ranking
     check_request(q, kind, epsilon, k_star, original_ranking)

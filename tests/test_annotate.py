@@ -68,7 +68,7 @@ def test_shadow_of_duplicate_student_four(students_db, scholarship_query):
                    key=lambda a: a.base_rank)
     first, second = fours
     assert first.shadow == ()
-    assert second.shadow == (first.tuple.tid,)
+    assert second.shadow == (first,)
 
 
 def test_no_distinct_no_shadows(students_db):

@@ -203,7 +203,7 @@ def test_optimization_toggles(capsys):
     assert json.loads(capsys.readouterr().out)["distance"] == "0.5"
 
 
-def test_bench_subcommand(tmp_path, capsys):
+def _mini_suite(directory: Path) -> Path:
     scenario = {
         "name": "cli-mini",
         "data": {"Students": str(DATA / "students.csv"),
@@ -214,9 +214,14 @@ def test_bench_subcommand(tmp_path, capsys):
         "engines": ["milp+opt"],
         "epsilon": "0",
     }
-    (tmp_path / "mini.scenario.json").write_text(json.dumps(scenario))
+    directory.mkdir(exist_ok=True)
+    (directory / "mini.scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    return directory
+
+
+def test_bench_subcommand(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    assert main(["bench", "--suite", str(tmp_path), "--repeats", "1",
+    assert main(["bench", "--suite", str(_mini_suite(tmp_path)), "--repeats", "1",
                  "--out", str(out)]) == 0
     assert "cli-mini" in capsys.readouterr().out
     assert out.read_text().splitlines()[0].startswith("scenario,")
@@ -236,6 +241,42 @@ def test_a_negative_or_nan_timeout_is_invalid_input(capsys, timeout):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: timeout_s must be a non-negative number" in captured.err
+
+
+def test_every_file_is_read_and_written_as_utf8(tmp_path):
+    """Neither command reads or writes a file in the locale's encoding, so
+    both pass with the interpreter's EncodingWarning made an error."""
+    side = tmp_path / "students.schema.json"
+    side.write_text(json.dumps({"Income": "categorical"}), encoding="utf-8")
+    commands = [
+        _run_args(tmp_path / "report.json") + ["--schema", f"Students={side}",
+                                               "--lp-dump", str(tmp_path / "model.lp")],
+        ["bench", "--suite", str(_mini_suite(tmp_path / "suite")), "--repeats", "1",
+         "--out", str(tmp_path / "bench.csv")],
+    ]
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", "import sys; from rankrefine.cli import main; sys.exit(main())", *argv],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert (proc.returncode, proc.stderr) == (EXIT_REFINED, ""), argv[0]
+    assert json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["distance"] == "0.5"
+    assert (tmp_path / "model.lp").stat().st_size > 0
+    assert (tmp_path / "bench.csv").read_text(encoding="utf-8").startswith("scenario,")
+
+
+@pytest.mark.parametrize("flag", ["--data", "--schema"])
+def test_a_name_given_twice_is_a_usage_error(tmp_path, capsys, flag):
+    side = tmp_path / "students.schema.json"
+    side.write_text(json.dumps({"Income": "categorical"}), encoding="utf-8")
+    twice = {"--data": [f"Students={DATA / 'no_perfect.csv'}"],
+             "--schema": [f"Students={side}"] * 2}[flag]
+    args = _run_args()
+    for pair in twice:
+        args[1:1] = [flag, pair]
+    assert main(args) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {flag} names 'Students' more than once\n")
 
 
 def test_bench_empty_suite_fails(tmp_path, capsys):

@@ -93,7 +93,7 @@ def test_milp_matches_the_oracle_on_a_shared_database(rel, qs, reqs):
         if oracle[:2] == (REFINED, 0):
             # distance 0 is the original query, which both engines report
             assert milp[2] == oracle[2], (q, cs, eps, kind, milp, oracle)
-        assert db.last_prepared[1].query == q
+        assert db.last_prepared.query == q
 
 
 def _roster(seed: int, rows: int = 600) -> Database:
@@ -125,7 +125,7 @@ def test_many_classes_match_the_oracle(select):
     db = _roster(3)
     q = parse_query(f"SELECT {select} FROM Astronauts WHERE Flights >= 20 "
                     "AND Status = 'Active' ORDER BY Hours DESC")
-    instance = preparation(q, db).instance
+    instance = preparation(q, db)
     assert len(instance.classes) >= 50
     assert sum(min(len(members), 10) for members in instance.classes) > len(instance) // 2
     for n, eps in [(4, Fraction(0)), (4, Fraction(1, 2)), (6, Fraction(0)),

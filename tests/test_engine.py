@@ -365,12 +365,12 @@ def test_other_query_is_prepared_again(prepare_calls, scholarship_query,
 
 def test_shared_instance_is_read_only(scholarship_query, scholarship_constraints):
     db = _students_db()
-    instance = preparation(scholarship_query, db).instance
+    instance = preparation(scholarship_query, db)
     with pytest.raises(TypeError):
         instance.tuples_by_id[1] = instance.tuples_by_id[2]
     with pytest.raises(AttributeError):
         instance.original_ranking.append(1)
-    assert preparation(scholarship_query, db).instance is instance
+    assert preparation(scholarship_query, db) is instance
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="/".join)
@@ -410,7 +410,8 @@ def test_an_edited_report_leaves_later_ones_alone(scholarship_query, scholarship
         first.model_stats["rows_by_family"]["position"] += 1
         first.model_stats["rows"] += 1
         assert json.dumps(_report(run(config)), sort_keys=True) == want, eps
-    assert len(db.last_prepared.models) == 1
+    # one model kept per epsilon
+    assert len(db.last_prepared.models) == 2
 
 
 @pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
@@ -433,7 +434,8 @@ def test_equal_answers_from_one_kept_model_share_their_parts(
         assert first.model_stats is not second.model_stats
         assert first.model_stats["rows_by_family"] is not second.model_stats["rows_by_family"]
         assert not hasattr(first, "__dict__") and not hasattr(first.refinement, "__dict__")
-    assert len(db.last_prepared.models) == 1
+    # one model kept per epsilon
+    assert len(db.last_prepared.models) == 2
 
 
 # name -> (scenario, query text or None for the scenario's, distance,
@@ -473,7 +475,7 @@ def test_precondition_errors_fire_on_every_request(name, tmp_path, capsys):
         config = _config(db, parse_query(query_file.read_text()), cs, engine=engine_name,
                          epsilon=Fraction(epsilon), kind=DistanceKind(distance))
         if epsilon.startswith("-"):
-            # a MILP engine's database keeps this key's model, built for epsilon 0
+            # a MILP engine's database keeps the model of these constraints at epsilon 0
             assert run(replace(config, epsilon=Fraction(0))).status == REFINED
         kept = dict(db.last_prepared.models) if db.last_prepared else {}
         for _ in range(2):
@@ -543,7 +545,7 @@ def test_large_magnitudes_match_the_oracle(base, gap):
 
 
 def _original_deviation(db, q, cs):
-    instance = preparation(q, db).instance
+    instance = preparation(q, db)
     return deviation(instance.original_ranking, instance.tuples_by_id, cs)
 
 
@@ -616,7 +618,7 @@ def test_a_settled_request_filters_nothing(monkeypatch, students_db, scholarship
                       kind=kind, epsilon=eps)
     result = run(settled)
     assert len(calls) == 0 and result.distance == 0
-    instance = preparation(scholarship_query, students_db).instance
+    instance = preparation(scholarship_query, students_db)
     settled.constraints = settled.constraints.over(instance.schema)
     filtered = engine._verified_result(settled, instance,
                                        Refinement.unchanged(scholarship_query),
@@ -678,7 +680,7 @@ def test_non_positive_pred_constant_is_rejected_at_any_epsilon(tmp_path, capsys,
     text = ("SELECT DISTINCT ID, Gender, Income FROM Students NATURAL JOIN Activities "
             "WHERE GPA >= 0 AND Activity = 'RB' ORDER BY SAT DESC")
     q = parse_query(text)
-    original = preparation(q, students_db).instance.original_ranking
+    original = preparation(q, students_db).original_ranking
     assert len(original) >= scholarship_constraints.k_star
     with pytest.raises(PreconditionError, match="positive original constant"):
         run(_config(students_db, q, scholarship_constraints, epsilon=Fraction(1)))
@@ -705,7 +707,7 @@ def test_refinement_with_fewer_than_k_star_tuples_fails_verification(
         students_db, scholarship_query, scholarship_constraints):
     config = _config(students_db, scholarship_query, scholarship_constraints,
                      epsilon=Fraction(1))
-    instance = preparation(scholarship_query, students_db).instance
+    instance = preparation(scholarship_query, students_db)
     too_tight = Refinement(numeric_constants={("GPA", ">="): Fraction(4)})
     assert 0 < len(engine.filter_annotated(
         instance, apply_refinement(scholarship_query, too_tight), instance.key_attrs)) \

@@ -289,7 +289,7 @@ def _dominance_kept(instance, q, k_star):
 
 
 def _with_shadows(instance, keep):
-    keep |= {tid for at in instance if at.tuple.tid in keep for tid in at.shadow}
+    keep |= {s.tuple.tid for at in instance if at.tuple.tid in keep for s in at.shadow}
     return [at.tuple.tid for at in instance if at.tuple.tid in keep]
 
 
@@ -328,7 +328,7 @@ def test_relevancy_pruning_matches_the_dominance_walks():
     for _ in range(80):
         q, db = _dominance_instance(rng)
         distinct += q.distinct
-        instance = preparation(q, db).instance
+        instance = preparation(q, db)
         one_sided = {p.attribute for p in q.numeric_preds if p.attribute in "xy"}
         for k_star in range(1, 6):
             cs = ConstraintSet((CardinalityConstraint((("g", "a"),), k_star, 1, "lower"),))
@@ -530,7 +530,7 @@ def test_kendall_objective_is_the_distance_at_every_refinement(opt):
                             merge_lineage=opt, relax_single_sense=opt)
         except PreconditionError:
             continue
-        instance, k_star, model = preparation(q, db).instance, cs.k_star, result.model
+        instance, k_star, model = preparation(q, db), cs.k_star, result.model
         seen = set()
         for ref in refinement_space(q, db):
             pattern = []

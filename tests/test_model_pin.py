@@ -16,13 +16,13 @@ recorded again when the Kendall objective became one row per original
 top-k* tuple and the outcome distances stopped giving a top-k* binary to
 the other tuples.
 
-The database keeps built models with the prepared instance, and a request
-that repeats one's constraints, distance and options is served the kept
-result itself, with only its deviation row rewritten in place for the
-request's epsilon.  So each pinned model is also built warm, on one
-database shared with builds at another k*, under the other engine and for
-the other distances, and each kept model is checked against a cold build
-along an epsilon sequence, together with the report it leads to.
+The prepared instance keeps built models, and a request that repeats one's
+constraints, distance, options and epsilon is served the kept result
+itself, which nothing writes to after its build.  So each pinned model is
+also built warm, on one database shared with builds at another k*, under
+the other engine and for the other distances, each kept model keeps its
+digest while requests at other epsilons run beside it, and the models and
+reports along an epsilon sequence are checked against cold ones.
 """
 
 import hashlib
@@ -161,47 +161,59 @@ def test_warm_builds_load_the_pinned_models():
         other_k = ConstraintSet(tuple(replace(c, k=c.k + 1) for c in cs))
         for engine in ("milp", "milp+opt"):
             _golden_build(scenario, "pred", "0", engine, db, other_k)
-        prep = db.last_prepared
-        assert len(prep.models) == 2
+        instance = db.last_prepared
+        assert len(instance.models) == 2
         # consecutive builds change engine, and every other one the distance
         cases = sorted((c for c in DIGESTS if c[0] == scenario),
                        key=lambda c: (c[2], c[1], c[3]))
         for case in cases:
             assert _digest(_golden_build(*case, db).model) == DIGESTS[case], case
-        assert db.last_prepared is prep
-        # one model kept per distance and engine, beside the other k*'s
-        assert len(prep.models) == 2 + len({(c[1], c[3]) for c in cases})
+        assert db.last_prepared is instance
+        # one model kept per distance, epsilon and engine, beside the other k*'s
+        assert len(instance.models) == 2 + len(cases)
 
 
 EPSILON_SEQUENCE = ("0", "1/2", "0", "1/4", "1")
 
 
 def test_a_hit_is_served_the_kept_result():
-    scenario, distance, _, engine = case = ("astronauts", "pred", "0", "milp+opt")
+    scenario, distance, epsilon0, engine = case = ("astronauts", "pred", "0", "milp+opt")
     db = _golden_db(scenario)
     kept = _golden_build(*case, db)
     models = db.last_prepared.models
     assert len(models) == 1 and next(iter(models.values())) is kept
-    # every later request gets that very object, its deviation row rewritten
-    # in place: entry for entry a cold build at the request's epsilon
+    # a request at the same epsilon gets that very object, and one at another
+    # epsilon a model of its own, entry for entry a cold build's
     for epsilon in EPSILON_SEQUENCE:
         built = _golden_build(scenario, distance, epsilon, engine, db)
         cold = _golden_build(scenario, distance, epsilon, engine)
-        assert built is kept and len(models) == 1
+        assert (built is kept) == (epsilon == epsilon0), epsilon
         assert _digest(built.model) == _digest(cold.model), epsilon
         assert built.model == cold.model and built.stats == cold.stats
         assert built.num_families == cold.num_families
         assert built.cat_families == cold.cat_families
         if (scenario, distance, epsilon, engine) in DIGESTS:
             assert _digest(built.model) == DIGESTS[(scenario, distance, epsilon, engine)]
+    assert len(models) == len(set(EPSILON_SEQUENCE))
 
-    # replacing a relation drops the instance and the model kept with it
-    prep = db.last_prepared
-    assert prep.models
+    # replacing a relation drops the instance and the models kept with it
+    instance = db.last_prepared
+    assert instance.models
     db.add(load_csv(DATA / "astronauts.csv", name="Astronauts"))
     assert db.last_prepared is None
     assert _digest(_golden_build(*case, db).model) == DIGESTS[case]
-    assert db.last_prepared is not prep
+    assert db.last_prepared is not instance
+
+
+def test_a_request_at_another_epsilon_leaves_the_kept_model_alone():
+    case = ("scholarship", "pred", "0", "milp+opt")
+    db = _golden_db("scholarship")
+    kept = _golden_build(*case, db)
+    other = _golden_build("scholarship", "pred", "1/2", "milp+opt", db)
+    assert other is not kept
+    assert _digest(other.model) == DIGESTS[("scholarship", "pred", "1/2", "milp+opt")]
+    assert _digest(kept.model) == DIGESTS[case]
+    assert _golden_build(*case, db) is kept
 
 
 @pytest.fixture
@@ -241,14 +253,14 @@ def test_the_least_recently_used_model_is_dropped_first(builds):
     models = db.last_prepared.models
     assert len(builds) == len(models) == KEPT_MODELS
     # a hit makes its key the most recently used
-    _golden_build("astronauts", "pred", "0", "milp+opt", db, sets[0])
+    _golden_build("astronauts", "pred", "1/2", "milp+opt", db, sets[0])
     assert len(builds) == KEPT_MODELS
-    _golden_build("astronauts", "pred", "0", "milp+opt", db, sets[-1])
+    _golden_build("astronauts", "pred", "1/2", "milp+opt", db, sets[-1])
     assert len(builds) == len(models) + 1 == KEPT_MODELS + 1
     assert [key[0] for key in models] == sets[2:KEPT_MODELS] + [sets[0], sets[-1]]
     # the dropped key is built again, and drops the next least recently used
-    cold = _golden_build("astronauts", "pred", "1/4", "milp+opt", None, sets[1])
-    warm = _golden_build("astronauts", "pred", "1/4", "milp+opt", db, sets[1])
+    cold = _golden_build("astronauts", "pred", "1/2", "milp+opt", None, sets[1])
+    warm = _golden_build("astronauts", "pred", "1/2", "milp+opt", db, sets[1])
     assert len(builds) == KEPT_MODELS + 3
     assert _digest(warm.model) == _digest(cold.model)
     assert [key[0] for key in models] == sets[3:KEPT_MODELS] + [sets[0], sets[-1], sets[1]]
@@ -284,7 +296,8 @@ def test_warm_models_and_reports_equal_cold_ones(scenario, engine):
             reports += isinstance(warm[0], dict)
     # no_perfect's outcome distances are rejected
     assert reports == (5 if scenario == "no_perfect" else 15)
-    assert len(db.last_prepared.models) == reports // 5
+    # one model kept per distance and distinct epsilon
+    assert len(db.last_prepared.models) == reports // 5 * len(set(EPSILON_SEQUENCE))
 
 
 @pytest.mark.parametrize("engine", ["milp", "milp+opt"])

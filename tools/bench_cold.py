@@ -56,8 +56,8 @@ def inputs(work: Path) -> tuple[dict, list[tuple[str, dict[str, Path]]]]:
     req = next(r for r in workload.cycle if r.label == REQUEST)
     request = {"query": work / "query.sql", "constraints": work / "constraints.json",
                "epsilon": req.epsilon, "distance": req.distance}
-    request["query"].write_text(workload.query + "\n")
-    request["constraints"].write_text(req.constraints + "\n")
+    request["query"].write_text(workload.query + "\n", encoding="utf-8")
+    request["constraints"].write_text(req.constraints + "\n", encoding="utf-8")
     small, large = work / "join-scale-seed1", work / "students-60000"
     small.mkdir()
     large.mkdir()
@@ -82,7 +82,7 @@ def measure(data: dict[str, str], req: dict[str, str]) -> dict:
     for name, path in sorted(data.items()):
         db.add(rr.load_csv(path, name=name))
     t2 = time.perf_counter()
-    query = rr.parse_query(Path(req["query"]).read_text())
+    query = rr.parse_query(Path(req["query"]).read_text(encoding="utf-8"))
     joined = prep.joined_relation(query, db)
     t3 = time.perf_counter()
     join = prep.joined_relation
@@ -92,7 +92,8 @@ def measure(data: dict[str, str], req: dict[str, str]) -> dict:
     finally:
         prep.joined_relation = join
     t4 = time.perf_counter()
-    config = rr.RunConfig(query, db, rr.parse_constraints(Path(req["constraints"]).read_text()),
+    constraints = rr.parse_constraints(Path(req["constraints"]).read_text(encoding="utf-8"))
+    config = rr.RunConfig(query, db, constraints,
                           Fraction(req["epsilon"]), rr.DistanceKind(req["distance"]))
     result = rr.run(config)
     t5 = time.perf_counter()

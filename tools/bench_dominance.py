@@ -103,8 +103,7 @@ def measure() -> list[dict]:
             config = rr.RunConfig(query, db, rr.parse_constraints(cons), Fraction(eps),
                                   rr.DistanceKind(distance))
             result = rr.run(config)
-            prep = db.last_prepared
-            instance = prep.instance
+            instance = db.last_prepared
             cs = config.constraints.over(instance.schema)
             original = instance.original_ranking
             settled = (len(original) >= cs.k_star
@@ -125,7 +124,7 @@ def measure() -> list[dict]:
                 nnz[family[row_label[0]]] += model.row_start[r + 1] - model.row_start[r]
             counters = solver.solve(model).stats
 
-            prep.models.clear()  # a cold build
+            instance.models.clear()  # a cold build
             timing = rr.run(config).timing_ms
             warm = statistics.median(rr.run(config).timing_ms["total_ms"] for _ in range(WARM))
             rows.append({
