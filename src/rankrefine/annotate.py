@@ -5,10 +5,10 @@ DISTINCT-free result by the ``ORDER BY`` attribute and returns an
 :class:`Instance` holding
 
 * the annotated tuples in base-rank order, each labelled with its base rank
-  (position in that unrestricted ranking), its shadow set (better-ranked
-  tuples sharing its DISTINCT key) and its lineage class (the tuples that
-  hold the same values in every predicate attribute, so every refinement
-  selects all of them or none);
+  (position in that unrestricted ranking), its DISTINCT key (its tuple id
+  without DISTINCT), the nearest better-ranked tuple sharing that key, and
+  its lineage class (the tuples that hold the same values in every
+  predicate attribute, so every refinement selects all of them or none);
 * each lineage class's tuples in base-rank order;
 * the DISTINCT key attributes and tuple-id index;
 * the original query's ranking.
@@ -41,7 +41,10 @@ Ranking = list[int]  # tuple ids, positions 1..m
 class AnnotatedTuple:
     tuple: Tuple
     base_rank: int
-    shadow: tuple[AnnotatedTuple, ...]
+    key: tuple | int  # the DISTINCT key, or the tuple id without DISTINCT
+    # the nearest better-ranked tuple of the same key; its chain is the
+    # tuple's shadow set, left out of ``==``, hashing and ``repr``
+    prev: AnnotatedTuple | None = field(compare=False, repr=False)
     lineage_class: int
 
 
@@ -130,7 +133,7 @@ def annotate(q: Query, d: Database) -> Instance:
     rel = joined_relation(q, d)
     key_attrs = distinct_key_attrs(rel, q)
     pred_attrs = tuple(p.attribute for p in q.cat_preds + q.numeric_preds)
-    seen_keys: dict[tuple, list[AnnotatedTuple]] = {}
+    last: dict = {}  # key -> its worst-ranked tuple so far
     # the predicate attributes' values determine the lineage class
     classes: dict[tuple, int] = {}
     members: list[list[AnnotatedTuple]] = []  # by class id
@@ -141,16 +144,8 @@ def annotate(q: Query, d: Database) -> Instance:
         if class_id is None:
             class_id = classes[pred_values] = len(classes)
             members.append([])
-        seen: list[AnnotatedTuple] = []
-        if key_attrs:
-            seen = seen_keys.setdefault(tuple(t[a] for a in key_attrs), [])
-        at = AnnotatedTuple(
-            tuple=t,
-            base_rank=rank,
-            shadow=tuple(seen),
-            lineage_class=class_id,
-        )
-        seen.append(at)
+        key = tuple(t[a] for a in key_attrs) if key_attrs else t.tid
+        at = last[key] = AnnotatedTuple(t, rank, key, last.get(key), class_id)
         out.append(at)
         members[class_id].append(at)
     return Instance(
@@ -161,7 +156,7 @@ def annotate(q: Query, d: Database) -> Instance:
         classes=tuple(map(tuple, members)),
         key_attrs=key_attrs,
         tuples_by_id=MappingProxyType({at.tuple.tid: at.tuple for at in out}),
-        original_ranking=tuple(filter_annotated(out, q, key_attrs)),
+        original_ranking=tuple(filter_annotated(out, q)),
         unchanged=Refinement.unchanged(q),
     )
 
@@ -178,29 +173,25 @@ def preparation(q: Query, d: Database) -> Instance:
     return d.last_prepared
 
 
-def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query,
-                     key_attrs: tuple[str, ...], limit: int | None = None) -> Ranking:
+def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query, *,
+                     limit: int | None = None) -> Ranking:
     """Provenance-accelerated evaluation: filter the annotated universe (an
-    Instance or its tuples) by a refinement of its query, then dedup on the
-    DISTINCT key in base-rank order.  Agrees exactly with `evaluate`, or
+    Instance or its tuples) by a refinement of its query, then dedup on each
+    tuple's key in base-rank order.  Agrees exactly with `evaluate`, or
     with its first ``limit`` tuples when a limit is given.
 
     Tuples of one lineage class hold equal values in every predicate
     attribute, so the predicates are tested once per class."""
-    seen: set[tuple] = set()
+    seen: set = set()
     ranking: Ranking = []
     verdicts: dict[int, bool] = {}
     for at in annotated:  # already in base_rank order
         selected = verdicts.get(at.lineage_class)
         if selected is None:
             selected = verdicts[at.lineage_class] = satisfies(at.tuple, q)
-        if not selected:
+        if not selected or at.key in seen:
             continue
-        if key_attrs:
-            key = tuple(at.tuple[a] for a in key_attrs)
-            if key in seen:
-                continue
-            seen.add(key)
+        seen.add(at.key)
         ranking.append(at.tuple.tid)
         if len(ranking) == limit:
             break

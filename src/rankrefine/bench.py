@@ -32,8 +32,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .constraints import ConstraintSet, read_constraint
-from .data import Database, Relation, load_csv, parse_number, read_sidecar
+from .constraints import ConstraintSet, read_constraint, read_count
+from .data import Database, Relation, load_database, parse_number
 from .distances import DistanceKind
 from .engine import RunConfig, run
 from .errors import PreconditionError, RankRefineError
@@ -99,21 +99,17 @@ def materialize_constraints(entries: list[dict], k_override: int | None = None) 
     the override and a relative bound "n_ratio" becomes max(1, floor(k*ratio))."""
     out = []
     for e in entries:
-        k = k_override if k_override is not None else int(e["k"])
+        k = k_override if k_override is not None else read_count(e["k"], "k")
         if "n" in e and k_override is None:
-            n = int(e["n"])
+            n = read_count(e["n"], "n")
         elif "n_ratio" in e:
             n = max(1, int(k * float(e["n_ratio"])))
         elif "n" in e:
-            n = min(int(e["n"]), k)
+            n = min(read_count(e["n"], "n"), k)
         else:
             raise PreconditionError("constraint entry needs 'n' or 'n_ratio'")
         out.append(read_constraint(e, k, n))
     return ConstraintSet(tuple(out))
-
-
-def _scaled(rel: Relation, rows: int) -> Relation:
-    return Relation(rel.name, rel.schema, rel.rows[:rows])
 
 
 @dataclass
@@ -140,14 +136,12 @@ class Scenario:
         return self.loaded[1]
 
     def _load(self, scale: int | None) -> Database:
-        db = Database()
-        schemas = self.raw.get("schemas", {})
-        for name, rel_path in self.raw["data"].items():
-            kinds = read_sidecar(self._resolve(schemas[name])) if name in schemas else None
-            rel = load_csv(self._resolve(rel_path), kinds, name=name)
-            if scale is not None:
-                rel = _scaled(rel, scale)
-            db.add(rel)
+        db = load_database(
+            {name: self._resolve(path) for name, path in self.raw["data"].items()},
+            {name: self._resolve(path) for name, path in self.raw.get("schemas", {}).items()})
+        if scale is not None:
+            for rel in list(db.relations.values()):
+                db.add(Relation(rel.name, rel.schema, rel.rows[:scale]))
         return db
 
     def sweep_points(self) -> list[tuple[str, object]]:

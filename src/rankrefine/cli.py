@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .bench import DEFAULT_REPEATS, run_suite
 from .constraints import parse_constraints
-from .data import Database, load_csv, parse_number, read_sidecar
+from .data import load_database, parse_number
 from .distances import DISTANCES, PRED, DistanceKind
 from .engine import ENGINES, NO_REFINEMENT, REFINED, TIMEOUT, RunConfig, result_to_dict, run
 from .errors import InternalConsistencyError, RankRefineError
@@ -105,12 +105,7 @@ def _parse_pairs(pairs: list[str], flag: str) -> dict[str, str]:
 
 def _cmd_run(args) -> tuple[int, str | None]:
     """The run's exit code, and its report unless ``--out`` takes it."""
-    data = _parse_pairs(args.data, "--data")
-    schemas = _parse_pairs(args.schema, "--schema")
-    db = Database()
-    for name, path in data.items():
-        kinds = read_sidecar(schemas[name]) if name in schemas else None
-        db.add(load_csv(path, kinds, name=name))
+    db = load_database(_parse_pairs(args.data, "--data"), _parse_pairs(args.schema, "--schema"))
     query = parse_query(Path(args.query).read_text(encoding="utf-8"))
     constraints = parse_constraints(Path(args.constraints).read_text(encoding="utf-8"))
     try:

@@ -115,15 +115,32 @@ def deviation(
     return total / len(cs)
 
 
+def read_count(value, name: str) -> int:
+    """A constraint entry's ``k`` or ``n``: an integral number, or text
+    naming one; a boolean is neither."""
+    try:
+        number = None if isinstance(value, bool) else Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        number = None
+    if number is None or number.denominator != 1:
+        raise ConstraintValidationError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
+
+
 def read_constraint(entry: dict, k: int | None = None, n: int | None = None
                     ) -> CardinalityConstraint:
     """One constraint file entry, ``{"group": {attr: value, ...}, "k": int,
-    "sense": "lower"|"upper", "n": int}``, its group values read as text; a
-    ``k`` or ``n`` given here takes the place of the entry's."""
+    "sense": "lower"|"upper", "n": int}``, its group values (strings or
+    numbers) read as text; a ``k`` or ``n`` given here takes the place of
+    the entry's."""
+    group = entry["group"]
+    if any(isinstance(v, bool) or not isinstance(v, (str, int, float)) for v in group.values()):
+        raise ConstraintValidationError(f"a constraint group value is not a string or a "
+                                        f"number: {group}")
     return CardinalityConstraint(
-        group=tuple(sorted((str(a), str(v)) for a, v in entry["group"].items())),
-        k=int(entry["k"]) if k is None else k,
-        n=int(entry["n"]) if n is None else n,
+        group=tuple(sorted((str(a), str(v)) for a, v in group.items())),
+        k=read_count(entry["k"], "k") if k is None else k,
+        n=read_count(entry["n"], "n") if n is None else n,
         sense=str(entry["sense"]),
     )
 

@@ -235,6 +235,20 @@ def load_csv(path: str | Path, kinds: Mapping[str, str] | None = None,
     return Relation(name=name or path.stem, schema=schema, rows=rows)
 
 
+def load_database(paths: Mapping[str, str | Path],
+                  schemas: Mapping[str, str | Path]) -> Database:
+    """The named CSV files, each read with the sidecar schema ``schemas``
+    names it with, if any; a schema of a name ``paths`` lacks is invalid."""
+    unknown = sorted(schemas.keys() - paths.keys())
+    if unknown:
+        raise LoadError(f"no data file is named for the schema of {unknown}")
+    db = Database()
+    for name, path in paths.items():
+        kinds = read_sidecar(schemas[name]) if name in schemas else None
+        db.add(load_csv(path, kinds, name=name))
+    return db
+
+
 def _join_keys(rel: Relation, shared: list[str]) -> Iterable:
     """Each row's values of ``shared`` as keys that hash and compare in C:
     an integral number becomes an int, any other a (numerator, denominator)

@@ -116,7 +116,7 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     tuples_by_id = instance.tuples_by_id
     k_star = cs.k_star
     if ranking is None:
-        ranking = filter_annotated(instance, q2, instance.key_attrs, limit=k_star)
+        ranking = filter_annotated(instance, q2, limit=k_star)
     if len(ranking) < k_star:
         raise inconsistent(
             f"refined query returns {len(ranking)} tuples, fewer than k*={k_star}")

@@ -8,7 +8,8 @@ The encoding follows the provenance of the ranked, predicate-free universe:
   a lower set for ``<=``/``<``, at most one value for ``=``), and no row
   holds a constant or a data value,
 * one binary per encoded tuple for output membership (with DISTINCT handled
-  through shadow sets); for each tuple that needs top-k membership binaries,
+  by excluding the selected better-ranked tuples of its key); for each tuple
+  that needs top-k membership binaries,
   a running count of the selected tuples up to it, set from the previous
   such tuple's count by one row, so the position rows grow linearly with
   the encoded tuples; per-constraint deficits feeding one deviation row,
@@ -38,7 +39,7 @@ read-only, and nothing writes to it after its build.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -135,8 +136,7 @@ class ModelBuilder:
         self.k_star = constraints.k_star
 
         instance = preparation(query, db)
-        self.key_attrs = instance.key_attrs
-        self.merged = self.options.merge_lineage and not self.key_attrs
+        self.merged = self.options.merge_lineage and not instance.key_attrs
         self.original_topk = instance.original_ranking[: self.k_star]
         self.instance = instance
         self.encoded: list[AnnotatedTuple] = []  # set by build
@@ -171,22 +171,24 @@ class ModelBuilder:
         its own key without DISTINCT): whenever t is selected, k* tuples of
         other keys head the output before it.  Every tuple that can reach a
         top-k* position is kept, and so is every tuple ranked before it in
-        the output, which keeps the position rows exact up to k*.  Shadow
-        tuples of kept tuples are kept too, so the dedup rows stay complete.
+        the output, which keeps the position rows exact up to k*.  The
+        better-ranked tuples of a kept tuple's key (its ``prev`` chain) are
+        kept too, so the dedup rows stay complete.
 
         The count runs in one walk over base-rank order.  Lineage classes
         are grouped by their values on every attribute but one one-sided
-        numeric attribute, the axis; each group keeps a Fenwick tree over
-        the axis domain holding, per key, the most dominating position seen
-        so far.  An attribute with operators on both sides, an ``=`` one and
-        any one-sided attribute after the axis are matched on equality.
+        numeric attribute, the axis; each group keeps a sorted list of its
+        keys' most dominating axis positions seen so far, one per key, and
+        counts those up to a tuple's position by bisection.  An attribute
+        with operators on both sides, an ``=`` one and any one-sided
+        attribute after the axis are matched on equality.
         That finds fewer dominators than there are, never more, and all of
         them when at most one attribute is one-sided.  The walk merges the
         lineage classes and leaves a class at its first dropped member: its
         later members drop too, and for any tuple they dominate, the dropped
         member and its dominators count at least as many keys.
         """
-        instance, k_star, key_attrs = self.instance, self.k_star, self.key_attrs
+        instance, k_star = self.instance, self.k_star
         sides: dict[str, set[str]] = {}
         for p in self.query.numeric_preds:
             side = "up" if p.op in _UPPER_OPS else "lo" if p.op in _LOWER_OPS else "eq"
@@ -198,33 +200,15 @@ class ModelBuilder:
         # per lineage class: its group and its axis position, numbered so
         # that a dominating value has a position no larger
         place: list[tuple[tuple, int]] = []
-        m = 1
         if axis is not None:
-            domain = instance.domain(axis)
-            m = len(domain)
-            index = {v: i for i, v in enumerate(domain)}
-            upper = sides[axis] == {"up"}
+            index = {v: i for i, v in enumerate(instance.domain(axis))}
+            sign = -1 if sides[axis] == {"up"} else 1
         for members in instance.classes:
             t = members[0].tuple
-            q = 0
-            if axis is not None:
-                q = m - 1 - index[t[axis]] if upper else index[t[axis]]
+            q = 0 if axis is None else sign * index[t[axis]]
             place.append((tuple(t[a] for a in group_attrs), q))
 
-        def add(tree: list[int], pos: int, count: int) -> None:
-            i = pos + 1
-            while i <= m:
-                tree[i] += count
-                i += i & -i
-
-        def up_to(tree: list[int], pos: int) -> int:
-            total, i = 0, pos + 1
-            while i:
-                total += tree[i]
-                i &= i - 1
-            return total
-
-        trees: dict[tuple, list[int]] = {}  # group -> Fenwick tree, 1-based
+        least: dict[tuple, list[int]] = {}  # group -> its keys' least positions, sorted
         best: dict[tuple, int] = {}  # (group, key) -> its least position
         keep: dict[int, AnnotatedTuple] = {}
         # the next member of each class still walked, by base rank; a class
@@ -236,24 +220,25 @@ class ModelBuilder:
             members = instance.classes[cls]
             at = members[n]
             group, q = place[cls]
-            tree = trees.get(group)
-            if tree is None:
-                tree = trees[group] = [0] * (m + 1)
-            key = (group, tuple(at.tuple[a] for a in key_attrs) if key_attrs else at.tuple.tid)
+            positions = least.setdefault(group, [])
+            key = (group, at.key)
             own = best.get(key)
-            # keys at positions 0..q, less the tuple's own
-            dominators = up_to(tree, q) - (own is not None and own <= q)
+            # keys at positions up to q, less the tuple's own
+            dominators = bisect_right(positions, q) - (own is not None and own <= q)
             if dominators < k_star:
                 keep[at.tuple.tid] = at
                 if n + 1 < len(members):
                     heappush(heap, (members[n + 1].base_rank, cls, n + 1))
             if own is None or q < own:
                 best[key] = q
-                add(tree, q, 1)
                 if own is not None:
-                    add(tree, own, -1)
+                    del positions[bisect_left(positions, own)]
+                insort(positions, q)
         for at in list(keep.values()):
-            keep.update((s.tuple.tid, s) for s in at.shadow)
+            prev = at.prev
+            while prev is not None and prev.tuple.tid not in keep:
+                keep[prev.tuple.tid] = prev
+                prev = prev.prev
         self.encoded = sorted(keep.values(), key=attrgetter("base_rank"))
 
     # -- predicate encoding ----------------------------------------------
@@ -336,6 +321,7 @@ class ModelBuilder:
         when merged and one per tuple otherwise, each where its class or
         tuple first appears in base-rank order."""
         by_class: dict[int, int] = {}  # lineage class -> column, when merged
+        by_key: dict = {}  # key -> its tuples' columns so far, when not merged
         for at in self.encoded:
             tid = at.tuple.tid
             if self.merged:
@@ -347,12 +333,14 @@ class ModelBuilder:
                     self._selection_rows(by_class[cls], self._atom_cols(at), [])
                 self.r_col[tid] = by_class[cls]
                 continue
-            # shadow tuples rank better, so theirs are made already
-            shadows = [self.r_col[s.tuple.tid] for s in at.shadow if s.tuple.tid in self.r_col]
-            if len(shadows) != len(at.shadow):
+            # shadow tuples rank better, so theirs are made already; when
+            # each tuple's prev is, its whole prev chain is
+            if at.prev is not None and at.prev.tuple.tid not in self.r_col:
                 raise InternalConsistencyError(f"tuple {tid} has pruned shadow tuples")
+            shadows = by_key.setdefault(at.key, [])
             self.r_col[tid] = self._binary("r", tid)
             self._selection_rows(self.r_col[tid], self._atom_cols(at), shadows)
+            shadows.append(self.r_col[tid])
 
     def _selection_rows(self, r: int, atoms: list[int], shadows: list[int]) -> None:
         """r = 1 iff every atom indicator is 1 and no shadow tuple is selected."""

@@ -135,7 +135,7 @@ def exhaustive_solve(
         checked += 1
         q2 = apply_refinement(q, ref)
         if use_provenance:
-            ranking = filter_annotated(instance, q2, instance.key_attrs, limit=k_star)
+            ranking = filter_annotated(instance, q2, limit=k_star)
         else:
             ranking = evaluate(q2, d)
         if len(ranking) < k_star:

@@ -17,10 +17,8 @@ import pytest
 from conftest import random_instance
 from rankrefine.annotate import (
     annotate,
-    distinct_key_attrs,
     evaluate,
     filter_annotated,
-    joined_relation,
 )
 from rankrefine.bench import Scenario, run_scenario
 from rankrefine.constraints import deviation
@@ -71,8 +69,7 @@ def _solve_instance(query, db, cs, epsilon, kind, options=None):
     ref = extract_refinement(built, solution)
     q2 = apply_refinement(query, ref)
     ann = annotate(query, db)
-    key_attrs = distinct_key_attrs(joined_relation(query, db), query)
-    ranking = filter_annotated(ann, q2, key_attrs)
+    ranking = filter_annotated(ann, q2)
     by_id = {at.tuple.tid: at.tuple for at in ann}
     assert len(ranking) >= cs.k_star, "refined output shorter than k*"
     assert deviation(ranking, by_id, cs) <= epsilon, \
@@ -80,7 +77,7 @@ def _solve_instance(query, db, cs, epsilon, kind, options=None):
     if kind.name == PRED:
         dist = dis_pred(query, q2)
     else:
-        original = filter_annotated(ann, query, key_attrs)
+        original = filter_annotated(ann, query)
         if kind.name == JACCARD:
             dist = dis_jaccard(original, ranking, cs.k_star)
         else:
@@ -91,8 +88,7 @@ def _solve_instance(query, db, cs, epsilon, kind, options=None):
 def _counts_of(query, db, cs, ref):
     q2 = apply_refinement(query, ref)
     ann = annotate(query, db)
-    key_attrs = distinct_key_attrs(joined_relation(query, db), query)
-    ranking = filter_annotated(ann, q2, key_attrs)
+    ranking = filter_annotated(ann, q2)
     by_id = {at.tuple.tid: at.tuple for at in ann}
     return [sum(1 for tid in ranking[:c.k] if c.contains(by_id[tid]))
             for c in cs]
@@ -264,10 +260,7 @@ def test_acceptance_6_count_round_trip(randomized_suite):
                 e_total += solution.values[built.model.col_names.index(f"E_{i}")] / c.n
             ann = annotate(rec["query"], rec["db"])
             by_id = {at.tuple.tid: at.tuple for at in ann}
-            key_attrs = distinct_key_attrs(
-                joined_relation(rec["query"], rec["db"]), rec["query"])
-            ranking = filter_annotated(
-                ann, apply_refinement(rec["query"], ref), key_attrs)
+            ranking = filter_annotated(ann, apply_refinement(rec["query"], ref))
             dev = deviation(ranking, by_id, cs)
             assert float(dev) <= e_total / len(cs) + TOL, f"instance {idx}"
             assert e_total / len(cs) <= float(rec["epsilon"]) + TOL, \

@@ -7,10 +7,8 @@ import pytest
 
 from rankrefine.annotate import (
     annotate,
-    distinct_key_attrs,
     evaluate,
     filter_annotated,
-    joined_relation,
 )
 from rankrefine.data import Database, Relation, Schema, Tuple
 from rankrefine.query import (
@@ -67,15 +65,15 @@ def test_shadow_of_duplicate_student_four(students_db, scholarship_query):
     fours = sorted((a for a in ann if a.tuple["ID"] == Fraction(4)),
                    key=lambda a: a.base_rank)
     first, second = fours
-    assert first.shadow == ()
-    assert second.shadow == (first,)
+    assert first.prev is None
+    assert second.prev is first
 
 
 def test_no_distinct_no_shadows(students_db):
     from rankrefine.query import parse_query
     q = parse_query("SELECT * FROM Students NATURAL JOIN Activities "
                     "WHERE GPA >= 3.7 AND Activity = 'RB' ORDER BY SAT DESC")
-    assert all(a.shadow == () for a in annotate(q, students_db))
+    assert all(a.prev is None and a.key == a.tuple.tid for a in annotate(q, students_db))
 
 
 def test_lineage_class_of_student_14(students_db, scholarship_query):
@@ -88,12 +86,10 @@ def test_lineage_class_of_student_14(students_db, scholarship_query):
 def test_filter_agrees_with_evaluate(students_db, scholarship_query,
                                      ref_prime, ref_double_prime, ref_triple_prime):
     ann = annotate(scholarship_query, students_db)
-    rel = joined_relation(scholarship_query, students_db)
-    ka = distinct_key_attrs(rel, scholarship_query)
     from rankrefine.query import Refinement
     for ref in (Refinement(), ref_prime, ref_double_prime, ref_triple_prime):
         q2 = apply_refinement(scholarship_query, ref)
-        assert filter_annotated(ann, q2, ka) == evaluate(q2, students_db)
+        assert filter_annotated(ann, q2) == evaluate(q2, students_db)
 
 
 # -- exact ranking and predicate tests on hard magnitudes ---------------------
@@ -191,5 +187,5 @@ def test_filter_matches_evaluate_on_hard_magnitudes(family, distinct):
                     q2 = apply_refinement(base, Refinement(
                         numeric_constants={("x", op): constant},
                         cat_values={"c": values}))
-                    assert filter_annotated(instance, q2, instance.key_attrs) == \
+                    assert filter_annotated(instance, q2) == \
                         evaluate(q2, db), (op, direction, constant, values)

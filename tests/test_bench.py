@@ -184,6 +184,26 @@ def test_a_negative_scenario_timeout_is_an_error_row(tmp_path):
         ("error", "timeout_s must be a non-negative number, got -1")]
 
 
+def test_a_schema_for_a_relation_data_does_not_name_is_an_error_row(tmp_path):
+    side = tmp_path / "students.schema.json"
+    side.write_text(json.dumps({"Income": "categorical"}))
+    path = _write_mini_scenario(tmp_path, schemas={"Studnets": str(side)})
+    rows = run_scenario(Scenario.load(path), repeats=1)
+    assert [(r.status, r.error) for r in rows] == [
+        ("error", "no data file is named for the schema of ['Studnets']")]
+
+
+@pytest.mark.parametrize("entry", [{"k": 5.9}, {"n": True}, {"group": {"Gender": None}}])
+def test_a_constraint_value_of_the_wrong_type_is_an_error_row(tmp_path, entry):
+    constraints = tmp_path / "constraints.json"
+    constraints.write_text(json.dumps(
+        [{"group": {"Gender": "F"}, "k": 6, "sense": "lower", "n": 3, **entry}]))
+    rows = run_scenario(Scenario.load(
+        _write_mini_scenario(tmp_path, constraints=str(constraints))), repeats=1)
+    assert [r.status for r in rows] == ["error"]
+    assert "must be a whole number" in rows[0].error or "not a string or a number" in rows[0].error
+
+
 def test_bad_sweep_point_records_error_and_continues(tmp_path):
     path = _write_mini_scenario(
         tmp_path, epsilon="1",

@@ -279,6 +279,14 @@ def test_a_name_given_twice_is_a_usage_error(tmp_path, capsys, flag):
     assert capsys.readouterr() == ("", f"error: {flag} names 'Students' more than once\n")
 
 
+def test_a_schema_for_a_relation_no_data_names_is_a_usage_error(tmp_path, capsys):
+    side = tmp_path / "students.schema.json"
+    side.write_text(json.dumps({"Income": "categorical"}), encoding="utf-8")
+    assert main(_run_args() + ["--schema", f"Studnets={side}"]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "", "error: no data file is named for the schema of ['Studnets']\n")
+
+
 def test_bench_empty_suite_fails(tmp_path, capsys):
     assert main(["bench", "--suite", str(tmp_path)]) == EXIT_INVALID
     assert "error:" in capsys.readouterr().err
@@ -408,3 +416,29 @@ def test_constraint_group_is_read_against_the_joined_schema(tmp_path, capsys, gr
         assert json.loads(out)["distance"] == "0"
     else:
         assert out == "" and "Gendr" in err
+
+
+@pytest.mark.parametrize("entry, want", [
+    ({"k": 5.9}, EXIT_INVALID),
+    ({"k": True}, EXIT_INVALID),
+    ({"n": 1.5}, EXIT_INVALID),
+    ({"group": {"Gender": None}}, EXIT_INVALID),
+    ({"group": {"Gender": ["F"]}}, EXIT_INVALID),
+    # integral numbers and text naming one read as before
+    ({"k": 5.0}, EXIT_REFINED),
+    ({"k": "5", "n": "2"}, EXIT_REFINED),
+])
+def test_a_constraint_value_of_the_wrong_type_is_invalid_input(tmp_path, capsys, entry, want):
+    constraints = tmp_path / "constraints.json"
+    constraints.write_text(json.dumps(
+        [{"group": {"Space_Flights": 3}, "k": 5, "sense": "lower", "n": 2, **entry}]))
+    args = ["run", "--data", f"Astronauts={DATA / 'astronauts.csv'}",
+            "--query", str(SCENARIOS / "astronauts" / "query.sql"),
+            "--constraints", str(constraints), "--epsilon", "0"]
+    assert main(args) == want
+    out, err = capsys.readouterr()
+    if want == EXIT_REFINED:
+        assert json.loads(out)["distance"] == "0"
+    else:
+        assert out == "" and err.startswith("error: ")
+        assert "must be a whole number" in err or "is not a string or a number" in err

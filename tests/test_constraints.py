@@ -92,10 +92,23 @@ def test_parse_constraints_example():
     [{"group": {"G": "F"}, "k": 4, "sense": "between", "n": 1}],
     [{"k": 4, "sense": "lower", "n": 1}],
     [],
+    # k and n are whole numbers, group values strings or numbers
+    *([{"group": {"G": "F"}, "k": 4, "sense": "lower", "n": 2, field: value}]
+      for field, value in [("k", 5.9), ("k", True), ("n", 1.5), ("n", False), ("n", "1.5"),
+                           ("k", None), ("group", {"G": None}), ("group", {"G": ["F"]}),
+                           ("group", {"G": True})]),
 ])
 def test_parse_rejects_invalid(bad):
     with pytest.raises(ConstraintValidationError):
         parse_constraints(json.dumps(bad))
+
+
+def test_parse_reads_integral_numbers_and_text():
+    cs = parse_constraints(json.dumps([
+        {"group": {"G": "F", "H": 3, "X": 2.5}, "k": 4.0, "sense": "lower", "n": "2"}]))
+    (c,) = cs.constraints
+    assert (c.group, c.k, c.n) == ((("G", "F"), ("H", "3"), ("X", "2.5")), 4, 2)
+    assert type(c.k) is int and type(c.n) is int
 
 
 def test_parse_rejects_malformed_json():

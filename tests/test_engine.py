@@ -710,7 +710,7 @@ def test_refinement_with_fewer_than_k_star_tuples_fails_verification(
     instance = preparation(scholarship_query, students_db)
     too_tight = Refinement(numeric_constants={("GPA", ">="): Fraction(4)})
     assert 0 < len(engine.filter_annotated(
-        instance, apply_refinement(scholarship_query, too_tight), instance.key_attrs)) \
+        instance, apply_refinement(scholarship_query, too_tight))) \
         < scholarship_constraints.k_star
     with pytest.raises(InternalConsistencyError, match="fewer than k"):
         engine._verified_result(config, instance, too_tight, REFINED, {}, {})

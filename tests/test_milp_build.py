@@ -258,10 +258,9 @@ def _per_class_kept(instance, k_star):
     keep, per_class = set(), {}
     for at in instance:
         earlier = per_class.setdefault(at.lineage_class, [])
-        key = tuple(at.tuple[a] for a in instance.key_attrs) or at.tuple.tid
-        if len(set(earlier) - {key}) < k_star:
+        if len(set(earlier) - {at.key}) < k_star:
             keep.add(at.tuple.tid)
-        earlier.append(key)
+        earlier.append(at.key)
     return _with_shadows(instance, keep)
 
 
@@ -280,16 +279,16 @@ def _dominance_kept(instance, q, k_star):
     better-ranked tuples that dominate it carry k* keys other than its own."""
     keep = set()
     for n, at in enumerate(instance.annotated):
-        key = tuple(at.tuple[a] for a in instance.key_attrs) or at.tuple.tid
-        keys = {tuple(u.tuple[a] for a in instance.key_attrs) or u.tuple.tid
-                for u in instance.annotated[:n] if _dominates(q, u.tuple, at.tuple)}
-        if len(keys - {key}) < k_star:
+        keys = {u.key for u in instance.annotated[:n] if _dominates(q, u.tuple, at.tuple)}
+        if len(keys - {at.key}) < k_star:
             keep.add(at.tuple.tid)
     return _with_shadows(instance, keep)
 
 
 def _with_shadows(instance, keep):
-    keep |= {s.tuple.tid for at in instance if at.tuple.tid in keep for s in at.shadow}
+    """``keep`` with every better-ranked tuple of a kept tuple's key."""
+    worst = {at.key: at.base_rank for at in instance if at.tuple.tid in keep}
+    keep |= {at.tuple.tid for at in instance if at.base_rank < worst.get(at.key, 0)}
     return [at.tuple.tid for at in instance if at.tuple.tid in keep]
 
 
@@ -496,7 +495,7 @@ def test_running_counts_are_the_refined_positions(opt):
         if solution.status != "optimal":
             continue
         ranking = filter_annotated(builder.instance, apply_refinement(
-            q, extract_refinement(result, solution)), builder.key_attrs)
+            q, extract_refinement(result, solution)))
         column = {name: col for col, name in enumerate(result.model.col_names)}
         for at in builder.encoded:
             tid = at.tuple.tid
@@ -547,7 +546,7 @@ def test_kendall_objective_is_the_distance_at_every_refinement(opt):
                 model.col_kinds[col] = CONTINUOUS
                 model.col_lower[col] = model.col_upper[col] = float(on)
             solution = solve(model)
-            ranking = filter_annotated(instance, apply_refinement(q, ref), instance.key_attrs)
+            ranking = filter_annotated(instance, apply_refinement(q, ref))
             if len(ranking) < k_star or deviation(ranking, instance.tuples_by_id, cs) > 1:
                 assert solution.status == "infeasible"
                 continue
@@ -584,3 +583,50 @@ def test_outcome_kinds_give_topk_binaries_to_the_original_topk_and_members(
     assert set(builder.l_col) == wanted
     # some encoded tuple is neither, and has no top-k binary
     assert len({tid for tid, _ in wanted}) < len(builder.encoded)
+
+
+def _low_cardinality_distinct(rows=3000, keys=20):
+    """Thousands of rows over about twenty DISTINCT keys, so every key has
+    a long chain of better-ranked tuples."""
+    rng = random.Random(5)
+    schema = Schema.from_pairs([("name", "categorical"), ("g", "categorical"),
+                                ("x", "numerical"), ("score", "numerical")])
+    db = Database()
+    db.add(Relation("T", schema, tuple(
+        Tuple(tid, {"name": f"n{rng.randrange(keys)}", "g": rng.choice("ab"),
+                    "x": Fraction(rng.randrange(40)), "score": Fraction(rng.randrange(10**6))})
+        for tid in range(1, rows + 1))))
+    q = parse_query("SELECT DISTINCT name FROM T WHERE x >= 30 AND g = 'a' "
+                    "ORDER BY score DESC")
+    return q, db
+
+
+def test_low_cardinality_distinct_chains_prune_and_solve():
+    from rankrefine.engine import RunConfig, run
+    q, db = _low_cardinality_distinct()
+    instance = preparation(q, db)
+    keys = {at.key for at in instance}
+    assert len(keys) == 20
+    assert sum(at.prev is not None for at in instance) == len(instance) - len(keys)
+    cs = ConstraintSet((CardinalityConstraint((("g", "b"),), 5, 2, "lower"),))
+    for kind in (PRED, JACCARD, KENDALL):
+        for eps in (Fraction(0), Fraction(1, 2)):
+            got = [run(RunConfig(q, db, cs, eps, DistanceKind(kind), engine=engine))
+                   for engine in ("milp+opt", "naive+prov")]
+            assert got[0].status == got[1].status, (kind, eps)
+            assert got[0].distance == got[1].distance, (kind, eps)
+    # pruning keeps every encoded tuple's better-ranked tuples of its key
+    builder, result = _built(q, db, cs, 0, relevancy_prune=True)
+    assert 0 < result.stats["pruned_tuples"]
+    encoded = {at.tuple.tid for at in builder.encoded}
+    assert all(at.prev.tuple.tid in encoded for at in builder.encoded if at.prev)
+    # dropping one of them from the encoded tuples is caught
+    builder = ModelBuilder(q, db, cs, Fraction(0), DistanceKind(PRED),
+                           BuildOptions(relevancy_prune=True))
+    builder.relevancy_prune()
+    at = next(at for at in builder.encoded if at.prev is not None)
+    builder.encoded.remove(at.prev)
+    builder.gen_numeric_bound_exprs()
+    builder.gen_categorical_vars()
+    with pytest.raises(InternalConsistencyError, match=f"tuple {at.tuple.tid} has pruned"):
+        builder.gen_selection_exprs()
