@@ -27,16 +27,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from .constraints import ConstraintSet, read_constraint, read_count
 from .data import Database, Relation, load_database, parse_number
 from .distances import DistanceKind
 from .engine import RunConfig, run
-from .errors import PreconditionError, RankRefineError
+from .errors import ConstraintValidationError, PreconditionError, RankRefineError
 from .query import parse_query
 
 DEFAULT_REPEATS = 5
@@ -103,13 +105,23 @@ def materialize_constraints(entries: list[dict], k_override: int | None = None) 
         if "n" in e and k_override is None:
             n = read_count(e["n"], "n")
         elif "n_ratio" in e:
-            n = max(1, int(k * float(e["n_ratio"])))
+            n = max(1, math.floor(k * _read_ratio(e["n_ratio"])))
         elif "n" in e:
             n = min(read_count(e["n"], "n"), k)
         else:
             raise PreconditionError("constraint entry needs 'n' or 'n_ratio'")
         out.append(read_constraint(e, k, n))
     return ConstraintSet(tuple(out))
+
+
+def _read_ratio(value) -> Fraction:
+    """A finite "n_ratio", exactly as written: JSON 0.34 is 17/50, and a boolean is no number."""
+    try:
+        if not isinstance(value, bool):
+            return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConstraintValidationError(f"n_ratio must be a finite number, got {value!r}")
 
 
 @dataclass

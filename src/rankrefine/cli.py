@@ -70,12 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="0.5",
                    help="maximum allowed deviation (default 0.5; exact, e.g. '1/3')")
     p.add_argument("--engine", choices=ENGINES, default="milp+opt")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable relevancy pruning (milp+opt)")
-    p.add_argument("--no-merge", action="store_true",
-                   help="disable lineage-class variable merging (milp+opt)")
-    p.add_argument("--no-relax", action="store_true",
-                   help="disable single-sense rank-row relaxation (milp+opt)")
     p.add_argument("--timeout-s", type=float, default=None)
     p.add_argument("--out", default=None,
                    help="write the JSON report here (and the refined SQL "
@@ -120,9 +114,6 @@ def _cmd_run(args) -> tuple[int, str | None]:
         kind=DistanceKind(args.distance),
         engine=args.engine,
         timeout_s=args.timeout_s,
-        prune=not args.no_prune,
-        merge=not args.no_merge,
-        relax=not args.no_relax,
         lp_dump=args.lp_dump,
     )
     result = _run_with_stdout_on_stderr(config)

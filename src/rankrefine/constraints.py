@@ -158,6 +158,7 @@ def parse_constraints(text: str) -> ConstraintSet:
     for i, entry in enumerate(spec):
         try:
             out.append(read_constraint(entry))
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError,
+                ConstraintValidationError) as exc:
             raise ConstraintValidationError(f"constraint #{i}: {exc}") from exc
     return ConstraintSet(tuple(out))

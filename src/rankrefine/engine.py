@@ -30,7 +30,9 @@ from .milp import BuildOptions, SolveOptions, build_model, extract_refinement, s
 from .oracle import exhaustive_solve
 from .query import Query, Refinement, apply_refinement, render_sql
 
-ENGINES = ("milp", "milp+opt", "naive", "naive+prov")
+# the whole model configuration of each MILP engine; ``milp`` has every optimization off
+BUILD_OPTIONS = {"milp": BuildOptions(), "milp+opt": BuildOptions(True, True, True)}
+ENGINES = (*BUILD_OPTIONS, "naive", "naive+prov")
 
 REFINED = "refined"
 NO_REFINEMENT = "no_refinement"
@@ -46,9 +48,6 @@ class RunConfig:
     kind: DistanceKind
     engine: str = "milp+opt"
     timeout_s: float | None = None
-    prune: bool = True   # milp+opt only
-    merge: bool = True   # milp+opt only
-    relax: bool = True   # milp+opt only
     lp_dump: str | None = None
 
     def __post_init__(self):
@@ -184,15 +183,9 @@ def _run_oracle(config: RunConfig, instance: Instance) -> RefineResult:
 
 
 def _run_milp(config: RunConfig, instance: Instance) -> RefineResult:
-    opt = config.engine == "milp+opt"
-    options = BuildOptions(
-        relevancy_prune=opt and config.prune,
-        merge_lineage=opt and config.merge,
-        relax_single_sense=opt and config.relax,
-    )
     t0 = time.monotonic()
     built = build_model(config.query, config.db, config.constraints,
-                        config.epsilon, config.kind, options)
+                        config.epsilon, config.kind, BUILD_OPTIONS[config.engine])
     setup_ms = (time.monotonic() - t0) * 1000.0
     if config.lp_dump:
         write_lp(built.model, config.lp_dump)

@@ -136,6 +136,7 @@ class ModelBuilder:
         self.k_star = constraints.k_star
 
         instance = preparation(query, db)
+        # not under DISTINCT, where merging made 3,000-row solves 17-44% slower
         self.merged = self.options.merge_lineage and not instance.key_attrs
         self.original_topk = instance.original_ranking[: self.k_star]
         self.instance = instance

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 from pathlib import Path
@@ -51,6 +52,25 @@ def test_materialize_k_override_with_ratio():
         cs = materialize_constraints(entries, k_override=k)
         assert cs.k_star == k
         assert cs.constraints[0].n == want_n
+
+
+def test_materialize_reads_the_ratio_as_written():
+    # in binary floating point 100 * 0.29 is 28.999999999999996
+    entries = [{"group": {"Gender": "F"}, "k": 6, "sense": "lower", "n_ratio": 0.29}]
+    assert materialize_constraints(entries, k_override=100).constraints[0].n == 29
+
+
+@pytest.mark.parametrize("ratio", ["inf", "nan", True])
+def test_a_ratio_that_is_no_finite_number_is_an_error_row(tmp_path, ratio):
+    (tmp_path / "templ.json").write_text(json.dumps(
+        [{"group": {"Gender": "F"}, "k": 6, "sense": "lower", "n_ratio": ratio}]))
+    _write_mini_scenario(tmp_path, constraints="templ.json",
+                         sweep={"axis": "k", "values": [4]})
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--suite", str(tmp_path), "--repeats", "1", "--out", str(out)]) == 0
+    [row] = csv.DictReader(out.open(encoding="utf-8"))
+    assert (row["status"], row["error"]) == (
+        "error", f"n_ratio must be a finite number, got {ratio!r}")
 
 
 def test_materialize_k_override_clamps_fixed_n():

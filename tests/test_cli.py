@@ -197,10 +197,15 @@ def test_every_engine_flag(engine, capsys):
     assert json.loads(capsys.readouterr().out)["distance"] == "0.5"
 
 
-def test_optimization_toggles(capsys):
-    args = _run_args() + ["--no-prune", "--no-merge", "--no-relax"]
-    assert main(args) == EXIT_REFINED
-    assert json.loads(capsys.readouterr().out)["distance"] == "0.5"
+@pytest.mark.parametrize("flag", ["--no-prune", "--no-merge", "--no-relax"])
+def test_an_optimization_toggle_is_a_usage_error(capsys, flag):
+    """The engine name is the whole model configuration: ``milp`` has every
+    optimization off and ``milp+opt`` every one on."""
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args() + [flag])
+    assert exc.value.code == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {flag}" in captured.err
 
 
 def _mini_suite(directory: Path) -> Path:
@@ -440,5 +445,5 @@ def test_a_constraint_value_of_the_wrong_type_is_invalid_input(tmp_path, capsys,
     if want == EXIT_REFINED:
         assert json.loads(out)["distance"] == "0"
     else:
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and err.startswith("error: constraint #0: ")
         assert "must be a whole number" in err or "is not a string or a number" in err

@@ -22,6 +22,7 @@ from rankrefine.constraints import (
 from rankrefine.data import Database, Relation, Schema, Tuple, load_csv
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.engine import (
+    BUILD_OPTIONS,
     ENGINES,
     NO_REFINEMENT,
     REFINED,
@@ -31,7 +32,7 @@ from rankrefine.engine import (
     result_to_dict,
     run,
 )
-from rankrefine.milp import BuildOptions, Solution, build_model, solve
+from rankrefine.milp import Solution, build_model, solve
 from rankrefine.errors import (
     ConstraintValidationError,
     InternalConsistencyError,
@@ -176,16 +177,6 @@ def test_result_to_dict_includes_rounded_timing():
     result = RefineResult(status=REFINED, timing_ms={"total_ms": 1.23456})
     out = result_to_dict(result)
     assert out["timing_ms"]["total_ms"] == 1.235
-
-
-def test_milp_opt_flags_can_be_disabled(students_db, scholarship_query,
-                                        scholarship_constraints):
-    base = run(_config(students_db, scholarship_query, scholarship_constraints,
-                       engine="milp+opt"))
-    bare = run(_config(students_db, scholarship_query, scholarship_constraints,
-                       engine="milp+opt", prune=False, merge=False, relax=False))
-    assert base.status == bare.status == REFINED
-    assert base.distance == bare.distance
 
 
 def test_epsilon_relaxation_never_increases_distance(students_db,
@@ -568,10 +559,8 @@ def test_original_query_within_epsilon_is_answered_without_solving(
     assert result.refinement == Refinement.unchanged(scholarship_query)
     assert result.refined_sql == render_sql(scholarship_query)
     assert result.distance == 0 and result.deviation == eps
-    opt = engine_name == "milp+opt"
     built = build_model(scholarship_query, students_db, scholarship_constraints, eps, kind,
-                        BuildOptions(relevancy_prune=opt, merge_lineage=opt,
-                                     relax_single_sense=opt))
+                        BUILD_OPTIONS[engine_name])
     stats = result_to_dict(result)["model_stats"]
     assert (stats["variables"], stats["rows"]) == (built.stats["variables"],
                                                    built.stats["rows"])

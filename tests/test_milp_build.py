@@ -11,6 +11,7 @@ from rankrefine.annotate import filter_annotated, preparation
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet, deviation
 from rankrefine.data import Database, Relation, Schema, Tuple
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_kendall, dis_pred
+from rankrefine.engine import BUILD_OPTIONS
 from rankrefine.errors import InternalConsistencyError, PreconditionError
 from rankrefine.milp.build import (
     ROW_FAMILIES,
@@ -476,19 +477,20 @@ def test_kendall_objective_has_three_entries_per_original_topk_tuple():
         assert result.stats["rows_by_family"]["objective"] == k_star
 
 
-@pytest.mark.parametrize("opt", [False, True], ids=["milp", "milp+opt"])
-def test_running_counts_are_the_refined_positions(opt):
+@pytest.mark.parametrize("engine", BUILD_OPTIONS)
+def test_running_counts_are_the_refined_positions(engine):
     """The solved count of each selected tuple that has one is its 1-based
     position in the refined query's exact ranking; pruning leaves it exact
     up to k*, beyond which it only tells that the tuple is past k*."""
+    options = BUILD_OPTIONS[engine]
     rng = random.Random(11)
     checked = 0
     for _ in range(60):
         q, db, cs, eps = random_instance(rng)
         kind = DistanceKind(rng.choice([PRED, JACCARD, KENDALL]))
         try:
-            builder, result = _built(q, db, cs, eps, kind=kind, relevancy_prune=opt,
-                                     merge_lineage=opt, relax_single_sense=opt)
+            builder = ModelBuilder(q, db, cs, Fraction(eps), kind, options)
+            result = builder.build()
         except PreconditionError:
             continue
         solution = solve(result.model)
@@ -503,7 +505,7 @@ def test_running_counts_are_the_refined_positions(opt):
                 continue
             count = solution.values[column[f"P_{tid}"]]
             position = ranking.index(tid) + 1
-            if opt and position > cs.k_star:
+            if options.relevancy_prune and position > cs.k_star:
                 assert count > cs.k_star
             else:
                 assert count == pytest.approx(position, abs=1e-6)
@@ -515,8 +517,8 @@ _SATISFIES = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
               ">": operator.gt, ">=": operator.ge}
 
 
-@pytest.mark.parametrize("opt", [False, True], ids=["milp", "milp+opt"])
-def test_kendall_objective_is_the_distance_at_every_refinement(opt):
+@pytest.mark.parametrize("engine", BUILD_OPTIONS)
+def test_kendall_objective_is_the_distance_at_every_refinement(engine):
     """With its indicators fixed to a refinement, the ``kendall`` model is
     feasible exactly when the refinement is, and its optimum is then the
     exact distance of the refined top-k* from the original one."""
@@ -525,8 +527,8 @@ def test_kendall_objective_is_the_distance_at_every_refinement(opt):
     for _ in range(150):
         q, db, cs, _ = random_instance(rng)
         try:
-            result = _build(q, db, cs, 1, kind=DistanceKind(KENDALL), relevancy_prune=opt,
-                            merge_lineage=opt, relax_single_sense=opt)
+            result = build_model(q, db, cs, Fraction(1), DistanceKind(KENDALL),
+                                 BUILD_OPTIONS[engine])
         except PreconditionError:
             continue
         instance, k_star, model = preparation(q, db), cs.k_star, result.model

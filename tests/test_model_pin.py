@@ -40,11 +40,11 @@ from rankrefine.cli import main
 from rankrefine.constraints import ConstraintSet, parse_constraints
 from rankrefine.data import Database, load_csv
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
-from rankrefine.engine import RunConfig, result_to_dict, run
+from rankrefine.engine import BUILD_OPTIONS, RunConfig, result_to_dict, run
 from rankrefine.errors import RankRefineError
 from rankrefine.milp import solver
 from rankrefine.milp import build as build_module
-from rankrefine.milp.build import KEPT_MODELS, ROW_FAMILIES, BuildOptions, build_model
+from rankrefine.milp.build import KEPT_MODELS, ROW_FAMILIES, build_model
 from rankrefine.query import parse_query
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -123,9 +123,8 @@ def _golden_build(scenario, distance, epsilon, engine, db=None, constraints=None
     query = parse_query((SCENARIOS / scenario / "query.sql").read_text())
     constraints = constraints or parse_constraints(
         (SCENARIOS / scenario / "constraints.json").read_text())
-    opt = engine == "milp+opt"
     return build_model(query, db, constraints, Fraction(epsilon), DistanceKind(distance),
-                       BuildOptions(opt, opt, opt))
+                       BUILD_OPTIONS[engine])
 
 
 def _digest(model) -> str:

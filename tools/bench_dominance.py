@@ -90,9 +90,10 @@ def measure() -> list[dict]:
     imports."""
     import rankrefine as rr
     from rankrefine.constraints import deviation
+    from rankrefine.engine import BUILD_OPTIONS
     from rankrefine.milp import build, solver
 
-    options = build.BuildOptions(True, True, True)
+    options = BUILD_OPTIONS["milp+opt"]
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for label, files, text, cons, eps, distance in requests(Path(tmp)):
