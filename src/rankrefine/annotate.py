@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import attrgetter, is_
+from operator import is_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -104,7 +104,7 @@ def distinct_key_attrs(rel: Relation, q: Query) -> tuple[str, ...]:
 def _ranked(rel: Relation, q: Query) -> list[Tuple]:
     """``rel``'s rows in ``q``'s order, ties broken by ascending tuple id,
     everywhere, so that ranks, positions and deviations agree across
-    evaluator, oracle and MILP.
+    evaluator, oracle and MILP.  This is where a row becomes a ``Tuple``.
 
     The sort key is exact and integral: every value scaled to the lcm of
     the column's denominators.
@@ -117,13 +117,14 @@ def _ranked(rel: Relation, q: Query) -> list[Tuple]:
     for p in q.numeric_preds + q.cat_preds:
         if not rel.schema.has(p.attribute):
             raise PreconditionError(f"predicate attribute {p.attribute!r} not in joined schema")
-    rows = sorted(rel.rows, key=attrgetter("tid"))
-    values = [t[attr] for t in rows]
+    values = rel.column(attr)
     scale = math.lcm(*{v.denominator for v in values})
     sign = -1 if direction == "DESC" else 1
     keys = [sign * v.numerator * (scale // v.denominator) for v in values]
-    # a stable sort, so equal values keep ascending tuple-id order
-    return [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
+    names, rows = rel.schema.names, list(zip(*rel.columns))
+    # a stable sort of row indices, so equal values keep ascending tuple-id order
+    return [Tuple(i + 1, dict(zip(names, rows[i])))
+            for i in sorted(range(len(rows)), key=keys.__getitem__)]
 
 
 def annotate(q: Query, d: Database) -> Instance:

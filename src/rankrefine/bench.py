@@ -89,7 +89,7 @@ class BenchReport:
 
 
 def _load_constraint_entries(path: Path) -> list[dict]:
-    entries = json.loads(path.read_text(encoding="utf-8"))
+    entries = json.loads(path.read_text(encoding="utf-8-sig"))
     if not isinstance(entries, list):
         raise PreconditionError(f"{path}: constraint file must be a JSON array")
     return entries
@@ -136,7 +136,7 @@ class Scenario:
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
         path = Path(path)
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
         return cls(raw.get("name", path.stem), path, raw)
 
     def _resolve(self, rel_path: str) -> Path:
@@ -153,7 +153,7 @@ class Scenario:
             {name: self._resolve(path) for name, path in self.raw.get("schemas", {}).items()})
         if scale is not None:
             for rel in list(db.relations.values()):
-                db.add(Relation(rel.name, rel.schema, rel.rows[:scale]))
+                db.add(Relation(rel.name, rel.schema, tuple(c[:scale] for c in rel.columns)))
         return db
 
     def sweep_points(self) -> list[tuple[str, object]]:
@@ -166,7 +166,7 @@ class Scenario:
         return [(axis, v) for v in sweep["values"]]
 
     def configs(self, axis: str, value) -> list[RunConfig]:
-        query = parse_query(self._resolve(self.raw["query"]).read_text(encoding="utf-8"))
+        query = parse_query(self._resolve(self.raw["query"]).read_text(encoding="utf-8-sig"))
         entries = _load_constraint_entries(self._resolve(self.raw["constraints"]))
         epsilon = parse_number(str(self.raw.get("epsilon", "0.5")))
         scale = None

@@ -100,8 +100,8 @@ def _parse_pairs(pairs: list[str], flag: str) -> dict[str, str]:
 def _cmd_run(args) -> tuple[int, str | None]:
     """The run's exit code, and its report unless ``--out`` takes it."""
     db = load_database(_parse_pairs(args.data, "--data"), _parse_pairs(args.schema, "--schema"))
-    query = parse_query(Path(args.query).read_text(encoding="utf-8"))
-    constraints = parse_constraints(Path(args.constraints).read_text(encoding="utf-8"))
+    query = parse_query(Path(args.query).read_text(encoding="utf-8-sig"))
+    constraints = parse_constraints(Path(args.constraints).read_text(encoding="utf-8-sig"))
     try:
         epsilon = parse_number(args.epsilon)
     except (ValueError, ZeroDivisionError):
@@ -154,7 +154,10 @@ def _cmd_bench(args) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.out and Path(args.out).suffix == ".sql":
+        parser.error("--out must not end in .sql, the refined SQL's own suffix")
     try:
         status, out = (_cmd_run if args.command == "run" else _cmd_bench)(args)
         if out is not None:

@@ -48,7 +48,7 @@ class CardinalityConstraint:
         return all(t.values.get(a) == v for a, v in self.group)
 
     def label(self) -> str:
-        body = ",".join(f"{a}={format_number(v) if isinstance(v, Fraction) else v}"
+        body = ",".join(f"{a}={v if isinstance(v, str) else format_number(v)}"
                         for a, v in self.group)
         return f"{'lb' if self.sense == LOWER else 'ub'}[{body},k={self.k}]={self.n}"
 
@@ -83,7 +83,7 @@ class ConstraintSet:
                 if not schema.has(a):
                     raise ConstraintValidationError(
                         f"constraint group attribute {a!r} not in the query's joined schema")
-                if schema.kind_of(a) == NUMERICAL and not isinstance(v, Fraction):
+                if schema.kind_of(a) == NUMERICAL and isinstance(v, str):
                     try:
                         v = parse_number(str(v))
                     except (ValueError, ZeroDivisionError) as exc:

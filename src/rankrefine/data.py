@@ -1,15 +1,17 @@
 """Relational data layer: typed CSV loading, natural join, value formatting.
 
-Numeric cells are held as exact :class:`fractions.Fraction` values so that
-predicate comparisons (``GPA >= 3.7``) behave like decimal arithmetic, not
-binary floating point.  Floats only appear once values are handed to the LP
-solver.  A cell is a number iff ``Fraction(cell.strip())`` reads it, and
-:func:`load_csv` parses each cell once, inferring a column's kind as it goes.
-:func:`natural_join` hashes its keys as ints, pairs and strings.
+A :class:`Relation` holds one tuple of values per attribute, and neither
+:func:`load_csv` nor :func:`natural_join` makes an object per row.  A
+categorical cell is a ``str``; a cell is a number iff ``Fraction(cell.strip())``
+reads it, and is then held exactly: an ``int`` when integral however it is
+spelled (``12``, ``12.``, ``1e3``), else a :class:`fractions.Fraction`.  So
+predicate comparisons (``GPA >= 3.7``) behave like decimal arithmetic, and
+floats only appear once values are handed to the LP solver.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ if TYPE_CHECKING:
 CATEGORICAL = "categorical"
 NUMERICAL = "numerical"
 
-Value = Union[str, Fraction]
+Value = Union[str, int, Fraction]
 
 
 def parse_number(text: str) -> Fraction:
@@ -56,7 +58,7 @@ def format_number(x: Fraction) -> str:
 
 
 def compare_kinds(a: Value, b: Value) -> None:
-    if isinstance(a, Fraction) != isinstance(b, Fraction):
+    if isinstance(a, str) != isinstance(b, str):
         raise KindMismatchError(f"cannot compare {a!r} with {b!r}")
 
 
@@ -105,23 +107,23 @@ class Tuple:
 
 @dataclass(frozen=True)
 class Relation:
+    """``columns[j]`` holds every row's value of the schema's j-th
+    attribute, and row i has tuple id i + 1."""
+
     name: str
     schema: Schema
-    rows: tuple[Tuple, ...] = ()
+    columns: tuple[tuple[Value, ...], ...]
 
     def __post_init__(self):
-        tids = [t.tid for t in self.rows]
-        if len(set(tids)) != len(tids):
-            raise LoadError(f"duplicate tuple ids in relation {self.name!r}")
-        names = set(self.schema.names)
-        for t in self.rows:
-            if set(t.values) != names:
-                raise LoadError(
-                    f"row {t.tid} of {self.name!r} does not match the schema"
-                )
+        if (len(self.columns) != len(self.schema.attributes)
+                or len(set(map(len, self.columns))) > 1):
+            raise LoadError(f"the columns of relation {self.name!r} do not fit its schema")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0]) if self.columns else 0
+
+    def column(self, attr: str) -> tuple[Value, ...]:
+        return self.columns[self.schema.names.index(attr)]
 
 
 @dataclass
@@ -151,7 +153,7 @@ _SIDECAR_FORM = ('a JSON object mapping CSV columns to "numerical" or '
 def read_sidecar(path: str | Path) -> dict[str, str]:
     """Sidecar schema file: column kinds that override the inferred ones."""
     try:
-        spec = json.loads(Path(path).read_text(encoding="utf-8"))
+        spec = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise LoadError(f"cannot read schema file {path}: {exc}") from exc
     if not isinstance(spec, dict) or not all(
@@ -160,26 +162,31 @@ def read_sidecar(path: str | Path) -> dict[str, str]:
     return spec
 
 
-def _numbers(cells: Sequence[str]) -> list[Fraction]:
+def _numbers(cells: Sequence[str]) -> Sequence[int | Fraction]:
     """The exact values of ``cells`` up to the first one that is not a number,
-    so a short list points at that cell; a repeated string is parsed once."""
-    seen: dict[str, Fraction] = {}
+    so a short list points at that cell; integral ones are ints, and a
+    repeated string is parsed once."""
+    if all(map(str.isdecimal, cells)):
+        with contextlib.suppress(ValueError):  # more digits than ``int`` reads
+            return tuple(map(int, cells))
+    seen: dict[str, int | Fraction] = {}
     values = []
     for cell in cells:
         value = seen.get(cell)
         if value is None:
             try:
-                value = seen[cell] = (Fraction(int(cell)) if cell.isdecimal()
-                                      else parse_number(cell))
+                value = parse_number(cell)
             except (ValueError, ZeroDivisionError):
                 break
+            value = seen[cell] = value.numerator if value.denominator == 1 else value
         values.append(value)
     return values
 
 
 def load_csv(path: str | Path, kinds: Mapping[str, str] | None = None,
              name: str | None = None) -> Relation:
-    """Load a comma separated UTF-8 file with a header row.
+    """Load a comma separated UTF-8 file with a header row, less any byte
+    order mark.
 
     A column that ``kinds`` lists (see :func:`read_sidecar`) takes the kind
     given there; any other is numerical iff every cell is a number, so an
@@ -189,7 +196,7 @@ def load_csv(path: str | Path, kinds: Mapping[str, str] | None = None,
     path = Path(path)
     if not path.exists():
         raise LoadError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -224,15 +231,12 @@ def load_csv(path: str | Path, kinds: Mapping[str, str] | None = None,
                 bad.append((len(values) + 1, col, attr, texts[len(values)]))
             values, kind = texts, kind or CATEGORICAL
         attributes.append((attr, kind or NUMERICAL))
-        columns.append(values)
+        columns.append(tuple(values))
     schema = Schema.from_pairs(attributes)
     if bad:
         i, _, attr, cell = min(bad)
         raise LoadError(f"{path}: cell {cell!r} at (row {i}, {attr!r}) is not numeric")
-
-    rows = tuple(Tuple(tid=i, values=dict(zip(header, values))) for i, values
-                 in enumerate(zip(*columns) if columns else [()] * n, start=1))
-    return Relation(name=name or path.stem, schema=schema, rows=rows)
+    return Relation(name or path.stem, schema, tuple(columns))
 
 
 def load_database(paths: Mapping[str, str | Path],
@@ -250,18 +254,15 @@ def load_database(paths: Mapping[str, str | Path],
 
 
 def _join_keys(rel: Relation, shared: list[str]) -> Iterable:
-    """Each row's values of ``shared`` as keys that hash and compare in C:
-    an integral number becomes an int, any other a (numerator, denominator)
-    pair, and a string stays as it is."""
-    keys = [[(v.numerator if v.denominator == 1 else (v.numerator, v.denominator))
-             if isinstance(v, Fraction) else v
-             for v in (t.values[n] for t in rel.rows)] for n in shared]
+    """Each row's values of ``shared``, in row order."""
+    keys = [rel.column(n) for n in shared]
     return keys[0] if len(keys) == 1 else zip(*keys)
 
 
 def natural_join(left: Relation, right: Relation, name: str | None = None) -> Relation:
     """Standard natural join on all same-named attributes; result tids are
-    fresh, in left-major order."""
+    fresh, in left-major order.  It pairs row indices through an index of
+    the right relation's keys, then gathers each column at them."""
     shared = [n for n in left.schema.names if right.schema.has(n)]
     if not shared:
         raise JoinError(f"no shared attributes between {left.name!r} and {right.name!r}")
@@ -271,13 +272,16 @@ def natural_join(left: Relation, right: Relation, name: str | None = None) -> Re
 
     right_attrs = [(n, k) for n, k in right.schema.attributes if n not in shared]
     index: dict = {}
-    for key, rt in zip(_join_keys(right, shared), right.rows):
-        index.setdefault(key, []).append({n: rt.values[n] for n, _ in right_attrs})
-    joined = ({**lt.values, **extra}
-              for lt, key in zip(left.rows, _join_keys(left, shared))
-              for extra in index.get(key, ()))
-    return Relation(
-        name=name or f"{left.name}_{right.name}",
-        schema=Schema.from_pairs(list(left.schema.attributes) + right_attrs),
-        rows=tuple(Tuple(tid=tid, values=values) for tid, values in enumerate(joined, start=1)),
-    )
+    for j, key in enumerate(_join_keys(right, shared)):
+        index.setdefault(key, []).append(j)
+    lefts, rights = [], []  # the row indices of each joined row
+    for i, key in enumerate(_join_keys(left, shared)):
+        matches = index.get(key)
+        if matches:
+            lefts += [i] * len(matches)
+            rights += matches
+    columns = [tuple(map(c.__getitem__, lefts)) for c in left.columns]
+    columns += [tuple(map(right.column(n).__getitem__, rights)) for n, _ in right_attrs]
+    return Relation(name or f"{left.name}_{right.name}",
+                    Schema.from_pairs(list(left.schema.attributes) + right_attrs),
+                    tuple(columns))

@@ -35,9 +35,9 @@ class OracleResult:
     candidates_checked: int
 
 
-def _half_gap(values: list[Fraction]) -> Fraction:
+def _half_gap(values: list) -> Fraction:  # exact on ints too
     gaps = [b - a for a, b in zip(values, values[1:])]
-    return min(gaps) / 2 if gaps else Fraction(1, 2)
+    return Fraction(min(gaps), 2) if gaps else Fraction(1, 2)
 
 
 def numeric_candidates(values: list[Fraction], original: Fraction) -> list[Fraction]:

@@ -52,7 +52,7 @@ class CatPredicate:
             )
 
     def holds(self, value: str) -> bool:
-        if isinstance(value, Fraction):
+        if not isinstance(value, str):
             raise KindMismatchError(
                 f"categorical predicate on {self.attribute!r} applied to a number"
             )
@@ -142,7 +142,7 @@ def satisfies(t: Tuple, q: Query) -> bool:
     """True iff the tuple satisfies the conjunction of all predicates."""
     for p in q.numeric_preds:
         v = t[p.attribute]
-        if not isinstance(v, Fraction):
+        if isinstance(v, str):
             raise KindMismatchError(f"attribute {p.attribute!r} is not numeric")
         if not p.holds(v):
             return False
@@ -167,7 +167,8 @@ def render_sql(q: Query) -> str:
     parts = ["SELECT"]
     if q.distinct:
         parts.append("DISTINCT")
-    parts.append(", ".join(_ident(a) for a in q.select_attrs))
+    star = q.select_attrs == ("*",)
+    parts.append("*" if star else ", ".join(_ident(a) for a in q.select_attrs))
     parts.append("FROM")
     parts.append(" NATURAL JOIN ".join(_ident(t) for t in q.tables))
     preds = []

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize._highspy import _core as highspy
 
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet, parse_constraints
-from rankrefine.data import Database, Relation, Schema, Tuple, load_csv
+from rankrefine.data import Database, Relation, Schema, load_csv
 from rankrefine.query import Query, Refinement, parse_query
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -66,6 +66,18 @@ def ref_triple_prime() -> Refinement:  # GPA loosened, Activity gains MO
                       cat_values={"Activity": frozenset({"RB", "MO"})})
 
 
+def relation(name: str, schema: Schema, rows) -> Relation:
+    """The relation ``name`` whose rows are the dicts ``rows``, in tuple-id
+    order: row i has tuple id i + 1.  Every test relation is built here."""
+    rows = list(rows)
+    return Relation(name, schema, tuple(tuple(row[n] for row in rows) for n in schema.names))
+
+
+def rows_of(rel: Relation) -> list[dict]:
+    """``rel``'s rows as dicts, in tuple-id order."""
+    return [dict(zip(rel.schema.names, row)) for row in zip(*rel.columns)]
+
+
 def read_lp(path):
     """A silenced HiGHS holding the model read back from the LP file ``path``."""
     h = highspy._Highs()
@@ -90,17 +102,17 @@ def random_instance(rng: random.Random, max_rows: int = 16):
     """
     n_rows = rng.randint(8, max_rows)
     rows = []
-    for tid in range(1, n_rows + 1):
-        rows.append(Tuple(tid, {
+    for _ in range(n_rows):
+        rows.append({
             "g": rng.choice(CAT1),
             "h": rng.choice(CAT2),
             "x": Fraction(rng.randint(0, 6)),
             "score": Fraction(rng.randint(0, 24)),  # ties on purpose
-        }))
+        })
     schema = Schema.from_pairs([("g", "categorical"), ("h", "categorical"),
                                 ("x", "numerical"), ("score", "numerical")])
     db = Database()
-    db.add(Relation("T", schema, tuple(rows)))
+    db.add(relation("T", schema, rows))
 
     num_preds = []
     if rng.random() < 0.8:

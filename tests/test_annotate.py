@@ -10,7 +10,8 @@ from rankrefine.annotate import (
     evaluate,
     filter_annotated,
 )
-from rankrefine.data import Database, Relation, Schema, Tuple
+from rankrefine.data import Database, Schema, load_csv
+from rankrefine.errors import KindMismatchError
 from rankrefine.query import (
     NUM_OPS,
     CatPredicate,
@@ -18,7 +19,10 @@ from rankrefine.query import (
     Query,
     Refinement,
     apply_refinement,
+    parse_query,
 )
+
+from conftest import relation
 
 
 def _students_of(db, q, ranking):
@@ -121,16 +125,13 @@ VALUE_FAMILIES = {
 
 
 def _table(family, rng, n=40):
-    """Relation T(v, x, c) with rows in shuffled tid order and many ties."""
+    """Relation T(v, x, c) with many ties."""
     draw = VALUE_FAMILIES[family]
-    tids = list(range(1, n + 1))
-    rng.shuffle(tids)
-    rows = tuple(Tuple(tid, {"v": draw(rng), "x": draw(rng), "c": rng.choice("ab")})
-                 for tid in tids)
+    rows = [{"v": draw(rng), "x": draw(rng), "c": rng.choice("ab")} for _ in range(n)]
     schema = Schema.from_pairs([("v", "numerical"), ("x", "numerical"),
                                 ("c", "categorical")])
     db = Database()
-    db.add(Relation("T", schema, rows))
+    db.add(relation("T", schema, rows))
     return db
 
 
@@ -147,12 +148,13 @@ def test_rank_matches_fraction_reference(family, direction):
     db = _table(family, rng)
     q = _query(direction)
     sign = -1 if direction == "DESC" else 1
-    rows = db.get("T").rows
-    want = [t.tid for t in sorted(rows, key=lambda t: (sign * t["v"], t.tid))]
-    assert len({t["v"] for t in rows}) < len(rows), "the family should produce ties"
+    values = db.get("T").column("v")
+    tids = range(1, len(values) + 1)
+    want = sorted(tids, key=lambda tid: (sign * values[tid - 1], tid))
+    assert len(set(values)) < len(values), "the family should produce ties"
     instance = annotate(q, db)
     assert [at.tuple.tid for at in instance] == want
-    assert [at.base_rank for at in instance] == list(range(1, len(rows) + 1))
+    assert [at.base_rank for at in instance] == list(tids)
     assert evaluate(q, db) == want
     assert instance.original_ranking == tuple(want)
 
@@ -175,7 +177,7 @@ def test_holds_every_operator_at_and_around_the_constant(family):
 def test_filter_matches_evaluate_on_hard_magnitudes(family, distinct):
     rng = random.Random(f"{family}-filter-{distinct}")
     db = _table(family, rng)
-    xs = sorted({t["x"] for t in db.get("T").rows})
+    xs = sorted(set(db.get("T").column("x")))
     for op in NUM_OPS:
         for direction in ("ASC", "DESC"):
             base = _query(direction, [NumPredicate("x", op, xs[0])],
@@ -189,3 +191,17 @@ def test_filter_matches_evaluate_on_hard_magnitudes(family, distinct):
                         cat_values={"c": values}))
                     assert filter_annotated(instance, q2) == \
                         evaluate(q2, db), (op, direction, constant, values)
+
+
+@pytest.mark.parametrize("where", ["x = 'a'", "c >= 1"])
+def test_a_predicate_on_a_column_of_the_other_kind_is_an_error(tmp_path, where):
+    """``x`` holds ints and ``c`` strings."""
+    p = tmp_path / "T.csv"
+    p.write_text("x,c,s\n1,a,1\n2,b,2\n")
+    db = Database()
+    db.add(load_csv(p))
+    q = parse_query(f"SELECT * FROM T WHERE {where} ORDER BY s DESC")
+    with pytest.raises(KindMismatchError):
+        evaluate(q, db)
+    with pytest.raises(KindMismatchError):
+        annotate(q, db)

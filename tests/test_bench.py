@@ -250,6 +250,13 @@ def test_suite_runner_and_csv(tmp_path):
     assert "mini" in report.summary()
 
 
+def test_a_scenario_file_may_start_with_a_byte_order_mark(tmp_path):
+    path = _write_mini_scenario(tmp_path)
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    [row] = run_suite(tmp_path, repeats=1).rows
+    assert (row.status, row.error) == ("refined", "")
+
+
 def test_suite_requires_scenarios(tmp_path):
     with pytest.raises(PreconditionError):
         run_suite(tmp_path)

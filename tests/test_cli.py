@@ -150,6 +150,17 @@ def test_an_input_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
 
+@pytest.mark.parametrize("flag", ["--query", "--constraints"])
+def test_an_input_file_may_start_with_a_byte_order_mark(tmp_path, capsys, flag):
+    args = _run_args()
+    i = args.index(flag) + 1
+    bommed = tmp_path / Path(args[i]).name
+    bommed.write_text("\ufeff" + Path(args[i]).read_text(encoding="utf-8"), encoding="utf-8")
+    args[i] = str(bommed)
+    assert main(args) == EXIT_REFINED
+    assert json.loads(capsys.readouterr().out)["distance"] == "0.5"
+
+
 @pytest.mark.parametrize("fault", [KeyError("tid"), ValueError("bad row"),
                                    ZeroDivisionError("division by zero")])
 def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys, fault):
@@ -170,6 +181,17 @@ def test_out_file_and_sql_sidecar(tmp_path, capsys):
     sql = (tmp_path / "report.sql").read_text().strip()
     assert sql.startswith("SELECT DISTINCT")
     assert "GPA >= 3.7" in sql and "'SO'" in sql
+
+
+def test_an_out_path_ending_in_sql_is_a_usage_error(tmp_path, capsys):
+    # its report would be overwritten by the refined SQL written next to it
+    out = tmp_path / "r.sql"
+    with pytest.raises(SystemExit) as exc:
+        main(_run_args(out=out))
+    assert exc.value.code == EXIT_INVALID
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--out must not end in .sql" in captured.err
 
 
 def test_lp_dump_flag(tmp_path, capsys):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rankrefine.annotate import annotate
 from rankrefine.data import (
     Database,
-    Relation,
     Schema,
     Tuple,
     format_number,
@@ -17,14 +17,15 @@ from rankrefine.data import (
     read_sidecar,
 )
 from rankrefine.errors import JoinError, KindMismatchError, LoadError
+from rankrefine.query import parse_query
 
-from conftest import DATA
+from conftest import DATA, relation, rows_of
 
 
 def test_students_load(students_db):
     students = students_db.get("Students")
     assert len(students) == 14
-    assert students.rows[0]["GPA"] == Fraction("3.7")
+    assert students.column("GPA")[0] == Fraction("3.7")
     assert students.schema.kind_of("Gender") == "categorical"
     assert students.schema.kind_of("SAT") == "numerical"
 
@@ -60,8 +61,8 @@ def test_an_empty_cell_makes_an_inferred_column_categorical(tmp_path):
     rel = load_csv(p)
     assert rel.schema.attributes == (
         ("a", "categorical"), ("b", "categorical"), ("c", "categorical"))
-    assert [t["a"] for t in rel.rows] == ["1", ""]
-    assert [t["b"] for t in rel.rows] == ["", ""]
+    assert rel.column("a") == ("1", "")
+    assert rel.column("b") == ("", "")
 
 
 def test_an_empty_cell_in_a_numerical_sidecar_column_is_an_error(tmp_path):
@@ -108,14 +109,16 @@ PINNED_CELLS = ["1_000", "１２", "\xa012\xa0", "1e3", ".5", "12.", "٣.٥", "1
 @example(PINNED_CELLS)
 def test_each_cell_reads_as_fraction_of_its_stripped_text(tmp_path_factory, cells):
     path = tmp_path_factory.mktemp("cells") / "t.csv"
-    [row] = _load_cells(path, cells).rows
-    for j, cell in enumerate(cells):
+    rel = _load_cells(path, cells)
+    for cell, (value,) in zip(cells, rel.columns):
         exact = _exact(cell)
-        assert row[f"c{j}"] == (cell if exact is None else exact)
-        assert isinstance(row[f"c{j}"], str if exact is None else Fraction)
+        assert value == (cell if exact is None else exact)
+        # an integral number is an int, however it is spelled
+        kind = str if exact is None else int if exact.denominator == 1 else Fraction
+        assert type(value) is kind
     numerical = {f"c{j}": "numerical" for j in range(len(cells))}
     if all(_exact(c) is not None for c in cells):
-        assert _load_cells(path, cells, numerical).rows == (row,)
+        assert _load_cells(path, cells, numerical).columns == rel.columns
     else:
         with pytest.raises(LoadError, match="is not numeric"):
             _load_cells(path, cells, numerical)
@@ -124,7 +127,7 @@ def test_each_cell_reads_as_fraction_of_its_stripped_text(tmp_path_factory, cell
 @pytest.mark.parametrize("cell", ["1/0", " 1 / 3"])
 def test_cells_fraction_rejects_are_categorical_or_errors(tmp_path, cell):
     rel = _load_cells(tmp_path / "t.csv", [cell])
-    assert rel.schema.kind_of("c0") == "categorical" and rel.rows[0]["c0"] == cell
+    assert rel.schema.kind_of("c0") == "categorical" and rel.column("c0") == (cell,)
     with pytest.raises(LoadError, match=r"at \(row 1, 'c0'\) is not numeric"):
         _load_cells(tmp_path / "t.csv", [cell], {"c0": "numerical"})
 
@@ -135,7 +138,7 @@ def test_sidecar_schema_overrides_inference(tmp_path):
     side = tmp_path / "t.schema.json"
     side.write_text('{"a": "categorical"}')
     rel = load_csv(p, read_sidecar(side))
-    assert rel.rows[0]["a"] == "1"
+    assert rel.column("a") == ("1", "2")
 
 
 def test_sidecar_keeps_inferred_kinds_of_unlisted_columns(tmp_path):
@@ -145,7 +148,7 @@ def test_sidecar_keeps_inferred_kinds_of_unlisted_columns(tmp_path):
     assert rel.schema.attributes == (
         ("ID", "categorical"), ("Gender", "categorical"),
         ("Income", "categorical"), ("GPA", "numerical"), ("SAT", "numerical"))
-    assert rel.rows[0]["ID"] == "1" and rel.rows[0]["GPA"] == Fraction("3.7")
+    assert rel.column("ID")[0] == "1" and rel.column("GPA")[0] == Fraction("3.7")
 
 
 def test_sidecar_column_missing_from_csv(tmp_path):
@@ -170,13 +173,13 @@ def test_sidecar_of_the_wrong_form(tmp_path, text):
 def test_join_duplicates_student_four(students_db):
     joined = natural_join(students_db.get("Students"), students_db.get("Activities"))
     assert len(joined) == 14
-    four = [t for t in joined.rows if t["ID"] == Fraction(4)]
+    four = [row for row in rows_of(joined) if row["ID"] == 4]
     assert sorted(t["Activity"] for t in four) == ["RB", "TU"]
 
 
 def test_join_with_empty_right(students_db):
     students = students_db.get("Students")
-    empty = Relation("E", students_db.get("Activities").schema, ())
+    empty = relation("E", students_db.get("Activities").schema, [])
     assert len(natural_join(students, empty)) == 0
 
 
@@ -186,17 +189,17 @@ def test_self_join_on_key_preserves_rows(students_db):
 
 
 def test_join_kind_mismatch():
-    a = Relation("A", Schema.from_pairs([("k", "numerical")]),
-                 (Tuple(1, {"k": Fraction(1)}),))
-    b = Relation("B", Schema.from_pairs([("k", "categorical")]),
-                 (Tuple(1, {"k": "1"}),))
+    a = relation("A", Schema.from_pairs([("k", "numerical")]), [{"k": 1}])
+    b = relation("B", Schema.from_pairs([("k", "categorical")]), [{"k": "1"}])
     with pytest.raises((JoinError, KindMismatchError)):
         natural_join(a, b)
 
 
 def _nested_loop_join(left, right):
+    """The row-wise natural join: every left row, in order, with each
+    right row that agrees on the shared attributes, in order."""
     shared = [n for n in left.schema.names if right.schema.has(n)]
-    return [{**lt.values, **rt.values} for lt in left.rows for rt in right.rows
+    return [{**lt, **rt} for lt in rows_of(left) for rt in rows_of(right)
             if all(lt[n] == rt[n] for n in shared)]
 
 
@@ -216,10 +219,74 @@ def _relation(tmp_path, name, text):
 def test_join_matches_a_nested_loop_join(tmp_path, left, right, rows):
     lrel, rrel = _relation(tmp_path, "L", left), _relation(tmp_path, "R", right)
     joined = natural_join(lrel, rrel)
-    assert [t.tid for t in joined.rows] == list(range(1, rows + 1))
-    assert [dict(t.values) for t in joined.rows] == _nested_loop_join(lrel, rrel)
+    assert len(joined) == rows
+    # row i of a relation has tuple id i + 1, so equal row lists have equal tids
+    assert rows_of(joined) == _nested_loop_join(lrel, rrel)
     assert joined.schema.names == lrel.schema.names + tuple(
         n for n in rrel.schema.names if not lrel.schema.has(n))
+
+
+_KINDS = {"k": "numerical", "m": "categorical", "a": "numerical", "b": "categorical"}
+_CELLS = {"k": st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(7, 3), Fraction(-5, 2)]),
+          "m": st.sampled_from("uv"), "a": st.integers(-3, 3), "b": st.sampled_from("xy")}
+
+
+def _random_relation(draw, name, attrs):
+    rows = draw(st.lists(st.fixed_dictionaries({n: _CELLS[n] for n in attrs}), max_size=10))
+    return relation(name, Schema.from_pairs((n, _KINDS[n]) for n in attrs), rows)
+
+
+@given(st.data())
+def test_join_matches_a_row_wise_join_on_random_tables(data):
+    left = _random_relation(data.draw, "L", ["k", "m", "a"])
+    right_attrs = data.draw(st.sampled_from([["b", "k"], ["m", "b", "k"], ["m", "b"]]))
+    right = _random_relation(data.draw, "R", right_attrs)
+    assert rows_of(natural_join(left, right)) == _nested_loop_join(left, right)
+
+
+def test_only_ranking_builds_tuples(monkeypatch):
+    """Loading and joining keep columns; ``annotate`` makes one ``Tuple`` per
+    joined row it ranks."""
+    built = []
+    init = Tuple.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tuple, "__init__", counted)
+    db = Database()
+    db.add(load_csv(DATA / "students.csv", name="Students"))
+    db.add(load_csv(DATA / "activities.csv", name="Activities"))
+    joined = natural_join(db.get("Students"), db.get("Activities"))
+    assert built == []
+    q = parse_query("SELECT * FROM Students NATURAL JOIN Activities ORDER BY SAT DESC")
+    instance = annotate(q, db)
+    assert len(built) == len(joined) == len(instance) == 14
+
+
+def test_a_mixed_numeric_column_loads_exactly(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(f"v,s\n3,1\n3.0,2\n7/2,3\n{10**30 + 1},4\n")
+    rel = load_csv(p, name="T")
+    assert rel.column("v") == (3, 3, Fraction(7, 2), 10**30 + 1)
+    assert [type(v) for v in rel.column("v")] == [int, int, Fraction, int]
+    db = Database()
+    db.add(rel)
+    instance = annotate(parse_query("SELECT * FROM T WHERE v >= 3 ORDER BY s DESC"), db)
+    assert instance.domain("v") == [3, Fraction(7, 2), 10**30 + 1]
+
+
+def test_a_byte_order_mark_is_no_part_of_the_first_column(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("\ufeffID,v\n1,2\n", encoding="utf-8")
+    assert load_csv(p).schema.names == ("ID", "v")
+
+
+def test_a_sidecar_may_start_with_a_byte_order_mark(tmp_path):
+    side = tmp_path / "s.json"
+    side.write_text('\ufeff{"a": "categorical"}', encoding="utf-8")
+    assert read_sidecar(side) == {"a": "categorical"}
 
 
 def test_cross_kind_comparison_is_an_error():

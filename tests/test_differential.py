@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from rankrefine.annotate import preparation
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet
-from rankrefine.data import Database, Relation, Schema, Tuple
+from rankrefine.data import Database, Schema
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.engine import REFINED, RunConfig, run
 from rankrefine.errors import PreconditionError
 from rankrefine.query import NUM_OPS, CatPredicate, NumPredicate, Query, parse_query
+
+from conftest import relation
 
 TOL = 1e-6  # as in the acceptance suite
 
@@ -37,13 +39,12 @@ def relations(draw):
     """10-20 rows over at most 5 ids, so a DISTINCT id keeps few of them."""
     ids = draw(st.integers(1, 5))
     n = draw(st.integers(10, 20))
-    rows = tuple(
-        Tuple(tid, {"id": Fraction(draw(st.integers(1, ids))),
-                    "g": draw(st.sampled_from(GROUPS)),
-                    "x": Fraction(draw(st.integers(0, 6))),
-                    "score": Fraction(draw(st.integers(0, 9)))})  # ties on purpose
-        for tid in range(1, n + 1))
-    return Relation("T", SCHEMA, rows)
+    rows = [{"id": Fraction(draw(st.integers(1, ids))),
+             "g": draw(st.sampled_from(GROUPS)),
+             "x": Fraction(draw(st.integers(0, 6))),
+             "score": Fraction(draw(st.integers(0, 9)))}  # ties on purpose
+            for _ in range(n)]
+    return relation("T", SCHEMA, rows)
 
 
 @st.composite
@@ -106,15 +107,15 @@ def _roster(seed: int, rows: int = 600) -> Database:
                                 ("Hours", "numerical")])
     female = {i: rng.random() < 0.4 for i in range(1, 301)}
     out = []
-    for tid in range(1, rows + 1):
+    for _ in range(rows):
         i = rng.randint(1, 300)
-        out.append(Tuple(tid, {
+        out.append({
             "ID": Fraction(i), "Gender": "F" if female[i] else "M",
             "Status": rng.choice(("Active", "Retired", "Management")),
             "Flights": Fraction(rng.randrange(50)),
-            "Hours": Fraction(rng.randrange(10**6) + (0 if female[i] else 300_000))}))
+            "Hours": Fraction(rng.randrange(10**6) + (0 if female[i] else 300_000))})
     db = Database()
-    db.add(Relation("Astronauts", schema, tuple(out)))
+    db.add(relation("Astronauts", schema, out))
     return db
 
 

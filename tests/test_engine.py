@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DATA, SCENARIOS, read_lp
+from conftest import DATA, SCENARIOS, read_lp, relation, rows_of
 from test_golden import GOLDEN, RELATIONS, _args
 
 from rankrefine import engine
@@ -19,7 +19,7 @@ from rankrefine.constraints import (
     deviation,
     parse_constraints,
 )
-from rankrefine.data import Database, Relation, Schema, Tuple, load_csv
+from rankrefine.data import Database, Relation, Schema, load_csv
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.engine import (
     BUILD_OPTIONS,
@@ -307,8 +307,8 @@ def test_one_join_and_one_annotate_pass_per_run(prepare_calls, scholarship_query
 
 def _everyone_female_low_income(db: Database) -> Relation:
     students = db.get("Students")
-    return Relation("Students", students.schema, tuple(
-        Tuple(t.tid, {**t.values, "Gender": "F", "Income": "Low"}) for t in students.rows))
+    return relation("Students", students.schema, (
+        {**row, "Gender": "F", "Income": "Low"} for row in rows_of(students)))
 
 
 def test_added_relation_is_prepared_again(prepare_calls, scholarship_query,
@@ -505,13 +505,12 @@ def _large_magnitude_instance(seed: int, base: Fraction, gap: Fraction):
     """40 rows whose predicate values are base + gap * i, one predicate with
     each of the five operators in turn, one lower-bound constraint."""
     rng = random.Random(seed)
-    rows = tuple(Tuple(tid, {"g": rng.choice("ab"), "x": base + gap * rng.randrange(40),
-                             "score": Fraction(rng.randrange(100))})
-                 for tid in range(1, 41))
+    rows = [{"g": rng.choice("ab"), "x": base + gap * rng.randrange(40),
+             "score": Fraction(rng.randrange(100))} for _ in range(40)]
     schema = Schema.from_pairs([("g", "categorical"), ("x", "numerical"),
                                 ("score", "numerical")])
     db = Database()
-    db.add(Relation("T", schema, rows))
+    db.add(relation("T", schema, rows))
     op = ("<", "<=", "=", ">", ">=")[seed % 5]
     pred = NumPredicate("x", op, base + gap * rng.randrange(40))
     q = Query(("T",), ("*",), False, (pred,), (), ("score", "DESC"))

@@ -75,3 +75,9 @@ def test_golden_scenario(case, capsys):
         payload.pop("timing_ms")
         reports.append(json.dumps(payload, sort_keys=True))
     assert reports[0] == reports[1], "two runs must agree apart from timing"
+
+
+def test_select_star_is_rendered_bare(capsys):
+    assert main(_args("astronauts", "pred", "1/2")) == EXIT_REFINED
+    sql = json.loads(capsys.readouterr().out)["refined_sql"]
+    assert sql.startswith("SELECT * FROM Astronauts WHERE ")

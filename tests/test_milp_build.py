@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_instance
+from conftest import random_instance, relation
 
 from rankrefine.annotate import filter_annotated, preparation
 from rankrefine.constraints import CardinalityConstraint, ConstraintSet, deviation
-from rankrefine.data import Database, Relation, Schema, Tuple
+from rankrefine.data import Database, Schema
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, dis_kendall, dis_pred
 from rankrefine.engine import BUILD_OPTIONS
 from rankrefine.errors import InternalConsistencyError, PreconditionError
@@ -301,12 +301,12 @@ def _dominance_instance(rng):
                                 ("e", "numerical"), ("w", "numerical"),
                                 ("x", "numerical"), ("y", "numerical"),
                                 ("score", "numerical")])
-    rows = tuple(Tuple(tid, {"id": Fraction(rng.randint(1, 6)), "g": rng.choice("abc"),
-                             **{a: Fraction(rng.randint(0, 4)) for a in "ewxy"},
-                             "score": Fraction(rng.randint(0, 30))})
-                 for tid in range(1, rng.randint(10, 45)))
+    rows = [{"id": Fraction(rng.randint(1, 6)), "g": rng.choice("abc"),
+             **{a: Fraction(rng.randint(0, 4)) for a in "ewxy"},
+             "score": Fraction(rng.randint(0, 30))}
+            for _ in range(1, rng.randint(10, 45))]
     db = Database()
-    db.add(Relation("T", schema, rows))
+    db.add(relation("T", schema, rows))
     num = []
     if rng.random() < 0.4:
         num.append(NumPredicate("e", "=", Fraction(2)))
@@ -443,11 +443,10 @@ def _rosters():
                                 ("score", "numerical")])
     rng = random.Random(3)
     for n in (20, 80, 320):
-        rows = tuple(Tuple(tid, {"g": rng.choice("ab"), "x": Fraction(rng.randint(0, 4)),
-                                 "score": Fraction(rng.randint(0, 1000))})
-                     for tid in range(1, n + 1))
+        rows = [{"g": rng.choice("ab"), "x": Fraction(rng.randint(0, 4)),
+                 "score": Fraction(rng.randint(0, 1000))} for _ in range(n)]
         db = Database()
-        db.add(Relation("T", schema, rows))
+        db.add(relation("T", schema, rows))
         yield n, db
 
 
@@ -594,10 +593,10 @@ def _low_cardinality_distinct(rows=3000, keys=20):
     schema = Schema.from_pairs([("name", "categorical"), ("g", "categorical"),
                                 ("x", "numerical"), ("score", "numerical")])
     db = Database()
-    db.add(Relation("T", schema, tuple(
-        Tuple(tid, {"name": f"n{rng.randrange(keys)}", "g": rng.choice("ab"),
-                    "x": Fraction(rng.randrange(40)), "score": Fraction(rng.randrange(10**6))})
-        for tid in range(1, rows + 1))))
+    db.add(relation("T", schema, (
+        {"name": f"n{rng.randrange(keys)}", "g": rng.choice("ab"),
+         "x": Fraction(rng.randrange(40)), "score": Fraction(rng.randrange(10**6))}
+        for _ in range(rows))))
     q = parse_query("SELECT DISTINCT name FROM T WHERE x >= 30 AND g = 'a' "
                     "ORDER BY score DESC")
     return q, db

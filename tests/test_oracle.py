@@ -32,6 +32,13 @@ def test_numeric_candidates_empty_domain():
     assert numeric_candidates([], Fraction(7)) == [Fraction(7)]
 
 
+def test_numeric_candidates_over_an_int_domain_are_exact():
+    cands = numeric_candidates([1, 3, 4], Fraction(2))
+    assert cands == [0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2), 3,
+                     Fraction(7, 2), 4, Fraction(9, 2), 5]
+    assert all(type(c) in (int, Fraction) for c in cands)
+
+
 def test_cat_candidates_keep_out_of_domain_originals():
     cands = cat_candidates(["a", "b"], frozenset({"b", "z"}))
     assert all("z" in c for c in cands)

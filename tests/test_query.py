@@ -102,11 +102,10 @@ def test_render_parse_round_trip_100_random_queries():
 
 
 def test_satisfies_fixture_tuples(students_db, scholarship_query):
-    from rankrefine.annotate import joined_relation
-    joined = joined_relation(scholarship_query, students_db)
+    from rankrefine.annotate import annotate
     by_student = {}
-    for t in joined.rows:
-        by_student.setdefault((t["ID"], t["Activity"]), t)
+    for at in annotate(scholarship_query, students_db):
+        by_student.setdefault((at.tuple["ID"], at.tuple["Activity"]), at.tuple)
     t6 = by_student[(Fraction(6), "SO")]
     t7 = by_student[(Fraction(7), "RB")]
     assert not satisfies(t6, scholarship_query)

@@ -186,6 +186,8 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
             "nproc": os.cpu_count(),
+            # when set, every new interpreter compiles all of ``src/`` again
+            "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
             "head": git("rev-parse", "HEAD"),
             "uncommitted_changes": bool(git("status", "--porcelain", "--", "src")),
         },
