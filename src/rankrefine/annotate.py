@@ -121,10 +121,10 @@ def _ranked(rel: Relation, q: Query) -> list[Tuple]:
     scale = math.lcm(*{v.denominator for v in values})
     sign = -1 if direction == "DESC" else 1
     keys = [sign * v.numerator * (scale // v.denominator) for v in values]
-    names, rows = rel.schema.names, list(zip(*rel.columns))
     # a stable sort of row indices, so equal values keep ascending tuple-id order
-    return [Tuple(i + 1, dict(zip(names, rows[i])))
-            for i in sorted(range(len(rows)), key=keys.__getitem__)]
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    names, rows = rel.schema.names, zip(*(map(c.__getitem__, order) for c in rel.columns))
+    return [Tuple(i + 1, dict(zip(names, row))) for i, row in zip(order, rows)]
 
 
 def annotate(q: Query, d: Database) -> Instance:
