@@ -10,7 +10,7 @@ from .constraints import (
     deviation,
     parse_constraints,
 )
-from .data import Database, Relation, Schema, Tuple, load_csv, natural_join
+from .data import Database, Relation, Schema, load_csv, natural_join
 from .distances import (
     JACCARD,
     KENDALL,
@@ -57,7 +57,6 @@ __all__ = [
     "RunConfig",
     "Schema",
     "TopkRow",
-    "Tuple",
     "UPPER",
     "annotate",
     "apply_refinement",

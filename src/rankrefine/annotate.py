@@ -4,11 +4,13 @@
 DISTINCT-free result by the ``ORDER BY`` attribute and returns an
 :class:`Instance` holding
 
-* the annotated tuples in base-rank order, each labelled with its base rank
-  (position in that unrestricted ranking), its DISTINCT key (its tuple id
-  without DISTINCT), the nearest better-ranked tuple sharing that key, and
-  its lineage class (the tuples that hold the same values in every
-  predicate attribute, so every refinement selects all of them or none);
+* the annotated tuples in base-rank order, one per joined row, each
+  labelled with its tuple id, its base rank (position in that unrestricted
+  ranking), its DISTINCT key (its tuple id without DISTINCT), the nearest
+  better-ranked tuple sharing that key, and its lineage class (the tuples
+  that hold the same values in every predicate attribute, so every
+  refinement selects all of them or none).  A tuple holds no cells of its
+  own: ``row[attr]`` reads them from the joined relation's columns;
 * each lineage class's tuples in base-rank order;
 * the DISTINCT key attributes and tuple-id index;
 * the original query's ranking.
@@ -30,22 +32,27 @@ from operator import is_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .data import Database, Relation, Schema, Tuple, NUMERICAL, natural_join
+from .data import Database, Relation, Schema, Value, NUMERICAL, natural_join
 from .errors import KindMismatchError, PreconditionError
 from .query import Query, Refinement, satisfies
 
 Ranking = list[int]  # tuple ids, positions 1..m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedTuple:
-    tuple: Tuple
+    tid: int
     base_rank: int
     key: tuple | int  # the DISTINCT key, or the tuple id without DISTINCT
     # the nearest better-ranked tuple of the same key; its chain is the
     # tuple's shadow set, left out of ``==``, hashing and ``repr``
     prev: AnnotatedTuple | None = field(compare=False, repr=False)
     lineage_class: int
+    # the joined columns by attribute, shared by the instance's tuples and left out too
+    cells: Mapping[str, tuple[Value, ...]] = field(compare=False, repr=False)
+
+    def __getitem__(self, attr: str) -> Value:
+        return self.cells[attr][self.tid - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +70,7 @@ class Instance:
     annotated: tuple[AnnotatedTuple, ...]
     classes: tuple[tuple[AnnotatedTuple, ...], ...]  # by lineage class id
     key_attrs: tuple[str, ...]
-    tuples_by_id: Mapping[int, Tuple]
+    tuples_by_id: Mapping[int, AnnotatedTuple]
     original_ranking: tuple[int, ...]
     unchanged: Refinement  # the query's own refinement, shared by its results
     # built models, by the whole request, least recently used first (see
@@ -81,12 +88,11 @@ class Instance:
     def domain(self, attr: str) -> list:
         """The sorted values of a predicate attribute, read from each lineage
         class's first member (the tuples of a class agree on them)."""
-        return sorted({members[0].tuple[attr] for members in self.classes})
+        return sorted({members[0][attr] for members in self.classes})
 
 
 def joined_relation(q: Query, d: Database) -> Relation:
-    rels = [d.get(name) for name in q.tables]
-    return reduce(natural_join, rels)
+    return reduce(natural_join, [d.get(name) for name in q.tables])
 
 
 def distinct_key_attrs(rel: Relation, q: Query) -> tuple[str, ...]:
@@ -101,10 +107,10 @@ def distinct_key_attrs(rel: Relation, q: Query) -> tuple[str, ...]:
     return q.select_attrs if q.distinct else ()
 
 
-def _ranked(rel: Relation, q: Query) -> list[Tuple]:
-    """``rel``'s rows in ``q``'s order, ties broken by ascending tuple id,
-    everywhere, so that ranks, positions and deviations agree across
-    evaluator, oracle and MILP.  This is where a row becomes a ``Tuple``.
+def _ranked(rel: Relation, q: Query) -> list[int]:
+    """``rel``'s row indices in ``q``'s order, ties broken by ascending tuple
+    id, everywhere, so that ranks, positions and deviations agree across
+    evaluator, oracle and MILP.
 
     The sort key is exact and integral: every value scaled to the lcm of
     the column's denominators.
@@ -121,10 +127,8 @@ def _ranked(rel: Relation, q: Query) -> list[Tuple]:
     scale = math.lcm(*{v.denominator for v in values})
     sign = -1 if direction == "DESC" else 1
     keys = [sign * v.numerator * (scale // v.denominator) for v in values]
-    # a stable sort of row indices, so equal values keep ascending tuple-id order
-    order = sorted(range(len(values)), key=keys.__getitem__)
-    names, rows = rel.schema.names, zip(*(map(c.__getitem__, order) for c in rel.columns))
-    return [Tuple(i + 1, dict(zip(names, row))) for i, row in zip(order, rows)]
+    # a stable sort, so equal values keep ascending tuple-id order
+    return sorted(range(len(values)), key=keys.__getitem__)
 
 
 def annotate(q: Query, d: Database) -> Instance:
@@ -133,20 +137,22 @@ def annotate(q: Query, d: Database) -> Instance:
     relations = tuple(d.get(name) for name in q.tables)
     rel = joined_relation(q, d)
     key_attrs = distinct_key_attrs(rel, q)
-    pred_attrs = tuple(p.attribute for p in q.cat_preds + q.numeric_preds)
+    cells = dict(zip(rel.schema.names, rel.columns))
+    key_columns = [cells[a] for a in key_attrs]
+    pred_columns = [cells[p.attribute] for p in q.cat_preds + q.numeric_preds]
     last: dict = {}  # key -> its worst-ranked tuple so far
     # the predicate attributes' values determine the lineage class
     classes: dict[tuple, int] = {}
     members: list[list[AnnotatedTuple]] = []  # by class id
     out: list[AnnotatedTuple] = []
-    for rank, t in enumerate(_ranked(rel, q), start=1):
-        pred_values = tuple(t.values[a] for a in pred_attrs)
+    for rank, i in enumerate(_ranked(rel, q), start=1):
+        pred_values = tuple(c[i] for c in pred_columns)
         class_id = classes.get(pred_values)
         if class_id is None:
             class_id = classes[pred_values] = len(classes)
             members.append([])
-        key = tuple(t[a] for a in key_attrs) if key_attrs else t.tid
-        at = last[key] = AnnotatedTuple(t, rank, key, last.get(key), class_id)
+        key = tuple(c[i] for c in key_columns) if key_columns else i + 1
+        at = last[key] = AnnotatedTuple(i + 1, rank, key, last.get(key), class_id, cells)
         out.append(at)
         members[class_id].append(at)
     return Instance(
@@ -156,7 +162,7 @@ def annotate(q: Query, d: Database) -> Instance:
         annotated=tuple(out),
         classes=tuple(map(tuple, members)),
         key_attrs=key_attrs,
-        tuples_by_id=MappingProxyType({at.tuple.tid: at.tuple for at in out}),
+        tuples_by_id=MappingProxyType({at.tid: at for at in out}),
         original_ranking=tuple(filter_annotated(out, q)),
         unchanged=Refinement.unchanged(q),
     )
@@ -189,11 +195,11 @@ def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query, *,
     for at in annotated:  # already in base_rank order
         selected = verdicts.get(at.lineage_class)
         if selected is None:
-            selected = verdicts[at.lineage_class] = satisfies(at.tuple, q)
+            selected = verdicts[at.lineage_class] = satisfies(at, q)
         if not selected or at.key in seen:
             continue
         seen.add(at.key)
-        ranking.append(at.tuple.tid)
+        ranking.append(at.tid)
         if len(ranking) == limit:
             break
     return ranking
@@ -201,19 +207,21 @@ def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query, *,
 
 def evaluate(q: Query, d: Database) -> Ranking:
     """Direct evaluation: join, filter, rank, DISTINCT-dedup keeping the
-    best-ranked representative."""
+    best-ranked representative.  Each ranked row is a plain dict, so this
+    reference does not share ``annotate``'s representation of a row."""
     rel = joined_relation(q, d)
     key_attrs = distinct_key_attrs(rel, q)
     seen: set[tuple] = set()
     ranking: Ranking = []
-    for t in _ranked(rel, q):
-        if not satisfies(t, q):
+    for i in _ranked(rel, q):
+        row = dict(zip(rel.schema.names, (column[i] for column in rel.columns)))
+        if not satisfies(row, q):
             continue
         if key_attrs:
-            key = tuple(t[a] for a in key_attrs)
+            key = tuple(row[a] for a in key_attrs)
             if key in seen:
                 continue
             seen.add(key)
-        ranking.append(t.tid)
+        ranking.append(i + 1)
     return ranking
 

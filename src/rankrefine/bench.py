@@ -44,6 +44,7 @@ from .query import parse_query
 DEFAULT_REPEATS = 5
 
 _AXES = ("k", "epsilon", "constraint_count", "constraint_type", "scale")
+_FIELD_TYPES = {"data": dict, "schemas": dict, "sweep": dict, "engines": list, "distances": list}
 
 
 @dataclass
@@ -135,8 +136,19 @@ class Scenario:
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
+        """The scenario file ``path``; a field of the wrong shape is invalid."""
         path = Path(path)
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
+        if not isinstance(raw, dict):
+            raise PreconditionError(f"{path}: a scenario must be a JSON object")
+        for name, kind in _FIELD_TYPES.items():
+            if not isinstance(raw.get(name, kind()), kind):
+                raise PreconditionError(f"{path}: scenario field {name!r} must be a JSON "
+                                        f"{'object' if kind is dict else 'array'}")
+        sweep = raw.get("sweep")
+        if sweep and (sweep.get("axis") not in _AXES or not isinstance(sweep.get("values"), list)):
+            raise PreconditionError(f"{path}: scenario field 'sweep' needs an axis of {_AXES} "
+                                    "and a list of 'values'")
         return cls(raw.get("name", path.stem), path, raw)
 
     def _resolve(self, rel_path: str) -> Path:
@@ -158,12 +170,7 @@ class Scenario:
 
     def sweep_points(self) -> list[tuple[str, object]]:
         sweep = self.raw.get("sweep")
-        if not sweep:
-            return [("none", "-")]
-        axis = sweep["axis"]
-        if axis not in _AXES:
-            raise PreconditionError(f"unknown sweep axis {axis!r}")
-        return [(axis, v) for v in sweep["values"]]
+        return [(sweep["axis"], v) for v in sweep["values"]] if sweep else [("none", "-")]
 
     def configs(self, axis: str, value) -> list[RunConfig]:
         query = parse_query(self._resolve(self.raw["query"]).read_text(encoding="utf-8-sig"))
@@ -261,7 +268,7 @@ def run_suite(suite_dir: str | Path, repeats: int = DEFAULT_REPEATS) -> BenchRep
     for path in paths:
         try:
             scenario = Scenario.load(path)
-        except (OSError, ValueError) as exc:
+        except (RankRefineError, OSError, ValueError) as exc:
             report.rows.append(BenchRow(path.stem, "-", "-", "-", "-", "error", error=str(exc)))
             continue
         report.rows.extend(run_scenario(scenario, repeats))

@@ -11,7 +11,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping
 
-from .data import NUMERICAL, Schema, Tuple, Value, format_number, parse_number
+from .annotate import AnnotatedTuple
+from .data import NUMERICAL, Schema, Value, format_number, parse_number
 from .errors import ConstraintValidationError, PreconditionError
 
 LOWER = "lower"
@@ -44,8 +45,10 @@ class CardinalityConstraint:
     def sign(self) -> int:
         return 1 if self.sense == LOWER else -1
 
-    def contains(self, t: Tuple) -> bool:
-        return all(t.values.get(a) == v for a, v in self.group)
+    def contains(self, row) -> bool:
+        """Whether ``row`` (any whose ``row[attr]`` is its cell) is in the group.  A group
+        attribute the row lacks raises ``KeyError``; ``ConstraintSet.over`` rejects those."""
+        return all(row[a] == v for a, v in self.group)
 
     def label(self) -> str:
         body = ",".join(f"{a}={v if isinstance(v, str) else format_number(v)}"
@@ -97,13 +100,14 @@ class ConstraintSet:
 
 def deviation(
     ranking: list[int],
-    tuples_by_id: Mapping[int, Tuple],
+    tuples_by_id: Mapping[int, AnnotatedTuple],
     cs: ConstraintSet,
 ) -> Fraction:
     """Mean one-sided relative shortfall/excess across the constraint set.
     A lower bound adds at most 1 and an upper bound at most (k - n)/n, so
     the mean can exceed 1.  Requires the ranking to cover the largest
-    constrained k."""
+    constrained k.  ``tuples_by_id`` is an instance's: its rows read their
+    cells from the joined relation's columns, as ``row[attr]``."""
     if len(ranking) < cs.k_star:
         raise PreconditionError(
             f"ranking has {len(ranking)} tuples, needs at least k*={cs.k_star}"

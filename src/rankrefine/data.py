@@ -1,7 +1,8 @@
 """Relational data layer: typed CSV loading, natural join, value formatting.
 
-A :class:`Relation` holds one tuple of values per attribute, and neither
-:func:`load_csv` nor :func:`natural_join` makes an object per row.  A
+A :class:`Relation` holds one tuple of values per attribute, and no layer
+makes an object per row: a ranked row (``annotate.AnnotatedTuple``) reads
+its cells from the joined relation's columns as ``row[attr]``.  A
 categorical cell is a ``str``; a cell is a number iff ``Fraction(cell.strip())``
 reads it, and is then held exactly: an ``int`` when integral however it is
 spelled (``12``, ``12.``, ``1e3``), else a :class:`fractions.Fraction`.  So
@@ -95,17 +96,6 @@ class Schema:
 
 
 @dataclass(frozen=True)
-class Tuple:
-    """One row; ``tid`` is unique and stable for the whole run."""
-
-    tid: int
-    values: Mapping[str, Value]
-
-    def __getitem__(self, attr: str) -> Value:
-        return self.values[attr]
-
-
-@dataclass(frozen=True)
 class Relation:
     """``columns[j]`` holds every row's value of the schema's j-th
     attribute, and row i has tuple id i + 1."""
@@ -190,8 +180,8 @@ def load_csv(path: str | Path, kinds: Mapping[str, str] | None = None,
 
     A column that ``kinds`` lists (see :func:`read_sidecar`) takes the kind
     given there; any other is numerical iff every cell is a number, so an
-    empty cell makes it categorical.  Tuple ids follow file order starting
-    at 1.  Errors name the offending row and column.
+    empty cell makes it categorical.  Rows take tuple ids 1, 2, ... in file
+    order.  Errors name the offending row and column.
     """
     path = Path(path)
     if not path.exists():

@@ -231,9 +231,7 @@ def _refinement_dict(ref: Refinement) -> dict:
 def result_to_dict(result: RefineResult, include_timing: bool = True) -> dict:
     """JSON-ready form; deterministic apart from the timing block."""
     def num(x):
-        if isinstance(x, Fraction):
-            return format_number(x)
-        return x
+        return format_number(x) if isinstance(x, Fraction) else x
 
     out = {
         "status": result.status,

@@ -38,9 +38,5 @@ class PreconditionError(RankRefineError):
     """An operation was called outside its stated preconditions."""
 
 
-class BuildError(RankRefineError):
-    """MILP model could not be built for the given inputs."""
-
-
 class InternalConsistencyError(RankRefineError):
     """A solver result failed post-hoc re-verification; never returned silently."""

@@ -52,7 +52,7 @@ from ..annotate import annotate, filter_annotated, joined_relation  # noqa: F401
 from ..constraints import LOWER, ConstraintSet
 from ..data import Database, format_number
 from ..distances import JACCARD, PRED, DistanceKind, check_request
-from ..errors import BuildError, InternalConsistencyError
+from ..errors import InternalConsistencyError
 from ..oracle import numeric_candidates
 from ..query import Query, Refinement
 from .model import BINARY, CONTINUOUS, MILPModel, Solution
@@ -205,7 +205,7 @@ class ModelBuilder:
             index = {v: i for i, v in enumerate(instance.domain(axis))}
             sign = -1 if sides[axis] == {"up"} else 1
         for members in instance.classes:
-            t = members[0].tuple
+            t = members[0]
             q = 0 if axis is None else sign * index[t[axis]]
             place.append((tuple(t[a] for a in group_attrs), q))
 
@@ -227,7 +227,7 @@ class ModelBuilder:
             # keys at positions up to q, less the tuple's own
             dominators = bisect_right(positions, q) - (own is not None and own <= q)
             if dominators < k_star:
-                keep[at.tuple.tid] = at
+                keep[at.tid] = at
                 if n + 1 < len(members):
                     heappush(heap, (members[n + 1].base_rank, cls, n + 1))
             if own is None or q < own:
@@ -237,8 +237,8 @@ class ModelBuilder:
                 insort(positions, q)
         for at in list(keep.values()):
             prev = at.prev
-            while prev is not None and prev.tuple.tid not in keep:
-                keep[prev.tuple.tid] = prev
+            while prev is not None and prev.tid not in keep:
+                keep[prev.tid] = prev
                 prev = prev.prev
         self.encoded = sorted(keep.values(), key=attrgetter("base_rank"))
 
@@ -309,10 +309,10 @@ class ModelBuilder:
         out = []
         for p in self.query.numeric_preds:
             fam = self.num_families[(p.attribute, p.op)]
-            out.append(fam.indicators[at.tuple[p.attribute]])
+            out.append(fam.indicators[at[p.attribute]])
         for p in self.query.cat_preds:
             fam = self.cat_families[p.attribute]
-            out.append(fam.indicators[at.tuple[p.attribute]])
+            out.append(fam.indicators[at[p.attribute]])
         return out
 
     # -- membership, rank, top-k ------------------------------------------
@@ -324,7 +324,7 @@ class ModelBuilder:
         by_class: dict[int, int] = {}  # lineage class -> column, when merged
         by_key: dict = {}  # key -> its tuples' columns so far, when not merged
         for at in self.encoded:
-            tid = at.tuple.tid
+            tid = at.tid
             if self.merged:
                 # a class's first member dominates the rest, so pruning
                 # keeps it whenever it keeps any of them
@@ -336,7 +336,7 @@ class ModelBuilder:
                 continue
             # shadow tuples rank better, so theirs are made already; when
             # each tuple's prev is, its whole prev chain is
-            if at.prev is not None and at.prev.tuple.tid not in self.r_col:
+            if at.prev is not None and at.prev.tid not in self.r_col:
                 raise InternalConsistencyError(f"tuple {tid} has pruned shadow tuples")
             shadows = by_key.setdefault(at.key, [])
             self.r_col[tid] = self._binary("r", tid)
@@ -366,7 +366,7 @@ class ModelBuilder:
         needed: dict[int, set[int]] = {}
         for c, members in zip(self.constraints, self.members):
             for at in members:
-                needed.setdefault(at.tuple.tid, set()).add(c.k)
+                needed.setdefault(at.tid, set()).add(c.k)
         if self.kind.name != PRED:
             for tid in self.original_topk:
                 needed.setdefault(tid, set()).add(self.k_star)
@@ -384,7 +384,7 @@ class ModelBuilder:
         needed = self._needed_ks()
         count: dict[int, float] = {}  # the running count's new terms
         for at in self.encoded:  # base-rank order
-            tid = at.tuple.tid
+            tid = at.tid
             rcol = self.r_col[tid]
             count[rcol] = count.get(rcol, 0.0) - 1.0
             if tid not in needed:
@@ -406,7 +406,7 @@ class ModelBuilder:
         # the refined output must be at least k* long for top-k* to exist
         sum_r: dict[int, float] = {}
         for at in self.encoded:
-            rcol = self.r_col[at.tuple.tid]
+            rcol = self.r_col[at.tid]
             sum_r[rcol] = sum_r.get(rcol, 0) + 1
         self._row(sum_r, ">=", self.k_star, "size")
 
@@ -416,7 +416,7 @@ class ModelBuilder:
             e_cols.append(e)
             coeffs = {e: 1.0}
             for at in members:
-                lcol = self.l_col[(at.tuple.tid, c.k)]
+                lcol = self.l_col[(at.tid, c.k)]
                 coeffs[lcol] = coeffs.get(lcol, 0.0) + c.sign
             # lower: E >= n - sum(l);  upper: E >= sum(l) - n
             self._row(coeffs, ">=", c.sign * c.n, "deficit", i)
@@ -514,12 +514,10 @@ class ModelBuilder:
             self.relevancy_prune()
         else:
             self.encoded = list(self.instance.annotated)
-        if not self.encoded:
-            raise BuildError("no tuples to encode")
         self.gen_numeric_bound_exprs()
         self.gen_categorical_vars()
         self.gen_selection_exprs()
-        self.members = [[at for at in self.encoded if c.contains(at.tuple)]
+        self.members = [[at for at in self.encoded if c.contains(at)]
                         for c in self.constraints]
         self.gen_position_exprs()
         self.gen_size_topk_deficit_deviation()

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .data import Tuple, compare_kinds, format_number, parse_number
+from .data import compare_kinds, format_number, parse_number
 from .errors import KindMismatchError, QuerySyntaxError, UnsupportedQueryError
 
 NUM_OPS = ("<", "<=", "=", ">", ">=")
@@ -138,16 +138,16 @@ def apply_refinement(q: Query, r: Refinement) -> Query:
     return replace(q, numeric_preds=new_nums, cat_preds=new_cats)
 
 
-def satisfies(t: Tuple, q: Query) -> bool:
-    """True iff the tuple satisfies the conjunction of all predicates."""
+def satisfies(row, q: Query) -> bool:
+    """True iff ``row`` (any whose ``row[attr]`` is its cell) satisfies every predicate."""
     for p in q.numeric_preds:
-        v = t[p.attribute]
+        v = row[p.attribute]
         if isinstance(v, str):
             raise KindMismatchError(f"attribute {p.attribute!r} is not numeric")
         if not p.holds(v):
             return False
     for p in q.cat_preds:
-        if not p.holds(t[p.attribute]):
+        if not p.holds(row[p.attribute]):
             return False
     return True
 

@@ -70,7 +70,7 @@ def _solve_instance(query, db, cs, epsilon, kind, options=None):
     q2 = apply_refinement(query, ref)
     ann = annotate(query, db)
     ranking = filter_annotated(ann, q2)
-    by_id = {at.tuple.tid: at.tuple for at in ann}
+    by_id = {at.tid: at for at in ann}
     assert len(ranking) >= cs.k_star, "refined output shorter than k*"
     assert deviation(ranking, by_id, cs) <= epsilon, \
         "extracted refinement violates the deviation budget"
@@ -89,7 +89,7 @@ def _counts_of(query, db, cs, ref):
     q2 = apply_refinement(query, ref)
     ann = annotate(query, db)
     ranking = filter_annotated(ann, q2)
-    by_id = {at.tuple.tid: at.tuple for at in ann}
+    by_id = {at.tid: at for at in ann}
     return [sum(1 for tid in ranking[:c.k] if c.contains(by_id[tid]))
             for c in cs]
 
@@ -253,13 +253,13 @@ def test_acceptance_6_count_round_trip(randomized_suite):
             counts = _counts_of(rec["query"], rec["db"], cs, ref)
             e_total = 0.0
             for i, c in enumerate(cs):
-                members = [builder.l_col[(at.tuple.tid, c.k)]
-                           for at in builder.encoded if c.contains(at.tuple)]
+                members = [builder.l_col[(at.tid, c.k)]
+                           for at in builder.encoded if c.contains(at)]
                 l_sum = sum(round(solution.values[lv]) for lv in set(members))
                 assert l_sum == counts[i], f"instance {idx}, constraint {i}"
                 e_total += solution.values[built.model.col_names.index(f"E_{i}")] / c.n
             ann = annotate(rec["query"], rec["db"])
-            by_id = {at.tuple.tid: at.tuple for at in ann}
+            by_id = {at.tid: at for at in ann}
             ranking = filter_annotated(ann, apply_refinement(rec["query"], ref))
             dev = deviation(ranking, by_id, cs)
             assert float(dev) <= e_total / len(cs) + TOL, f"instance {idx}"

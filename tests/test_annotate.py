@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from conftest import relation
 
 def _students_of(db, q, ranking):
     ann = annotate(q, db)
-    by = {a.tuple.tid: a.tuple for a in ann}
+    by = {a.tid: a for a in ann}
     return [int(by[t]["ID"]) for t in ranking]
 
 
@@ -58,15 +59,22 @@ def test_annotation_basics(students_db, scholarship_query):
     assert len(ann) == 14
     assert sorted(a.base_rank for a in ann) == list(range(1, 15))
     # student 6's lineage class: exactly the tuples with Activity SO, GPA 3.7
-    t6 = next(a for a in ann if a.tuple["ID"] == Fraction(6))
+    t6 = next(a for a in ann if a["ID"] == Fraction(6))
     same_values = [a for a in ann
-                   if (a.tuple["Activity"], a.tuple["GPA"]) == ("SO", Fraction("3.7"))]
+                   if (a["Activity"], a["GPA"]) == ("SO", Fraction("3.7"))]
     assert list(ann.classes[t6.lineage_class]) == same_values
+
+
+def test_cells_are_left_out_of_equality_hashing_and_repr(students_db, scholarship_query):
+    at = annotate(scholarship_query, students_db).annotated[0]
+    alone = replace(at, cells={})
+    assert alone == at and hash(alone) == hash(at) and repr(alone) == repr(at)
+    assert "cells" not in repr(at)
 
 
 def test_shadow_of_duplicate_student_four(students_db, scholarship_query):
     ann = annotate(scholarship_query, students_db)
-    fours = sorted((a for a in ann if a.tuple["ID"] == Fraction(4)),
+    fours = sorted((a for a in ann if a["ID"] == Fraction(4)),
                    key=lambda a: a.base_rank)
     first, second = fours
     assert first.prev is None
@@ -77,14 +85,14 @@ def test_no_distinct_no_shadows(students_db):
     from rankrefine.query import parse_query
     q = parse_query("SELECT * FROM Students NATURAL JOIN Activities "
                     "WHERE GPA >= 3.7 AND Activity = 'RB' ORDER BY SAT DESC")
-    assert all(a.prev is None and a.key == a.tuple.tid for a in annotate(q, students_db))
+    assert all(a.prev is None and a.key == a.tid for a in annotate(q, students_db))
 
 
 def test_lineage_class_of_student_14(students_db, scholarship_query):
     ann = annotate(scholarship_query, students_db)
-    t14 = next(a for a in ann if a.tuple["ID"] == Fraction(14))
+    t14 = next(a for a in ann if a["ID"] == Fraction(14))
     classmates = [a for a in ann if a.lineage_class == t14.lineage_class]
-    assert sorted(int(a.tuple["ID"]) for a in classmates) == [7, 10, 14]
+    assert sorted(int(a["ID"]) for a in classmates) == [7, 10, 14]
 
 
 def test_filter_agrees_with_evaluate(students_db, scholarship_query,
@@ -153,7 +161,7 @@ def test_rank_matches_fraction_reference(family, direction):
     want = sorted(tids, key=lambda tid: (sign * values[tid - 1], tid))
     assert len(set(values)) < len(values), "the family should produce ties"
     instance = annotate(q, db)
-    assert [at.tuple.tid for at in instance] == want
+    assert [at.tid for at in instance] == want
     assert [at.base_rank for at in instance] == list(tids)
     assert evaluate(q, db) == want
     assert instance.original_ranking == tuple(want)

@@ -250,6 +250,25 @@ def test_suite_runner_and_csv(tmp_path):
     assert "mini" in report.summary()
 
 
+def test_malformed_scenario_files_are_error_rows_of_a_suite_that_goes_on(tmp_path, capsys):
+    good = json.loads(_write_mini_scenario(tmp_path).read_text())
+    bad = {"list": [], "data": {**good, "data": [good["data"]]},
+           "sweep": {**good, "sweep": {"axis": "k", "values": 5}},
+           "engines": {**good, "engines": "milp"}}
+    for name, raw in bad.items():
+        (tmp_path / f"{name}.scenario.json").write_text(json.dumps(raw))
+    out = tmp_path / "report.csv"
+    assert main(["bench", "--suite", str(tmp_path), "--repeats", "1",
+                 "--out", str(out)]) == EXIT_REFINED
+    with open(out, newline="") as fh:
+        rows = {row["scenario"].removesuffix(".scenario"): row for row in csv.DictReader(fh)}
+    assert len(rows) == 5 and rows["mini"]["status"] == "refined"
+    assert {name: rows[name]["status"] for name in bad} == dict.fromkeys(bad, "error")
+    assert "a JSON object" in rows["list"]["error"]
+    for field in ("data", "sweep", "engines"):
+        assert f"field {field!r}" in rows[field]["error"]
+
+
 def test_a_scenario_file_may_start_with_a_byte_order_mark(tmp_path):
     path = _write_mini_scenario(tmp_path)
     path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")

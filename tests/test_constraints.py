@@ -18,7 +18,7 @@ from rankrefine.query import apply_refinement
 
 
 def _tuples_by_id(db, q):
-    return {a.tuple.tid: a.tuple for a in annotate(q, db)}
+    return {a.tid: a for a in annotate(q, db)}
 
 
 def test_original_query_deviation(students_db, scholarship_query,

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from rankrefine.annotate import annotate
+from rankrefine.annotate import AnnotatedTuple, annotate
 from rankrefine.data import (
     Database,
     Schema,
-    Tuple,
     format_number,
     load_csv,
     natural_join,
@@ -245,16 +244,17 @@ def test_join_matches_a_row_wise_join_on_random_tables(data):
 
 
 def test_only_ranking_builds_tuples(monkeypatch):
-    """Loading and joining keep columns; ``annotate`` makes one ``Tuple`` per
-    joined row it ranks."""
+    """Loading and joining keep columns; ``annotate`` makes one
+    ``AnnotatedTuple`` per joined row it ranks, and every one reads its
+    cells from the one mapping of the joined columns."""
     built = []
-    init = Tuple.__init__
+    init = AnnotatedTuple.__init__
 
     def counted(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Tuple, "__init__", counted)
+    monkeypatch.setattr(AnnotatedTuple, "__init__", counted)
     db = Database()
     db.add(load_csv(DATA / "students.csv", name="Students"))
     db.add(load_csv(DATA / "activities.csv", name="Activities"))
@@ -263,6 +263,9 @@ def test_only_ranking_builds_tuples(monkeypatch):
     q = parse_query("SELECT * FROM Students NATURAL JOIN Activities ORDER BY SAT DESC")
     instance = annotate(q, db)
     assert len(built) == len(joined) == len(instance) == 14
+    assert built == list(instance) and len({id(at.cells) for at in built}) == 1
+    assert all(at[a] == joined.column(a)[at.tid - 1]
+               for at in built for a in joined.schema.names)
 
 
 def test_a_mixed_numeric_column_loads_exactly(tmp_path):

@@ -139,3 +139,56 @@ def test_many_classes_match_the_oracle(select):
             assert (milp.status, milp.distance) == (oracle.status, oracle.distance), \
                 (select, n, eps, kind)
             assert milp.model_stats["encoded_tuples"] <= len(instance) // 4
+
+
+TWO_NUMERIC = Schema.from_pairs([("id", "numerical"), ("g", "categorical"), ("x", "numerical"),
+                                 ("y", "numerical"), ("score", "numerical")])
+
+
+def _two_numeric_predicates(rng: Random) -> tuple[Database, Query]:
+    """A seeded relation and a query with two numeric predicates: one-sided
+    on ``x`` and on ``y``, or a two-sided pair ``x >= a AND x < b``, alone
+    or with a one-sided predicate on ``y``.  Half the queries are DISTINCT."""
+    rows = [{"id": rng.randint(1, 6), "g": rng.choice(GROUPS), "x": rng.randint(0, 4),
+             "y": rng.randint(0, 4), "score": rng.randint(0, 12)}  # ties on purpose
+            for _ in range(rng.randint(10, 24))]
+    db = Database()
+    db.add(relation("T", TWO_NUMERIC, rows))
+
+    def one_sided(attr):
+        return NumPredicate(attr, rng.choice((">=", ">", "<=", "<")), Fraction(rng.randint(1, 3)))
+
+    shape = rng.choice(("one-sided", "pair", "pair+one-sided"))
+    if shape == "one-sided":
+        nums = (one_sided("x"), one_sided("y"))
+    else:
+        a = rng.randint(1, 3)
+        nums = (NumPredicate("x", ">=", Fraction(a)),
+                NumPredicate("x", "<", Fraction(rng.randint(a + 1, 4))))
+        nums += (one_sided("y"),) if shape == "pair+one-sided" else ()
+    distinct = rng.random() < 0.5
+    q = Query(("T",), ("id",) if distinct else ("*",), distinct, nums,
+              (CatPredicate("g", frozenset(rng.sample(GROUPS, rng.randint(1, 3)))),),
+              ("score", rng.choice(["ASC", "DESC"])))
+    return db, q
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_numeric_predicates_match_the_oracle(seed):
+    """Both MILP engines against ``naive+prov`` where the dominance pruning
+    falls back to equality on a second numeric attribute."""
+    rng = Random(seed)
+    for _ in range(16):
+        db, q = _two_numeric_predicates(rng)
+        k = rng.randint(1, 4)
+        cs = ConstraintSet(tuple(CardinalityConstraint(
+            (("g", g),), k, rng.randint(1, k), rng.choice(["lower", "upper"]))
+            for g in rng.sample(GROUPS, rng.randint(1, 2))))
+        eps = rng.choice([Fraction(0), Fraction(1, 2), Fraction(1)])
+        kind = rng.choice([PRED, JACCARD, KENDALL])
+        oracle = _answer(db, q, cs, eps, kind, "naive+prov")
+        for engine in ("milp+opt", "milp"):
+            milp = _answer(db, q, cs, eps, kind, engine)
+            assert milp[0] == oracle[0], (engine, q, cs, eps, kind, milp, oracle)
+            if oracle[0] == REFINED:
+                assert abs(float(milp[1] - oracle[1])) <= TOL, (engine, q, cs, eps, kind)

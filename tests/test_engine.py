@@ -93,6 +93,32 @@ def test_no_refinement_status(no_perfect_db, no_perfect_query,
     assert result.distance is None
 
 
+def _empty_join_db():
+    """Students and Activities that share no ``ID``, so their join is empty."""
+    db = Database()
+    db.add(relation("Students", Schema.from_pairs(
+        [("ID", "numerical"), ("Gender", "categorical"), ("GPA", "numerical"),
+         ("SAT", "numerical")]),
+        [{"ID": 1, "Gender": "F", "GPA": Fraction("3.5"), "SAT": 1400},
+         {"ID": 2, "Gender": "M", "GPA": Fraction("3.9"), "SAT": 1500}]))
+    db.add(relation("Activities", Schema.from_pairs(
+        [("ID", "numerical"), ("Activity", "categorical")]),
+        [{"ID": 3, "Activity": "RB"}]))
+    return db
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_an_empty_join_has_no_refinement_under_every_engine(engine):
+    q = parse_query("SELECT * FROM Students NATURAL JOIN Activities "
+                    "WHERE GPA >= 3.7 AND Activity = 'RB' ORDER BY SAT DESC")
+    cs = ConstraintSet((CardinalityConstraint((("Gender", "F"),), 1, 1, "lower"),))
+    db = _empty_join_db()
+    result = run(_config(db, q, cs, engine=engine))
+    assert (result.status, result.refinement, result.distance) == (NO_REFINEMENT, None, None)
+    with pytest.raises(PreconditionError, match="at least k[*]=1 tuples, got 0"):
+        run(_config(db, q, cs, engine=engine, kind=DistanceKind(JACCARD)))
+
+
 def test_unknown_engine_rejected(students_db, scholarship_query,
                                  scholarship_constraints):
     with pytest.raises(PreconditionError):

@@ -47,7 +47,7 @@ def _built(q, db, cs, eps, kind=None, **opts):
 
 
 def _gpa_values(builder):
-    return sorted({at.tuple["GPA"] for at in builder.encoded})
+    return sorted({at["GPA"] for at in builder.encoded})
 
 
 def _gpa_query(op):
@@ -194,11 +194,11 @@ def test_equality_predicate_selects_at_most_one_value(students_db):
 def test_selection_rows_for_conjunction(students_db, scholarship_query,
                                         scholarship_constraints):
     builder, result = _built(scholarship_query, students_db, scholarship_constraints, 0)
-    at6 = next(at for at in builder.encoded if at.tuple["ID"] == Fraction(6))
-    r = result.model.col_names[builder.r_col[at6.tuple.tid]]
+    at6 = next(at for at in builder.encoded if at["ID"] == Fraction(6))
+    r = result.model.col_names[builder.r_col[at6.tid]]
     gpa_fam = result.num_families[("GPA", ">=")]
     act_fam = result.cat_families["Activity"]
-    atoms = {*_indicator_names(result, gpa_fam, [at6.tuple["GPA"]]),
+    atoms = {*_indicator_names(result, gpa_fam, [at6["GPA"]]),
              *_indicator_names(result, act_fam, ["SO"])}
     up = next(row for row in result.model.rows
               if row.sense == "<=" and row.coeffs.get(r) == 2.0)
@@ -214,11 +214,11 @@ def test_selection_rows_for_conjunction(students_db, scholarship_query,
 def test_shadow_membership_coupling(students_db, scholarship_query,
                                     scholarship_constraints):
     builder, result = _built(scholarship_query, students_db, scholarship_constraints, 0)
-    fours = sorted((at for at in builder.encoded if at.tuple["ID"] == Fraction(4)),
+    fours = sorted((at for at in builder.encoded if at["ID"] == Fraction(4)),
                    key=lambda at: at.base_rank)
     first, second = fours
-    r2 = result.model.col_names[builder.r_col[second.tuple.tid]]
-    r1 = result.model.col_names[builder.r_col[first.tuple.tid]]
+    r2 = result.model.col_names[builder.r_col[second.tid]]
+    r1 = result.model.col_names[builder.r_col[first.tid]]
     up = next(row for row in result.model.rows
               if row.sense == "<=" and row.coeffs.get(r2, 0) > 1 and r1 in row.coeffs)
     # one shadow: r gets coefficient atoms+shadows = 3, shadow +1, rhs 1
@@ -245,11 +245,11 @@ def test_relevancy_pruning_drops_hopeless_classmate(students_db,
     assert pruned_result.stats["pruned_tuples"] > 0
     assert pruned_result.stats["encoded_tuples"] < full_result.stats["encoded_tuples"]
     # student 14 trails students 7 and 10 in its own lineage class with k*=2
-    tids_14 = {at.tuple.tid for at in full.encoded if at.tuple["ID"] == Fraction(14)}
+    tids_14 = {at.tid for at in full.encoded if at["ID"] == Fraction(14)}
     assert tids_14 and not any(
-        at.tuple.tid in tids_14 for at in pruned.encoded)
+        at.tid in tids_14 for at in pruned.encoded)
     # the original top-k* always survives
-    kept = {at.tuple.tid for at in pruned.encoded}
+    kept = {at.tid for at in pruned.encoded}
     assert set(pruned.original_topk) <= kept
 
 
@@ -260,7 +260,7 @@ def _per_class_kept(instance, k_star):
     for at in instance:
         earlier = per_class.setdefault(at.lineage_class, [])
         if len(set(earlier) - {at.key}) < k_star:
-            keep.add(at.tuple.tid)
+            keep.add(at.tid)
         earlier.append(at.key)
     return _with_shadows(instance, keep)
 
@@ -280,17 +280,17 @@ def _dominance_kept(instance, q, k_star):
     better-ranked tuples that dominate it carry k* keys other than its own."""
     keep = set()
     for n, at in enumerate(instance.annotated):
-        keys = {u.key for u in instance.annotated[:n] if _dominates(q, u.tuple, at.tuple)}
+        keys = {u.key for u in instance.annotated[:n] if _dominates(q, u, at)}
         if len(keys - {at.key}) < k_star:
-            keep.add(at.tuple.tid)
+            keep.add(at.tid)
     return _with_shadows(instance, keep)
 
 
 def _with_shadows(instance, keep):
     """``keep`` with every better-ranked tuple of a kept tuple's key."""
-    worst = {at.key: at.base_rank for at in instance if at.tuple.tid in keep}
-    keep |= {at.tuple.tid for at in instance if at.base_rank < worst.get(at.key, 0)}
-    return [at.tuple.tid for at in instance if at.tuple.tid in keep]
+    worst = {at.key: at.base_rank for at in instance if at.tid in keep}
+    keep |= {at.tid for at in instance if at.base_rank < worst.get(at.key, 0)}
+    return [at.tid for at in instance if at.tid in keep]
 
 
 def _dominance_instance(rng):
@@ -335,7 +335,7 @@ def test_relevancy_pruning_matches_the_dominance_walks():
             builder = ModelBuilder(q, db, cs, Fraction(0), DistanceKind(PRED),
                                    BuildOptions(relevancy_prune=True))
             builder.relevancy_prune()
-            kept = [at.tuple.tid for at in builder.encoded]
+            kept = [at.tid for at in builder.encoded]
             per_class = _per_class_kept(instance, k_star)
             full = _dominance_kept(instance, q, k_star)
             # at least as strong as the per-class rule, never stronger than
@@ -458,8 +458,8 @@ def test_position_rows_grow_linearly_with_the_encoded_tuples():
         assert len(encoded) == n
         # the constraint's members and the original top-k* have a count
         needed = set(builder.original_topk)
-        needed.update(at.tuple.tid for at in builder.members[0])
-        last = max(i for i, at in enumerate(encoded) if at.tuple.tid in needed)
+        needed.update(at.tid for at in builder.members[0])
+        last = max(i for i, at in enumerate(encoded) if at.tid in needed)
         # each running count lists its own column, the previous count and
         # the membership columns since: each one up to the last count once
         nnz = _family_nnz(result.model, "position")
@@ -499,7 +499,7 @@ def test_running_counts_are_the_refined_positions(engine):
             q, extract_refinement(result, solution)))
         column = {name: col for col, name in enumerate(result.model.col_names)}
         for at in builder.encoded:
-            tid = at.tuple.tid
+            tid = at.tid
             if round(solution.values[builder.r_col[tid]]) != 1 or f"P_{tid}" not in column:
                 continue
             count = solution.values[column[f"P_{tid}"]]
@@ -580,7 +580,7 @@ def test_outcome_kinds_give_topk_binaries_to_the_original_topk_and_members(
     k_star = scholarship_constraints.k_star
     wanted = {(tid, k_star) for tid in builder.original_topk}
     for c, members in zip(scholarship_constraints, builder.members):
-        wanted.update((at.tuple.tid, c.k) for at in members)
+        wanted.update((at.tid, c.k) for at in members)
     assert set(builder.l_col) == wanted
     # some encoded tuple is neither, and has no top-k binary
     assert len({tid for tid, _ in wanted}) < len(builder.encoded)
@@ -619,8 +619,8 @@ def test_low_cardinality_distinct_chains_prune_and_solve():
     # pruning keeps every encoded tuple's better-ranked tuples of its key
     builder, result = _built(q, db, cs, 0, relevancy_prune=True)
     assert 0 < result.stats["pruned_tuples"]
-    encoded = {at.tuple.tid for at in builder.encoded}
-    assert all(at.prev.tuple.tid in encoded for at in builder.encoded if at.prev)
+    encoded = {at.tid for at in builder.encoded}
+    assert all(at.prev.tid in encoded for at in builder.encoded if at.prev)
     # dropping one of them from the encoded tuples is caught
     builder = ModelBuilder(q, db, cs, Fraction(0), DistanceKind(PRED),
                            BuildOptions(relevancy_prune=True))
@@ -629,5 +629,5 @@ def test_low_cardinality_distinct_chains_prune_and_solve():
     builder.encoded.remove(at.prev)
     builder.gen_numeric_bound_exprs()
     builder.gen_categorical_vars()
-    with pytest.raises(InternalConsistencyError, match=f"tuple {at.tuple.tid} has pruned"):
+    with pytest.raises(InternalConsistencyError, match=f"tuple {at.tid} has pruned"):
         builder.gen_selection_exprs()

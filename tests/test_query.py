@@ -105,7 +105,7 @@ def test_satisfies_fixture_tuples(students_db, scholarship_query):
     from rankrefine.annotate import annotate
     by_student = {}
     for at in annotate(scholarship_query, students_db):
-        by_student.setdefault((at.tuple["ID"], at.tuple["Activity"]), at.tuple)
+        by_student.setdefault((at["ID"], at["Activity"]), at)
     t6 = by_student[(Fraction(6), "SO")]
     t7 = by_student[(Fraction(7), "RB")]
     assert not satisfies(t6, scholarship_query)
