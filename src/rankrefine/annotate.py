@@ -207,8 +207,7 @@ def filter_annotated(annotated: Iterable[AnnotatedTuple], q: Query, *,
 
 def evaluate(q: Query, d: Database) -> Ranking:
     """Direct evaluation: join, filter, rank, DISTINCT-dedup keeping the
-    best-ranked representative.  Each ranked row is a plain dict, so this
-    reference does not share ``annotate``'s representation of a row."""
+    best-ranked representative, over plain-dict rows, not ``annotate``'s."""
     rel = joined_relation(q, d)
     key_attrs = distinct_key_attrs(rel, q)
     seen: set[tuple] = set()

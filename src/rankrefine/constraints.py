@@ -106,8 +106,7 @@ def deviation(
     """Mean one-sided relative shortfall/excess across the constraint set.
     A lower bound adds at most 1 and an upper bound at most (k - n)/n, so
     the mean can exceed 1.  Requires the ranking to cover the largest
-    constrained k.  ``tuples_by_id`` is an instance's: its rows read their
-    cells from the joined relation's columns, as ``row[attr]``."""
+    constrained k; ``tuples_by_id`` is an instance's, whose rows read the joined columns."""
     if len(ranking) < cs.k_star:
         raise PreconditionError(
             f"ranking has {len(ranking)} tuples, needs at least k*={cs.k_star}"

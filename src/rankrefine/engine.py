@@ -231,7 +231,9 @@ def _refinement_dict(ref: Refinement) -> dict:
 def result_to_dict(result: RefineResult, include_timing: bool = True) -> dict:
     """JSON-ready form; deterministic apart from the timing block."""
     def num(x):
-        return format_number(x) if isinstance(x, Fraction) else x
+        if isinstance(x, Fraction):
+            return format_number(x)
+        return x
 
     out = {
         "status": result.status,
