@@ -7,7 +7,8 @@ zero" is a crisp statement, never a float comparison.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -48,7 +49,10 @@ class CardinalityConstraint:
     def contains(self, row) -> bool:
         """Whether ``row`` (any whose ``row[attr]`` is its cell) is in the group.  A group
         attribute the row lacks raises ``KeyError``; ``ConstraintSet.over`` rejects those."""
-        return all(row[a] == v for a, v in self.group)
+        for a, v in self.group:
+            if row[a] != v:
+                return False
+        return True
 
     def label(self) -> str:
         body = ",".join(f"{a}={v if isinstance(v, str) else format_number(v)}"
@@ -59,14 +63,13 @@ class CardinalityConstraint:
 @dataclass(frozen=True)
 class ConstraintSet:
     constraints: tuple[CardinalityConstraint, ...]
+    # the largest constrained k, set once here; left out of ``==``, hashing and ``repr``
+    k_star: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.constraints:
             raise ConstraintValidationError("constraint set must be non-empty")
-
-    @property
-    def k_star(self) -> int:
-        return max(c.k for c in self.constraints)
+        object.__setattr__(self, "k_star", max(c.k for c in self.constraints))
 
     def __len__(self) -> int:
         return len(self.constraints)
@@ -78,7 +81,7 @@ class ConstraintSet:
         """These constraints as they apply to rows of ``schema``: every group
         attribute must be in it, and a numerical attribute's group value is
         held as the exact number it names, so ``contains`` compares like
-        with like."""
+        with like.  When no group value changes that way, it returns the set itself."""
         out = []
         for c in self:
             group = []
@@ -94,28 +97,33 @@ class ConstraintSet:
                             f"constraint group value {v!r} of numerical attribute {a!r} "
                             "is not a number") from exc
                 group.append((a, v))
-            out.append(replace(c, group=tuple(group)))
-        return ConstraintSet(tuple(out))
+            out.append(c if tuple(group) == c.group else replace(c, group=tuple(group)))
+        return self if out == list(self) else ConstraintSet(tuple(out))
 
 
-def deviation(
-    ranking: list[int],
-    tuples_by_id: Mapping[int, AnnotatedTuple],
-    cs: ConstraintSet,
-) -> Fraction:
+def memberships(ranking: list[int], tuples_by_id: Mapping[int, AnnotatedTuple],
+                cs: ConstraintSet) -> list[list[bool]]:
+    """Per constraint of ``cs``, whether each of the ranking's first k* tuples is in its group."""
+    rows = [tuples_by_id[tid] for tid in ranking[:cs.k_star]]
+    return [[c.contains(row) for row in rows] for c in cs]
+
+
+def deviation(ranking: list[int], tuples_by_id: Mapping[int, AnnotatedTuple],
+              cs: ConstraintSet, members: list[list[bool]] | None = None) -> Fraction:
     """Mean one-sided relative shortfall/excess across the constraint set.
     A lower bound adds at most 1 and an upper bound at most (k - n)/n, so
     the mean can exceed 1.  Requires the ranking to cover the largest
-    constrained k; ``tuples_by_id`` is an instance's, whose rows read the joined columns."""
+    constrained k; ``tuples_by_id`` is an instance's, whose rows read the joined columns.
+    A caller that holds the ranking's ``memberships`` passes them as ``members``."""
     if len(ranking) < cs.k_star:
-        raise PreconditionError(
-            f"ranking has {len(ranking)} tuples, needs at least k*={cs.k_star}"
-        )
-    total = Fraction(0)
-    for c in cs:
-        count = sum(1 for tid in ranking[: c.k] if c.contains(tuples_by_id[tid]))
-        total += Fraction(max(c.sign * (c.n - count), 0), c.n)
-    return total / len(cs)
+        raise PreconditionError(f"ranking has {len(ranking)} tuples, needs at least k*={cs.k_star}")
+    if members is None:
+        members = memberships(ranking, tuples_by_id, cs)
+    # each term over the lcm of the bounds, so one exact division at the end
+    den = math.lcm(*(c.n for c in cs))
+    total = sum(max(c.sign * (c.n - sum(inside[:c.k])), 0) * (den // c.n)
+                for c, inside in zip(cs, members))
+    return Fraction(total, den * len(cs))
 
 
 def read_count(value, name: str) -> int:

@@ -63,8 +63,8 @@ def distance(kind: DistanceKind, q: Query, q2: Query, original: Ranking,
 
 def dis_pred(q: Query, q2: Query) -> Fraction:
     """Sum of normalized numeric constant shifts plus per-attribute Jaccard
-    distances between categorical value sets.  ``q2`` must share ``q``'s
-    predicate skeleton."""
+    distances between categorical value sets; an unchanged constant or value
+    set adds nothing.  ``q2`` must share ``q``'s predicate skeleton."""
     if len(q.numeric_preds) != len(q2.numeric_preds) or len(q.cat_preds) != len(q2.cat_preds):
         raise PreconditionError("queries do not share a predicate skeleton")
     total = Fraction(0)
@@ -72,17 +72,15 @@ def dis_pred(q: Query, q2: Query) -> Fraction:
         if (p.attribute, p.op) != (p2.attribute, p2.op):
             raise PreconditionError("numeric predicate skeletons differ")
         if p.constant <= 0:
-            raise PreconditionError(
-                f"cannot normalize predicate distance: original constant for "
-                f"{p.attribute!r} is {p.constant} (must be positive)"
-            )
-        total += abs(p.constant - p2.constant) / p.constant
+            raise PreconditionError(f"cannot normalize predicate distance: original constant "
+                                    f"for {p.attribute!r} is {p.constant} (must be positive)")
+        if p2.constant != p.constant:
+            total += abs(p.constant - p2.constant) / p.constant
     for p, p2 in zip(q.cat_preds, q2.cat_preds):
         if p.attribute != p2.attribute:
             raise PreconditionError("categorical predicate skeletons differ")
-        inter = len(p.values & p2.values)
-        union = len(p.values | p2.values)
-        total += 1 - Fraction(inter, union)
+        if p2.values != p.values:
+            total += 1 - Fraction(len(p.values & p2.values), len(p.values | p2.values))
     return total
 
 

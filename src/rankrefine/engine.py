@@ -8,6 +8,11 @@ Whatever the solver reports, the extracted refinement is re-evaluated from
 scratch in exact arithmetic before being returned, so a "refined" result is
 always a true certificate: its top-k prefixes deviate by at most epsilon and
 its reported distance is the exact one.
+
+Each ranking a request checks gets one membership pass, one ``contains`` per
+(top-k* tuple, constraint) pair, which its deviation and its top-k group
+listing both read: one pass when the original query settles the request,
+two (the original's and the refinement's) when the solver runs.
 """
 
 from __future__ import annotations
@@ -16,13 +21,14 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import compress
 from numbers import Real
 from typing import NamedTuple
 
 from .annotate import Instance, filter_annotated, preparation
 # not called here; kept importable because perfbench's traced run wraps them
 from .annotate import annotate, joined_relation  # noqa: F401
-from .constraints import ConstraintSet, deviation
+from .constraints import ConstraintSet, deviation, memberships
 from .data import Database, format_number
 from .distances import DistanceKind, distance
 from .errors import InternalConsistencyError, PreconditionError
@@ -90,6 +96,7 @@ def _interned(table: dict, value):
 def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
                      status: str, timing: dict, stats: dict, *,
                      ranking: list[int] | None = None,
+                     members: list[list[bool]] | None = None,
                      dev: Fraction | None = None) -> RefineResult:
     """Re-evaluate the refined query exactly over the prepared instance and
     package the certificate.
@@ -98,10 +105,11 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     top-k rows and refined SQL.
     Deviation, distance and the top-k listing read only the refined
     ranking's first k* tuples, so the filter stops there; a shorter ranking
-    means it reached the end of the instance.  A caller that holds those
-    tuples already (the unchanged query's, from the instance) passes them
-    as ``ranking`` and nothing is filtered, and one that has computed their
-    deviation passes it as ``dev``; every check still runs on them.
+    means it reached the end of the instance.  One membership pass over
+    them gives the deviation and each row's groups.  A caller that holds
+    the tuples (the unchanged query's, from the instance) passes them as
+    ``ranking``, their pass as ``members`` and its deviation as ``dev``,
+    and nothing is filtered or tested again; every check still runs.
     A failed check raises InternalConsistencyError whose message carries
     the refinement and the model stats.
     """
@@ -119,26 +127,19 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     if len(ranking) < k_star:
         raise inconsistent(
             f"refined query returns {len(ranking)} tuples, fewer than k*={k_star}")
-    if dev is None:
-        dev = deviation(ranking, tuples_by_id, cs)
+    if members is None:
+        members = memberships(ranking, tuples_by_id, cs)
+        dev = deviation(ranking, tuples_by_id, cs, members)
     if dev > config.epsilon:
         raise inconsistent(
             f"refined query deviates by {dev}, above epsilon {config.epsilon}")
     dist = distance(config.kind, q, q2, instance.original_ranking, ranking, k_star)
-    labels = [(c, c.label()) for c in cs]
-    topk = [_interned(table, TopkRow(pos, tid, tuple(label for c, label in labels
-                                                      if c.contains(tuples_by_id[tid]))))
-            for pos, tid in enumerate(ranking, start=1)]
-    return RefineResult(
-        status=status,
-        refinement=ref,
-        refined_sql=_interned(table, render_sql(q2)),
-        distance=dist,
-        deviation=dev,
-        topk=topk,
-        timing_ms=timing,
-        model_stats=stats,
-    )
+    labels = [c.label() for c in cs]
+    topk = [_interned(table, TopkRow(pos, tid, tuple(compress(labels, inside))))
+            for pos, (tid, inside) in enumerate(zip(ranking, zip(*members)), start=1)]
+    return RefineResult(status=status, refinement=ref,
+                        refined_sql=_interned(table, render_sql(q2)), distance=dist,
+                        deviation=dev, topk=topk, timing_ms=timing, model_stats=stats)
 
 
 def run(config: RunConfig) -> RefineResult:
@@ -154,7 +155,8 @@ def run(config: RunConfig) -> RefineResult:
     instance is prepared, and every later step reads them as checked."""
     t0 = time.monotonic()
     instance = preparation(config.query, config.db)
-    config = replace(config, constraints=config.constraints.over(instance.schema))
+    if (cs := config.constraints.over(instance.schema)) is not config.constraints:
+        config = replace(config, constraints=cs)
     prepare_ms = (time.monotonic() - t0) * 1000.0
     if config.engine in ("naive", "naive+prov"):
         result = _run_oracle(config, instance)
@@ -195,15 +197,17 @@ def _run_milp(config: RunConfig, instance: Instance) -> RefineResult:
         return {**built.stats, "rows_by_family": dict(built.stats["rows_by_family"]), **counters}
     # checked after the build, which still raises on bad input and reports
     # the model's size
-    cs, original = config.constraints, instance.original_ranking
-    if len(original) >= cs.k_star:
-        dev = deviation(original, instance.tuples_by_id, cs)
+    cs, tuples_by_id = config.constraints, instance.tuples_by_id
+    if len(instance.original_ranking) >= cs.k_star:
+        ranking = list(instance.original_ranking[:cs.k_star])
+        members = memberships(ranking, tuples_by_id, cs)
+        dev = deviation(ranking, tuples_by_id, cs, members)
         if dev <= config.epsilon:
             # no distance is below 0, so the original query is the optimum
             timing = {"setup_ms": setup_ms, "solve_ms": 0.0}
             stats = own_stats({"nodes": 0, "lp_iterations": 0, "mip_gap": 0.0, "dual_bound": 0.0})
             return _verified_result(config, instance, instance.unchanged, REFINED, timing, stats,
-                                    ranking=list(original[:cs.k_star]), dev=dev)
+                                    ranking=ranking, members=members, dev=dev)
     t1 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))
     solve_ms = (time.monotonic() - t1) * 1000.0

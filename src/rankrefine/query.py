@@ -117,6 +117,7 @@ class Refinement:
 
 
 def apply_refinement(q: Query, r: Refinement) -> Query:
+    """``q`` with ``r``'s constants and value sets; ``q`` itself if none changes."""
     num_keys = {(p.attribute, p.op) for p in q.numeric_preds}
     for key in r.numeric_constants:
         if key not in num_keys:
@@ -128,13 +129,17 @@ def apply_refinement(q: Query, r: Refinement) -> Query:
         if not r.cat_values[attr]:
             raise ValueError(f"refined value set for {attr!r} is empty")
     new_nums = tuple(
-        replace(p, constant=r.numeric_constants.get((p.attribute, p.op), p.constant))
+        p if (c := r.numeric_constants.get((p.attribute, p.op), p.constant)) == p.constant
+        else replace(p, constant=c)
         for p in q.numeric_preds
     )
     new_cats = tuple(
-        replace(p, values=frozenset(r.cat_values.get(p.attribute, p.values)))
+        p if (v := frozenset(r.cat_values.get(p.attribute, p.values))) == p.values
+        else replace(p, values=v)
         for p in q.cat_preds
     )
+    if new_nums == q.numeric_preds and new_cats == q.cat_preds:
+        return q
     return replace(q, numeric_preds=new_nums, cat_preds=new_cats)
 
 

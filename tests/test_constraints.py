@@ -1,4 +1,6 @@
 import json
+import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,10 @@ from rankrefine.constraints import (
     CardinalityConstraint,
     ConstraintSet,
     deviation,
+    memberships,
     parse_constraints,
 )
+from rankrefine.data import CATEGORICAL, NUMERICAL, Schema
 from rankrefine.errors import ConstraintValidationError, PreconditionError
 from rankrefine.query import apply_refinement
 
@@ -124,6 +128,62 @@ def test_k_star_is_max_k():
     ))
     assert cs.k_star == 7
     assert len(cs) == 3
+
+
+def test_k_star_is_set_once_and_left_out_of_equality_hashing_and_repr():
+    a = CardinalityConstraint((("g", "a"),), 3, 1, LOWER)
+    b = CardinalityConstraint((("g", "b"),), 7, 2, UPPER)
+    cs = ConstraintSet((a, b))
+    assert vars(cs)["k_star"] == 7
+    with pytest.raises(FrozenInstanceError):
+        cs.k_star = 3
+    assert cs == ConstraintSet((a, b)) and cs != ConstraintSet((b, a))
+    assert hash(cs) == hash((cs.constraints,))
+    assert repr(cs) == f"ConstraintSet(constraints={cs.constraints!r})"
+
+
+def test_over_returns_the_set_itself_when_no_group_value_changes():
+    schema = Schema((("g", CATEGORICAL), ("x", NUMERICAL)))
+    categorical = ConstraintSet((CardinalityConstraint((("g", "a"),), 3, 1, LOWER),))
+    numbers = ConstraintSet((CardinalityConstraint((("x", Fraction(2)),), 3, 1, LOWER),))
+    assert categorical.over(schema) is categorical and numbers.over(schema) is numbers
+    text = ConstraintSet((categorical.constraints[0],
+                          CardinalityConstraint((("x", "2"),), 4, 1, UPPER)))
+    parsed = text.over(schema)
+    assert parsed is not text and parsed.k_star == 4
+    assert [c.group for c in parsed] == [(("g", "a"),), (("x", Fraction(2)),)]
+    assert parsed.over(schema) is parsed
+
+
+def _reference_deviation(ranking, by_id, cs):
+    """Each constraint's prefix counted on its own, the mean a sum of Fractions."""
+    total = Fraction(0)
+    for c in cs:
+        count = sum(1 for tid in ranking[: c.k] if c.contains(by_id[tid]))
+        total += Fraction(max(c.sign * (c.n - count), 0), c.n)
+    return total / len(cs)
+
+
+def test_deviation_matches_the_per_prefix_count_on_random_constraint_sets(
+        students_db, scholarship_query):
+    by_id = _tuples_by_id(students_db, scholarship_query)
+    full = evaluate(scholarship_query, students_db)
+    groups = [(("Gender", "F"),), (("Gender", "M"),), (("Income", "High"),),
+              (("Gender", "F"), ("Income", "Low"))]
+    rng = random.Random(5)
+    for _ in range(300):
+        cons = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(1, len(full))
+            cons.append(CardinalityConstraint(rng.choice(groups), k, rng.randint(1, k),
+                                              rng.choice([LOWER, UPPER])))
+        cs = ConstraintSet(tuple(cons))
+        ranking = rng.sample(full, rng.randint(cs.k_star, len(full)))
+        want = _reference_deviation(ranking, by_id, cs)
+        members = memberships(ranking, by_id, cs)
+        assert [len(inside) for inside in members] == [cs.k_star] * len(cs)
+        for got in (deviation(ranking, by_id, cs), deviation(ranking, by_id, cs, members)):
+            assert got == want and type(got) is Fraction
 
 
 @given(data=st.data())

@@ -13,6 +13,7 @@ from rankrefine.distances import (
 )
 from rankrefine.errors import PreconditionError
 from rankrefine.query import NumPredicate, Query, apply_refinement
+from test_query import _random_refinable_query, _random_refinement, _reference_apply_refinement
 
 
 def test_pred_distance_activity_widening(students_db, scholarship_query, ref_prime):
@@ -31,6 +32,36 @@ def test_pred_distance_gpa_and_activity(students_db, scholarship_query,
 
 def test_pred_distance_identity(scholarship_query):
     assert dis_pred(scholarship_query, scholarship_query) == 0
+
+
+def _reference_dis_pred(q: Query, q2: Query) -> Fraction:
+    """The predicate distance with every predicate's term added, zero or not."""
+    total = Fraction(0)
+    for p, p2 in zip(q.numeric_preds, q2.numeric_preds):
+        if p.constant <= 0:
+            raise PreconditionError("non-positive original constant")
+        total += abs(p.constant - p2.constant) / p.constant
+    for p, p2 in zip(q.cat_preds, q2.cat_preds):
+        total += 1 - Fraction(len(p.values & p2.values), len(p.values | p2.values))
+    return total
+
+
+def test_pred_distance_matches_the_every_term_sum_on_random_refinements():
+    rng = random.Random(13)
+    zero = 0
+    for _ in range(500):
+        q = _random_refinable_query(rng)
+        q2 = _reference_apply_refinement(q, _random_refinement(rng, q))
+        try:
+            want = _reference_dis_pred(q, q2)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                dis_pred(q, q2)
+            continue
+        got = dis_pred(q, q2)
+        assert got == want and type(got) is type(want) is Fraction
+        zero += got == 0
+    assert zero > 20
 
 
 def test_pred_distance_requires_positive_constant():

@@ -676,6 +676,41 @@ def test_deviation_runs_once_per_ranking(monkeypatch, students_db, scholarship_q
     assert rankings[1] == tuple(row.tid for row in solved.topk)
 
 
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
+@pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD),
+                                  DistanceKind(KENDALL)], ids=lambda k: k.name)
+def test_one_membership_pass_per_ranking(monkeypatch, students_db, scholarship_query,
+                                         scholarship_constraints, engine_name, kind):
+    """Each ranking a request checks tests each (top-k* tuple, constraint)
+    pair once, for its deviation and its group listing alike: k*·|C|
+    ``contains`` calls when the original query settles the request, and
+    2·k*·|C| when the solver runs.  Each request runs once uncounted first,
+    so the counted one is served the kept model and builds nothing."""
+    cs = scholarship_constraints
+    pairs = cs.k_star * len(cs)
+    eps = _original_deviation(students_db, scholarship_query, cs)
+    real = CardinalityConstraint.contains
+    calls = []
+
+    def counted(self, row):
+        calls.append((self, row.tid))
+        return real(self, row)
+
+    for epsilon, rankings in ((eps, 1), (eps - Fraction(1, 1000), 2)):
+        config = _config(students_db, scholarship_query, cs, engine=engine_name, kind=kind,
+                         epsilon=epsilon)
+        run(config)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(CardinalityConstraint, "contains", counted)
+            result = run(config)
+        assert result.status == REFINED and (result.distance == 0) == (rankings == 1)
+        assert len(calls) == rankings * pairs
+        verified = calls[-pairs:]  # the pass over the reported top-k*
+        assert len(set(verified)) == pairs
+        assert {tid for _, tid in verified} == {row.tid for row in result.topk}
+
+
 def test_lp_dump_written_when_the_original_query_settles(monkeypatch, tmp_path, students_db,
                                                          scholarship_query,
                                                          scholarship_constraints):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,66 @@ def test_render_parse_round_trip_100_random_queries():
     for _ in range(100):
         q = _random_query(rng)
         assert parse_query(render_sql(q)) == q
+
+
+def _reference_apply_refinement(q: Query, r: Refinement) -> Query:
+    """The rebuild-everything form: every predicate and the query itself
+    made anew by ``dataclasses.replace``, field by field."""
+    new_nums = tuple(
+        replace(p, constant=r.numeric_constants.get((p.attribute, p.op), p.constant))
+        for p in q.numeric_preds
+    )
+    new_cats = tuple(
+        replace(p, values=frozenset(r.cat_values.get(p.attribute, p.values)))
+        for p in q.cat_preds
+    )
+    return replace(q, numeric_preds=new_nums, cat_preds=new_cats)
+
+
+CAT_VALUES = ["a b", "c'd", "e", "f"]
+
+
+def _random_refinable_query(rng: random.Random) -> Query:
+    """Up to two numeric and two categorical predicates, constants any sign."""
+    num = [NumPredicate(attr, op, Fraction(rng.randint(-5, 50), rng.randint(1, 4)))
+           for attr, op in rng.sample([("x", ">="), ("x", "<"), ("y", ">")], rng.randint(0, 2))]
+    cat = [CatPredicate(attr, frozenset(rng.sample(CAT_VALUES, rng.randint(1, 3))))
+           for attr in rng.sample(["g", "h"], rng.randint(0, 2))]
+    return Query(("T",), ("*",), False, tuple(num), tuple(cat), ("score", "DESC"))
+
+
+def _random_refinement(rng: random.Random, q: Query) -> Refinement:
+    """Each predicate left unmapped, mapped to its own constant or value set,
+    to an equal but distinct one, or to a random one (sometimes equal too)."""
+    nums, cats = {}, {}
+    for p in q.numeric_preds:
+        c = p.constant
+        choice = rng.randrange(4)
+        if choice:
+            nums[(p.attribute, p.op)] = (
+                c, Fraction(2 * c.numerator, 2 * c.denominator),
+                Fraction(rng.randint(-5, 50), rng.randint(1, 4)))[choice - 1]
+    for p in q.cat_preds:
+        choice = rng.randrange(4)
+        if choice:
+            cats[p.attribute] = (p.values, frozenset(set(p.values)),
+                                 frozenset(rng.sample(CAT_VALUES, rng.randint(1, 3))))[choice - 1]
+    return Refinement(numeric_constants=nums, cat_values=cats)
+
+
+def test_apply_refinement_matches_the_rebuilt_query_on_random_refinements():
+    rng = random.Random(11)
+    kept = 0
+    for _ in range(500):
+        q = _random_refinable_query(rng)
+        r = _random_refinement(rng, q)
+        want = _reference_apply_refinement(q, r)
+        got = apply_refinement(q, r)
+        assert got == want and render_sql(got) == render_sql(want)
+        # ``q`` itself exactly when the refinement changes no predicate
+        assert (got is q) == (want == q)
+        kept += got is q
+    assert 50 < kept < 450
 
 
 def test_satisfies_fixture_tuples(students_db, scholarship_query):

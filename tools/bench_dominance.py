@@ -194,6 +194,8 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
             "nproc": os.cpu_count(),
+            # when set, every fresh interpreter compiles all of ``src/`` again
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "head": git("rev-parse", "HEAD"),
             "uncommitted_changes": bool(git("status", "--porcelain", "--", "src")),
         },
