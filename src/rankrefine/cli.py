@@ -18,7 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import DEFAULT_REPEATS, run_suite
 from .constraints import parse_constraints
 from .data import load_database, parse_number
 from .distances import DISTANCES, PRED, DistanceKind
@@ -80,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="run a benchmark suite")
     b.add_argument("--suite", required=True,
                    help="directory of *.scenario.json files")
-    b.add_argument("--repeats", type=_at_least_one, default=DEFAULT_REPEATS)
+    b.add_argument("--repeats", type=_at_least_one, default=None)
     b.add_argument("--out", default=None, help="CSV output path")
     return parser
 
@@ -147,7 +146,8 @@ def _run_with_stdout_on_stderr(config: RunConfig):
 
 
 def _cmd_bench(args) -> tuple[int, str]:
-    report = run_suite(args.suite, repeats=args.repeats)
+    from .bench import DEFAULT_REPEATS, run_suite  # `run` need not load it
+    report = run_suite(args.suite, repeats=args.repeats or DEFAULT_REPEATS)
     if args.out:
         report.write_csv(args.out)
     return EXIT_REFINED, report.summary()

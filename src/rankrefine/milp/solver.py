@@ -2,7 +2,9 @@
 
 One loader, :func:`_highs`, validates a :class:`MILPModel` and hands its
 column and row lists to a silenced HiGHS as they are; :func:`solve`,
-:func:`solve_lp_relaxation` and :func:`write_lp` all go through it.
+:func:`solve_lp_relaxation` and :func:`write_lp` all go through it.  It loads
+numpy and the bindings (about 60 ms) at its first call, not at import: a
+settled request, invalid input and the naive engines never solve.
 
 :func:`solve` runs HiGHS's branch and cut once.  The relative gap is pinned
 to zero, so "optimal" means optimal rather than within HiGHS's default
@@ -24,70 +26,71 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import shutil
 import sys
-import tempfile
+import threading
 from dataclasses import dataclass
-
-# the bindings take every list through numpy, so it loads with this module
-# rather than during the first request
-import numpy  # noqa: F401
 
 from ..errors import InternalConsistencyError
 from .model import BINARY, CONTINUOUS, MILPModel, Solution
 
 _HIGHSPY = "scipy.optimize._highspy._core"
 
+_LOCK = threading.Lock()
+_STATUS: dict = {}
+_INTEGRALITY: dict = {}
 
-def _load_highspy():
-    """scipy's HiGHS bindings, loaded from their own file.
+
+def _bindings():
+    """scipy's HiGHS bindings, loaded from their own file by the first call,
+    which also fills ``_STATUS`` and ``_INTEGRALITY`` from their enums.
 
     ``import scipy.optimize._highspy`` would first run ``scipy.optimize``'s
     ``__init__``, which loads linalg, sparse and special: about 0.6 s and
     45 MB that nothing here uses.  scipy's own ``__init__`` is not run
     either (1 MB), since only its directory is needed.  The module is
     registered under its own name, so a later ``import scipy.optimize``
-    reuses it.  The bindings are private to scipy, so this module is the one
-    place that loads them."""
-    if _HIGHSPY in sys.modules:
-        return sys.modules[_HIGHSPY]
-    package = importlib.util.find_spec("scipy")
-    if package is None:
-        raise ImportError("scipy is not installed")
-    directory = os.path.join(package.submodule_search_locations[0], "optimize", "_highspy")
-    finder = importlib.machinery.FileFinder(
-        directory,
-        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
-    spec = finder.find_spec(_HIGHSPY)
-    if spec is None:
-        raise ImportError(f"scipy's HiGHS bindings (_core) not found in {directory}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_HIGHSPY] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-highspy = _load_highspy()
+    reuses it.  It is registered before its body runs, so the lock keeps a
+    second first caller from reading it half built or loading a second copy.
+    The bindings are private to scipy, so this module is the one place that
+    loads them."""
+    with _LOCK:
+        if _HIGHSPY not in sys.modules:
+            import numpy  # noqa: F401  (the bindings take every list through it)
+            package = importlib.util.find_spec("scipy")
+            if package is None:
+                raise ImportError("scipy is not installed")
+            directory = os.path.join(package.submodule_search_locations[0], "optimize", "_highspy")
+            finder = importlib.machinery.FileFinder(
+                directory,
+                (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+            spec = finder.find_spec(_HIGHSPY)
+            if spec is None:
+                raise ImportError(f"scipy's HiGHS bindings (_core) not found in {directory}")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHSPY] = module
+            spec.loader.exec_module(module)
+        highspy = sys.modules[_HIGHSPY]
+        if not _STATUS:
+            _STATUS.update({
+                highspy.HighsModelStatus.kOptimal: "optimal",
+                highspy.HighsModelStatus.kInfeasible: "infeasible",
+                highspy.HighsModelStatus.kTimeLimit: "timeout",
+                highspy.HighsModelStatus.kSolutionLimit: "timeout",  # the node limit
+            })
+            _INTEGRALITY.update({BINARY: highspy.HighsVarType.kInteger,
+                                 CONTINUOUS: highspy.HighsVarType.kContinuous})
+        return highspy
 
 
 def __getattr__(name: str):
+    if name == "highspy":
+        return _bindings()
     # not called here; kept importable because perfbench's traced run wraps
     # it, and loaded on demand because it brings in all of scipy.optimize
     if name == "linprog":
         from scipy.optimize import linprog
         return linprog
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-_STATUS = {
-    highspy.HighsModelStatus.kOptimal: "optimal",
-    highspy.HighsModelStatus.kInfeasible: "infeasible",
-    highspy.HighsModelStatus.kTimeLimit: "timeout",
-    highspy.HighsModelStatus.kSolutionLimit: "timeout",  # the node limit
-}
-
-
-_INTEGRALITY = {BINARY: highspy.HighsVarType.kInteger,
-                CONTINUOUS: highspy.HighsVarType.kContinuous}
 
 
 @dataclass
@@ -101,6 +104,7 @@ def _highs(model: MILPModel, integral: bool = True,
     """A silenced HiGHS holding ``model``, its binaries relaxed to [0, 1]
     unless ``integral``, its rows named only if ``row_names``."""
     model.validate()
+    highspy = _bindings()
     lp = highspy.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(model.col_names)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(model.row_lower)
@@ -129,7 +133,7 @@ def _highs(model: MILPModel, integral: bool = True,
 
 def _set_option(h: highspy._Highs, name: str, value) -> None:
     """Set a HiGHS option; HiGHS keeps the old value of one it rejects."""
-    if h.setOptionValue(name, value) == highspy.HighsStatus.kError:
+    if h.setOptionValue(name, value) == _bindings().HighsStatus.kError:
         raise InternalConsistencyError(f"HiGHS rejected option {name} = {value!r}")
 
 
@@ -143,7 +147,7 @@ def solve_lp_relaxation(model: MILPModel) -> Solution:
     h = _highs(model, integral=False)
     h.run()
     status = h.getModelStatus()
-    if status != highspy.HighsModelStatus.kOptimal:
+    if status != _bindings().HighsModelStatus.kOptimal:
         return Solution(status="infeasible",
                         stats={"lp_status": h.modelStatusToString(status)})
     info = h.getInfo()
@@ -186,7 +190,7 @@ def solve(model: MILPModel, options: SolveOptions | None = None) -> Solution:
         "mip_gap": _finite(info.mip_gap),
         "dual_bound": _finite(info.mip_dual_bound) if mip else None,
     }
-    if info.primal_solution_status != highspy.SolutionStatus.kSolutionStatusFeasible:
+    if info.primal_solution_status != _bindings().SolutionStatus.kSolutionStatusFeasible:
         return Solution(status=status, stats=stats)
     return Solution(
         status=status,
@@ -201,8 +205,11 @@ def write_lp(model: MILPModel, path: str) -> None:
 
     HiGHS picks the format from the file name, so it writes to a ``.lp``
     file first, whatever ``path`` is called."""
+    import shutil
+    import tempfile
+
     with tempfile.TemporaryDirectory() as tmp:
         lp_file = os.path.join(tmp, "model.lp")
-        if _highs(model, row_names=True).writeModel(lp_file) == highspy.HighsStatus.kError:
+        if _highs(model, row_names=True).writeModel(lp_file) == _bindings().HighsStatus.kError:
             raise InternalConsistencyError("HiGHS could not write the model")
         shutil.copyfile(lp_file, path)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from rankrefine.cli import EXIT_INTERNAL, EXIT_REFINED
 from rankrefine.errors import InternalConsistencyError
 from rankrefine.milp import solver
 from rankrefine.milp.model import BINARY, CONTINUOUS, MILPModel
@@ -294,3 +295,102 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
                          timeout=120, check=True)
     # the bindings are one module object, shared with scipy once it loads
     assert json.loads(out.stdout) == [False, False, True, True]
+
+
+_SRC = Path(solver.__file__).resolve().parents[2]
+_SCENARIOS = _SRC.parent / "scenarios"
+_BINDINGS = "scipy.optimize._highspy._core"
+
+
+def _fresh(body: str, *argv: str) -> subprocess.CompletedProcess:
+    """``body`` run in a new interpreter that imports ``rankrefine`` from
+    this tree."""
+    script = f"import json, sys\nsys.path.insert(0, {str(_SRC)!r})\n{body}"
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_numpy_and_the_bindings_load_at_the_first_solve():
+    out = _fresh(
+        "from fractions import Fraction\n"
+        "from pathlib import Path\n"
+        "import rankrefine as rr\n"
+        "from rankrefine.milp import solver\n"
+        f"scenarios = Path({str(_SCENARIOS)!r})\n"
+        "db = rr.Database()\n"
+        "for name in ('Students', 'Activities'):\n"
+        "    db.add(rr.load_csv(scenarios / 'data' / f'{name.lower()}.csv', name=name))\n"
+        "query = rr.parse_query((scenarios / 'scholarship' / 'query.sql').read_text())\n"
+        "cs = rr.parse_constraints((scenarios / 'scholarship' / 'constraints.json').read_text())\n"
+        "def step(epsilon):\n"
+        "    r = rr.run(rr.RunConfig(query, db, cs, Fraction(epsilon), rr.DistanceKind('pred')))\n"
+        f"    return [str(r.distance), 'numpy' in sys.modules, {_BINDINGS!r} in sys.modules]\n"
+        "steps = [step(1), step(0)]\n"
+        f"print(json.dumps([*steps, solver.highspy is sys.modules[{_BINDINGS!r}]]))\n")
+    assert out.returncode == 0, out.stderr
+    # ε 1 is met by the original query, so nothing is solved; ε 0 solves
+    assert json.loads(out.stdout) == [["0", False, False], ["1/2", True, True], True]
+
+
+def test_concurrent_first_solves_load_the_bindings_once():
+    out = _fresh(
+        "import importlib.util, threading\n"
+        "from rankrefine.milp import solver\n"
+        "from rankrefine.milp.model import BINARY, MILPModel\n"
+        "made = []  # every module object made under the bindings' name\n"
+        "module_from_spec = importlib.util.module_from_spec\n"
+        "def counted(spec):\n"
+        "    module = module_from_spec(spec)\n"
+        f"    if spec.name == {_BINDINGS!r}:\n"
+        "        made.append(module)\n"
+        "    return module\n"
+        "importlib.util.module_from_spec = counted\n"
+        "model = MILPModel()\n"
+        "cols = [model.add_column(BINARY, 0.0, 1.0, f'b{i}') for i in range(4)]\n"
+        "model.add_row(cols, [3.0, 4.0, 5.0, 6.0], '<=', 10.0, 'k')\n"
+        "model.col_cost[:] = [-5.0, -6.0, -7.0, -9.0]\n"
+        "start, statuses = threading.Barrier(2), []\n"
+        "def first_solve():\n"
+        "    start.wait()\n"
+        "    statuses.append(solver.solve(model).status)\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "threads = [threading.Thread(target=first_solve) for _ in range(2)]\n"
+        "for t in threads: t.start()\n"
+        "for t in threads: t.join(60)\n"
+        "print(json.dumps([[t.is_alive() for t in threads], statuses, len(made),\n"
+        "                  made[:1] == [solver.highspy]]))\n")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[False, False], ["optimal", "optimal"], 1, True]
+
+
+def test_missing_bindings_fail_only_solving_runs_as_internal_errors():
+    """Without scipy, a run that needs no solve still answers, and one that
+    does exits 4 (internal error), never 1 (invalid input)."""
+    def args(epsilon):
+        return ["run", "--data", f"Students={_SCENARIOS / 'data' / 'students.csv'}",
+                "--data", f"Activities={_SCENARIOS / 'data' / 'activities.csv'}",
+                "--query", str(_SCENARIOS / "scholarship" / "query.sql"),
+                "--constraints", str(_SCENARIOS / "scholarship" / "constraints.json"),
+                "--epsilon", epsilon]
+
+    def without_scipy(epsilon):
+        # a None entry makes find_spec("scipy") return None
+        return _fresh("sys.modules['scipy'] = None\n"
+                      "from rankrefine.cli import main\n"
+                      "sys.exit(main(sys.argv[1:]))\n", *args(epsilon))
+
+    def report(text):
+        payload = json.loads(text)
+        payload.pop("timing_ms")
+        return payload
+
+    settled = without_scipy("1")
+    assert settled.returncode == EXIT_REFINED, settled.stderr
+    with_scipy = _fresh("from rankrefine.cli import main\n"
+                        "sys.exit(main(sys.argv[1:]))\n", *args("1"))
+    assert with_scipy.returncode == EXIT_REFINED, with_scipy.stderr
+    assert report(settled.stdout) == report(with_scipy.stdout)
+    solving = without_scipy("0")
+    assert solving.returncode == EXIT_INTERNAL
+    assert solving.stdout == ""
+    assert solving.stderr.startswith("internal error: ImportError")
