@@ -279,24 +279,6 @@ def test_highs_bindings_are_imported_in_one_module():
     assert importers == ["milp/solver.py"]
 
 
-def test_importing_the_package_leaves_scipy_optimize_unloaded():
-    src = Path(solver.__file__).resolve().parents[2]
-    script = (
-        "import json, sys\n"
-        f"sys.path.insert(0, {str(src)!r})\n"
-        "import rankrefine\n"
-        "from rankrefine.milp import solver\n"
-        "before = ['scipy' in sys.modules, 'scipy.optimize' in sys.modules]\n"
-        "from scipy.optimize import linprog\n"
-        "from scipy.optimize._highspy import _core\n"
-        "print(json.dumps([*before, _core is solver.highspy, solver.linprog is linprog]))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         timeout=120, check=True)
-    # the bindings are one module object, shared with scipy once it loads
-    assert json.loads(out.stdout) == [False, False, True, True]
-
-
 _SRC = Path(solver.__file__).resolve().parents[2]
 _SCENARIOS = _SRC.parent / "scenarios"
 _BINDINGS = "scipy.optimize._highspy._core"
@@ -308,6 +290,19 @@ def _fresh(body: str, *argv: str) -> subprocess.CompletedProcess:
     script = f"import json, sys\nsys.path.insert(0, {str(_SRC)!r})\n{body}"
     return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
                           text=True, timeout=120)
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    out = _fresh(
+        "import rankrefine\n"
+        "from rankrefine.milp import solver\n"
+        "before = ['scipy' in sys.modules, 'scipy.optimize' in sys.modules]\n"
+        "from scipy.optimize import linprog\n"
+        "from scipy.optimize._highspy import _core\n"
+        "print(json.dumps([*before, _core is solver.highspy, solver.linprog is linprog]))\n")
+    assert out.returncode == 0, out.stderr
+    # the bindings are one module object, shared with scipy once it loads
+    assert json.loads(out.stdout) == [False, False, True, True]
 
 
 def test_numpy_and_the_bindings_load_at_the_first_solve():
