@@ -34,7 +34,7 @@ from typing import Iterable, Mapping
 
 from .data import Database, Relation, Schema, Value, NUMERICAL, natural_join
 from .errors import KindMismatchError, PreconditionError
-from .query import Query, Refinement, satisfies
+from .query import Query, Refinement, render_sql, satisfies
 
 Ranking = list[int]  # tuple ids, positions 1..m
 
@@ -73,6 +73,7 @@ class Instance:
     tuples_by_id: Mapping[int, AnnotatedTuple]
     original_ranking: tuple[int, ...]
     unchanged: Refinement  # the query's own refinement, shared by its results
+    unchanged_sql: str  # and its SQL text, which a settled result reports
     # built models, by the whole request, least recently used first (see
     # ``milp.build.build_model``); never written after their build
     models: dict = field(default_factory=dict, repr=False)
@@ -165,6 +166,7 @@ def annotate(q: Query, d: Database) -> Instance:
         tuples_by_id=MappingProxyType({at.tid: at for at in out}),
         original_ranking=tuple(filter_annotated(out, q)),
         unchanged=Refinement.unchanged(q),
+        unchanged_sql=render_sql(q),
     )
 
 

@@ -63,13 +63,20 @@ class CardinalityConstraint:
 @dataclass(frozen=True)
 class ConstraintSet:
     constraints: tuple[CardinalityConstraint, ...]
-    # the largest constrained k, set once here; left out of ``==``, hashing and ``repr``
-    k_star: int = field(init=False, compare=False, repr=False)
+    # each set once here and left out of ``==``, hashing and ``repr``
+    k_star: int = field(init=False, compare=False, repr=False)  # the largest constrained k
+    labels: tuple[str, ...] = field(init=False, compare=False, repr=False)  # by constraint
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.constraints:
             raise ConstraintValidationError("constraint set must be non-empty")
         object.__setattr__(self, "k_star", max(c.k for c in self.constraints))
+        object.__setattr__(self, "labels", tuple(c.label() for c in self.constraints))
+        object.__setattr__(self, "_hash", hash((self.constraints,)))  # as dataclass would hash
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.constraints)

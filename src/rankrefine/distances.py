@@ -42,12 +42,11 @@ def check_request(q: Query, kind: DistanceKind, epsilon: Fraction, k_star: int,
         raise PreconditionError(
             "outcome distances need the original query to return at least "
             f"k*={k_star} tuples, got {len(original)}")
-    if kind.name == PRED:
-        for p in sorted(q.numeric_preds, key=lambda p: (p.attribute, p.op)):
-            if p.constant <= 0:
-                raise PreconditionError(
-                    f"predicate distance needs a positive original constant on "
-                    f"{p.attribute!r} {p.op}")
+    bad = [p for p in q.numeric_preds if p.constant <= 0] if kind.name == PRED else None
+    if bad:  # the first in (attribute, operator) order is named
+        p = min(bad, key=lambda p: (p.attribute, p.op))
+        raise PreconditionError(
+            f"predicate distance needs a positive original constant on {p.attribute!r} {p.op}")
 
 
 def distance(kind: DistanceKind, q: Query, q2: Query, original: Ranking,

@@ -32,7 +32,8 @@ from .constraints import ConstraintSet, deviation, memberships
 from .data import Database, format_number
 from .distances import DistanceKind, distance
 from .errors import InternalConsistencyError, PreconditionError
-from .milp import BuildOptions, SolveOptions, build_model, extract_refinement, solve, write_lp
+from .milp import (BuildOptions, SolveOptions, build_model, extract_refinement, solve, solver,
+                   write_lp)
 from .oracle import exhaustive_solve
 from .query import Query, Refinement, apply_refinement, render_sql
 
@@ -102,7 +103,7 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
     package the certificate.
 
     A caller may keep every result, so equal answers share their interned
-    top-k rows and refined SQL.
+    top-k rows and refined SQL; the unchanged query's SQL is the instance's.
     Deviation, distance and the top-k listing read only the refined
     ranking's first k* tuples, so the filter stops there; a shorter ranking
     means it reached the end of the instance.  One membership pass over
@@ -119,7 +120,8 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
         return InternalConsistencyError(f"{message}; {detail}")
 
     q, cs, table = config.query, config.constraints, instance.interned
-    q2 = apply_refinement(q, ref)
+    unchanged = ref is instance.unchanged  # the query itself, whose SQL the instance holds
+    q2 = q if unchanged else apply_refinement(q, ref)
     tuples_by_id = instance.tuples_by_id
     k_star = cs.k_star
     if ranking is None:
@@ -134,11 +136,10 @@ def _verified_result(config: RunConfig, instance: Instance, ref: Refinement,
         raise inconsistent(
             f"refined query deviates by {dev}, above epsilon {config.epsilon}")
     dist = distance(config.kind, q, q2, instance.original_ranking, ranking, k_star)
-    labels = [c.label() for c in cs]
-    topk = [_interned(table, TopkRow(pos, tid, tuple(compress(labels, inside))))
+    topk = [_interned(table, TopkRow(pos, tid, tuple(compress(cs.labels, inside))))
             for pos, (tid, inside) in enumerate(zip(ranking, zip(*members)), start=1)]
-    return RefineResult(status=status, refinement=ref,
-                        refined_sql=_interned(table, render_sql(q2)), distance=dist,
+    sql = instance.unchanged_sql if unchanged else _interned(table, render_sql(q2))
+    return RefineResult(status=status, refinement=ref, refined_sql=sql, distance=dist,
                         deviation=dev, topk=topk, timing_ms=timing, model_stats=stats)
 
 
@@ -186,8 +187,8 @@ def _run_oracle(config: RunConfig, instance: Instance) -> RefineResult:
 
 def _run_milp(config: RunConfig, instance: Instance) -> RefineResult:
     t0 = time.monotonic()
-    built = build_model(config.query, config.db, config.constraints,
-                        config.epsilon, config.kind, BUILD_OPTIONS[config.engine])
+    built = build_model(config.query, config.db, config.constraints, config.epsilon,
+                        config.kind, BUILD_OPTIONS[config.engine], instance=instance)
     setup_ms = (time.monotonic() - t0) * 1000.0
     if config.lp_dump:
         write_lp(built.model, config.lp_dump)
@@ -209,9 +210,11 @@ def _run_milp(config: RunConfig, instance: Instance) -> RefineResult:
             return _verified_result(config, instance, instance.unchanged, REFINED, timing, stats,
                                     ranking=ranking, members=members, dev=dev)
     t1 = time.monotonic()
+    solver.bindings()  # numpy and HiGHS load at a process's first solve, timed as set-up
+    t2 = time.monotonic()
     solution = solve(built.model, SolveOptions(timeout_s=config.timeout_s))
-    solve_ms = (time.monotonic() - t1) * 1000.0
-    timing = {"setup_ms": setup_ms, "solve_ms": solve_ms}
+    timing = {"setup_ms": setup_ms + (t2 - t1) * 1000.0,
+              "solve_ms": (time.monotonic() - t2) * 1000.0}
     stats = own_stats(solution.stats)
     if solution.status == "infeasible":
         return RefineResult(status=NO_REFINEMENT, timing_ms=timing, model_stats=stats)

@@ -13,19 +13,3 @@ from .model import (
     Solution,
 )
 from .solver import SolveOptions, solve, write_lp
-
-__all__ = [
-    "BINARY",
-    "BuildOptions",
-    "BuildResult",
-    "ModelBuilder",
-    "build_model",
-    "extract_refinement",
-    "CONTINUOUS",
-    "MILPModel",
-    "Row",
-    "Solution",
-    "SolveOptions",
-    "solve",
-    "write_lp",
-]

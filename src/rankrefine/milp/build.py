@@ -30,10 +30,11 @@ tuples too.
 
 The whole model depends on the request only through its constraints, its
 distance, the build options and epsilon.  The prepared instance keeps the
-last ``KEPT_MODELS`` built models, keyed by those four; ``build_model``
-answers a request that repeats one with the kept result itself, and builds
-and keeps the rest.  A build result belongs to the database: it is
-read-only, and nothing writes to it after its build.
+last ``KEPT_MODELS`` built models, keyed by those four.  ``build_model``
+checks the request on the instance ``engine.run`` hands it, answers a request
+that repeats a key with the kept result itself, and builds and keeps the rest.
+A build result belongs to the database: it is read-only, and nothing writes
+to it after its build.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
 
-from ..annotate import AnnotatedTuple, preparation
+from ..annotate import AnnotatedTuple, Instance, preparation
 # not called here; kept importable because perfbench's traced run wraps them
 from ..annotate import annotate, filter_annotated, joined_relation  # noqa: F401
 from ..constraints import LOWER, ConstraintSet
@@ -126,6 +127,7 @@ class ModelBuilder:
         epsilon: Fraction,
         kind: DistanceKind,
         options: BuildOptions | None = None,
+        instance: Instance | None = None,
     ):
         self.query = query
         self.constraints = constraints
@@ -135,7 +137,7 @@ class ModelBuilder:
         self.model = MILPModel()
         self.k_star = constraints.k_star
 
-        instance = preparation(query, db)
+        instance = preparation(query, db) if instance is None else instance
         # not under DISTINCT, where merging made 3,000-row solves 17-44% slower
         self.merged = self.options.merge_lineage and not instance.key_attrs
         self.original_topk = instance.original_ranking[: self.k_star]
@@ -567,23 +569,25 @@ def build_model(
     epsilon: Fraction,
     kind: DistanceKind,
     options: BuildOptions | None = None,
+    instance: Instance | None = None,
 ) -> BuildResult:
-    """Compile the search over ``query``'s prepared instance in ``db``.
+    """Check the request and compile the search over ``query``'s prepared
+    instance in ``db``, which a caller that holds it passes as ``instance``.
 
     The instance keeps the last :data:`KEPT_MODELS` results, by the whole
     request: constraints, distance, options and epsilon.  A request that
     repeats one gets the kept result itself, unchanged since its build.
     The result is the database's and is read-only.  A build that raises
     keeps nothing."""
-    epsilon = Fraction(epsilon)
-    instance = preparation(query, db)
+    instance = preparation(query, db) if instance is None else instance
     check_request(query, kind, epsilon, constraints.k_star, instance.original_ranking)
     options = options or BuildOptions()
     models = instance.models
-    key = (constraints, kind, options, epsilon)
+    # the set keeps its hash, and ``Fraction`` and ``DistanceKind`` would hash in Python
+    key = (constraints, kind.name, options, epsilon.as_integer_ratio())
     built = models.pop(key, None)  # put back last, as the most recently used
     if built is None:
-        built = ModelBuilder(query, db, constraints, epsilon, kind, options).build()
+        built = ModelBuilder(query, db, constraints, epsilon, kind, options, instance).build()
         if len(models) == KEPT_MODELS:
             del models[next(iter(models))]  # the least recently used
     models[key] = built

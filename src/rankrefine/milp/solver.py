@@ -2,9 +2,10 @@
 
 One loader, :func:`_highs`, validates a :class:`MILPModel` and hands its
 column and row lists to a silenced HiGHS as they are; :func:`solve`,
-:func:`solve_lp_relaxation` and :func:`write_lp` all go through it.  It loads
-numpy and the bindings (about 60 ms) at its first call, not at import: a
-settled request, invalid input and the naive engines never solve.
+:func:`solve_lp_relaxation` and :func:`write_lp` all go through it.  Numpy and
+the bindings (about 60 ms) load at the first :func:`bindings` call, which the
+engine makes before its solve clock starts, not at import: a settled request,
+invalid input and the naive engines never solve.
 
 :func:`solve` runs HiGHS's branch and cut once.  The relative gap is pinned
 to zero, so "optimal" means optimal rather than within HiGHS's default
@@ -40,7 +41,7 @@ _STATUS: dict = {}
 _INTEGRALITY: dict = {}
 
 
-def _bindings():
+def bindings():
     """scipy's HiGHS bindings, loaded from their own file by the first call,
     which also fills ``_STATUS`` and ``_INTEGRALITY`` from their enums.
 
@@ -84,7 +85,7 @@ def _bindings():
 
 def __getattr__(name: str):
     if name == "highspy":
-        return _bindings()
+        return bindings()
     # not called here; kept importable because perfbench's traced run wraps
     # it, and loaded on demand because it brings in all of scipy.optimize
     if name == "linprog":
@@ -104,7 +105,7 @@ def _highs(model: MILPModel, integral: bool = True,
     """A silenced HiGHS holding ``model``, its binaries relaxed to [0, 1]
     unless ``integral``, its rows named only if ``row_names``."""
     model.validate()
-    highspy = _bindings()
+    highspy = bindings()
     lp = highspy.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(model.col_names)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(model.row_lower)
@@ -133,7 +134,7 @@ def _highs(model: MILPModel, integral: bool = True,
 
 def _set_option(h: highspy._Highs, name: str, value) -> None:
     """Set a HiGHS option; HiGHS keeps the old value of one it rejects."""
-    if h.setOptionValue(name, value) == _bindings().HighsStatus.kError:
+    if h.setOptionValue(name, value) == bindings().HighsStatus.kError:
         raise InternalConsistencyError(f"HiGHS rejected option {name} = {value!r}")
 
 
@@ -147,7 +148,7 @@ def solve_lp_relaxation(model: MILPModel) -> Solution:
     h = _highs(model, integral=False)
     h.run()
     status = h.getModelStatus()
-    if status != _bindings().HighsModelStatus.kOptimal:
+    if status != bindings().HighsModelStatus.kOptimal:
         return Solution(status="infeasible",
                         stats={"lp_status": h.modelStatusToString(status)})
     info = h.getInfo()
@@ -190,7 +191,7 @@ def solve(model: MILPModel, options: SolveOptions | None = None) -> Solution:
         "mip_gap": _finite(info.mip_gap),
         "dual_bound": _finite(info.mip_dual_bound) if mip else None,
     }
-    if info.primal_solution_status != _bindings().SolutionStatus.kSolutionStatusFeasible:
+    if info.primal_solution_status != bindings().SolutionStatus.kSolutionStatusFeasible:
         return Solution(status=status, stats=stats)
     return Solution(
         status=status,
@@ -210,6 +211,6 @@ def write_lp(model: MILPModel, path: str) -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         lp_file = os.path.join(tmp, "model.lp")
-        if _highs(model, row_names=True).writeModel(lp_file) == _bindings().HighsStatus.kError:
+        if _highs(model, row_names=True).writeModel(lp_file) == bindings().HighsStatus.kError:
             raise InternalConsistencyError("HiGHS could not write the model")
         shutil.copyfile(lp_file, path)

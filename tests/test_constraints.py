@@ -142,6 +142,33 @@ def test_k_star_is_set_once_and_left_out_of_equality_hashing_and_repr():
     assert repr(cs) == f"ConstraintSet(constraints={cs.constraints!r})"
 
 
+def test_labels_and_hash_are_set_once_and_left_out_of_equality_hashing_and_repr():
+    a = CardinalityConstraint((("g", "a"),), 3, 1, LOWER)
+    b = CardinalityConstraint((("g", "b"),), 7, 2, UPPER)
+    cs = ConstraintSet((a, b))
+    assert vars(cs)["labels"] == (a.label(), b.label()) == ("lb[g=a,k=3]=1", "ub[g=b,k=7]=2")
+    assert vars(cs)["_hash"] == hash(cs) == hash((cs.constraints,))
+    for name in ("labels", "_hash"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cs, name, None)
+    other = ConstraintSet((a, b))
+    object.__setattr__(other, "labels", ())
+    assert other == cs and hash(other) == hash(cs)
+    assert cs != ConstraintSet((b, a)) and hash(cs) != hash(ConstraintSet((b, a)))
+    assert repr(cs) == f"ConstraintSet(constraints={cs.constraints!r})"
+
+
+def test_labels_are_those_of_the_set_over_a_schema():
+    schema = Schema((("g", CATEGORICAL), ("x", NUMERICAL)))
+    text = ConstraintSet((CardinalityConstraint((("g", "a"),), 3, 1, LOWER),
+                          CardinalityConstraint((("x", "2.50"),), 4, 1, UPPER)))
+    parsed = text.over(schema)
+    assert [c.group for c in parsed][1] == (("x", Fraction(5, 2)),)
+    assert text.labels == ("lb[g=a,k=3]=1", "ub[x=2.50,k=4]=1")
+    assert parsed.labels == tuple(c.label() for c in parsed) == ("lb[g=a,k=3]=1",
+                                                                 "ub[x=2.5,k=4]=1")
+
+
 def test_over_returns_the_set_itself_when_no_group_value_changes():
     schema = Schema((("g", CATEGORICAL), ("x", NUMERICAL)))
     categorical = ConstraintSet((CardinalityConstraint((("g", "a"),), 3, 1, LOWER),))

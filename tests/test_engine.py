@@ -647,6 +647,70 @@ def test_a_settled_request_filters_nothing(monkeypatch, students_db, scholarship
     assert solved.status == REFINED and solved.distance > 0
 
 
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
+def test_a_settled_request_reports_the_sql_the_instance_holds(monkeypatch, students_db,
+                                                              scholarship_query,
+                                                              scholarship_constraints,
+                                                              engine_name):
+    """The original query is its own refinement, so a settled request neither
+    applies nor renders one; a solved request does each once."""
+    eps = _original_deviation(students_db, scholarship_query, scholarship_constraints)
+    calls = []
+
+    def counted(name):
+        real = getattr(engine, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    preparation(scholarship_query, students_db)  # the instance renders its query once
+    for name in ("apply_refinement", "render_sql"):
+        monkeypatch.setattr(engine, name, counted(name))
+    settled = run(_config(students_db, scholarship_query, scholarship_constraints,
+                          engine=engine_name, epsilon=eps))
+    assert settled.distance == 0 and calls == []
+    assert settled.refined_sql == render_sql(scholarship_query)
+    solved = run(_config(students_db, scholarship_query, scholarship_constraints,
+                         engine=engine_name, epsilon=eps - Fraction(1, 1000)))
+    assert solved.distance > 0 and calls == ["apply_refinement", "render_sql"]
+    assert solved.refined_sql == render_sql(apply_refinement(scholarship_query,
+                                                             solved.refinement))
+
+
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
+def test_one_preparation_and_one_request_check_per_request(monkeypatch, scholarship_query,
+                                                          scholarship_constraints,
+                                                          engine_name):
+    """``run`` hands its instance to the model lookup: a request that builds
+    its model and one served the kept model each prepare (or look up) the
+    instance once and check the request once."""
+    build = importlib.import_module("rankrefine.milp.build")
+    calls = {"preparation": 0, "check_request": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (engine, build):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    db = _students_db()
+    eps = _original_deviation(db, scholarship_query, scholarship_constraints)
+    for epsilon, builds in ((eps, True), (eps, False), (Fraction(0), True), (Fraction(0), False)):
+        kept = len(db.last_prepared.models)
+        result = run(_config(db, scholarship_query, scholarship_constraints,
+                             engine=engine_name, epsilon=epsilon))
+        assert result.status == REFINED
+        assert len(db.last_prepared.models) == kept + builds
+        assert calls == {"preparation": 1, "check_request": 1}, (epsilon, builds)
+        calls.update(preparation=0, check_request=0)
+
+
 @pytest.mark.parametrize("kind", [DistanceKind(PRED), DistanceKind(JACCARD),
                                   DistanceKind(KENDALL)], ids=lambda k: k.name)
 def test_deviation_runs_once_per_ranking(monkeypatch, students_db, scholarship_query,

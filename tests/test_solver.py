@@ -305,18 +305,23 @@ def test_importing_the_package_leaves_scipy_optimize_unloaded():
     assert json.loads(out.stdout) == [False, False, True, True]
 
 
+# the scholarship scenario, loaded and parsed in a fresh interpreter
+_SCHOLARSHIP = (
+    "from fractions import Fraction\n"
+    "from pathlib import Path\n"
+    "import rankrefine as rr\n"
+    "from rankrefine.milp import solver\n"
+    f"scenarios = Path({str(_SCENARIOS)!r})\n"
+    "db = rr.Database()\n"
+    "for name in ('Students', 'Activities'):\n"
+    "    db.add(rr.load_csv(scenarios / 'data' / f'{name.lower()}.csv', name=name))\n"
+    "query = rr.parse_query((scenarios / 'scholarship' / 'query.sql').read_text())\n"
+    "cs = rr.parse_constraints((scenarios / 'scholarship' / 'constraints.json').read_text())\n")
+
+
 def test_numpy_and_the_bindings_load_at_the_first_solve():
     out = _fresh(
-        "from fractions import Fraction\n"
-        "from pathlib import Path\n"
-        "import rankrefine as rr\n"
-        "from rankrefine.milp import solver\n"
-        f"scenarios = Path({str(_SCENARIOS)!r})\n"
-        "db = rr.Database()\n"
-        "for name in ('Students', 'Activities'):\n"
-        "    db.add(rr.load_csv(scenarios / 'data' / f'{name.lower()}.csv', name=name))\n"
-        "query = rr.parse_query((scenarios / 'scholarship' / 'query.sql').read_text())\n"
-        "cs = rr.parse_constraints((scenarios / 'scholarship' / 'constraints.json').read_text())\n"
+        _SCHOLARSHIP +
         "def step(epsilon):\n"
         "    r = rr.run(rr.RunConfig(query, db, cs, Fraction(epsilon), rr.DistanceKind('pred')))\n"
         f"    return [str(r.distance), 'numpy' in sys.modules, {_BINDINGS!r} in sys.modules]\n"
@@ -325,6 +330,26 @@ def test_numpy_and_the_bindings_load_at_the_first_solve():
     assert out.returncode == 0, out.stderr
     # ε 1 is met by the original query, so nothing is solved; ε 0 solves
     assert json.loads(out.stdout) == [["0", False, False], ["1/2", True, True], True]
+
+
+def test_the_first_solve_reports_the_solver_load_as_set_up():
+    """The engine loads numpy and the bindings before its solve clock starts;
+    here the first load sleeps 0.2 s on top."""
+    out = _fresh(
+        _SCHOLARSHIP +
+        "import time\n"
+        "load, calls = solver.bindings, []\n"
+        "def slow():\n"
+        "    if not calls:\n"
+        "        time.sleep(0.2)\n"
+        "    calls.append(1)\n"
+        "    return load()\n"
+        "solver.bindings = slow\n"
+        "r = rr.run(rr.RunConfig(query, db, cs, Fraction(0), rr.DistanceKind('pred')))\n"
+        "print(json.dumps([str(r.distance), r.timing_ms['setup_ms'], r.timing_ms['solve_ms']]))\n")
+    assert out.returncode == 0, out.stderr
+    distance, setup_ms, solve_ms = json.loads(out.stdout)
+    assert distance == "1/2" and setup_ms >= 200 and solve_ms < 200
 
 
 def test_concurrent_first_solves_load_the_bindings_once():
