@@ -170,14 +170,9 @@ def run(config: RunConfig) -> RefineResult:
 
 def _run_oracle(config: RunConfig, instance: Instance) -> RefineResult:
     t0 = time.monotonic()
-    oracle = exhaustive_solve(
-        config.query,
-        config.db,
-        config.constraints,
-        config.epsilon,
-        config.kind,
-        use_provenance=(config.engine == "naive+prov"),
-    )
+    oracle = exhaustive_solve(config.query, config.db, config.constraints, config.epsilon,
+                              config.kind, use_provenance=(config.engine == "naive+prov"),
+                              instance=instance)
     timing = {"setup_ms": 0.0, "solve_ms": (time.monotonic() - t0) * 1000.0}
     stats = {"candidates_checked": oracle.candidates_checked}
     if oracle.status == NO_REFINEMENT:

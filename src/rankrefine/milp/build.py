@@ -15,9 +15,10 @@ The encoding follows the provenance of the ranked, predicate-free universe:
   the encoded tuples; per-constraint deficits feeding one deviation row,
 * a distance objective: for ``pred``, each numeric predicate's distance
   telescoped along its chain (the incremental formulation of Vielma, Ahmed
-  & Nemhauser, 2010) over the constant each selection maps to, the candidate
-  closest to the original one; for ``jaccard``, the retained count of the
-  original top-k*; for ``kendall``, the exact distance in closed form.
+  & Nemhauser, 2010) over the constant each selection maps to, the one the
+  exhaustive search tries for it (``oracle.selections``); for ``jaccard``,
+  the retained count of the original top-k*; for ``kendall``, the exact
+  distance in closed form.
 
 Optional optimizations: relevancy pruning, which drops every tuple that k*
 better-ranked tuples dominate (any refinement selecting it selects them, so
@@ -25,8 +26,8 @@ it can never reach a top-k* position; see ``ModelBuilder.relevancy_prune``),
 sharing one membership binary across a lineage class, and dropping the rows
 that force a top-k binary to 1 when every constraint is a lower bound (sound
 only for the predicate-space objective).  Pruning leaves every predicate's
-domain whole: indicators and candidate constants cover the values of pruned
-tuples too.
+domain whole: indicators and selections cover the values of pruned tuples
+too.
 
 The whole model depends on the request only through its constraints, its
 distance, the build options and epsilon.  The prepared instance keeps the
@@ -54,7 +55,7 @@ from ..constraints import LOWER, ConstraintSet
 from ..data import Database, format_number
 from ..distances import JACCARD, PRED, DistanceKind, check_request
 from ..errors import InternalConsistencyError
-from ..oracle import numeric_candidates
+from ..oracle import selections
 from ..query import Query, Refinement
 from .model import BINARY, CONTINUOUS, MILPModel, Solution
 
@@ -76,28 +77,13 @@ class NumericFamily:
     original: Fraction
     domain: list[Fraction]  # sorted values of the instance's lineage classes
     indicators: dict[Fraction, int]  # value -> column
-    # selection (positions in domain) -> candidate constant closest to the
-    # original among those that select exactly these values
+    # selection (positions in domain) -> its constant (``oracle.selections``)
     constants: dict[range, Fraction]
     # the ``pred`` distance along the chain: the empty selection's cost and,
     # per domain value, what switching its indicator on adds; left empty when
     # the original constant is not positive, which that distance rejects
     empty_cost: float = 0.0
     cost_steps: list[float] = field(default_factory=list)
-
-
-def _selection(op: str, domain: list[Fraction], c: Fraction) -> range:
-    """Positions of the ``domain`` values that satisfy ``value op c``."""
-    if op == ">=":
-        return range(bisect_left(domain, c), len(domain))
-    if op == ">":
-        return range(bisect_right(domain, c), len(domain))
-    if op == "<=":
-        return range(bisect_right(domain, c))
-    if op == "<":
-        return range(bisect_left(domain, c))
-    i = bisect_left(domain, c)
-    return range(i, i + 1) if domain[i:i + 1] == [c] else range(0)
 
 
 @dataclass
@@ -252,8 +238,8 @@ class ModelBuilder:
             values = self.instance.domain(p.attribute)
             cols = [self._binary("A", p.attribute, _OP_CODE[p.op], format_number(v))
                     for v in values]
-            fam = NumericFamily(p.attribute, p.op, p.constant, values,
-                                dict(zip(values, cols)), {})
+            fam = NumericFamily(p.attribute, p.op, p.constant, values, dict(zip(values, cols)),
+                                selections(p.op, values, p.constant))
             if p.op == "=":
                 self._row(dict.fromkeys(cols, 1), "<=", 1, "eq_one", p.attribute)
             else:
@@ -263,13 +249,6 @@ class ModelBuilder:
                 names = self.model.col_names
                 for inner, outer in zip(cols, cols[1:]):
                     self._row({inner: 1, outer: -1}, "<=", 0, "chain", names[inner])
-            # the oracle's candidates over that same domain; ascending, so
-            # the smaller of two equally close constants wins
-            for c in numeric_candidates(values, p.constant):
-                sel = _selection(p.op, values, c)
-                best = fam.constants.get(sel)
-                if best is None or abs(c - p.constant) < abs(best - p.constant):
-                    fam.constants[sel] = c
             if p.constant > 0:
                 self._pred_cost_steps(fam)
             self.num_families[(p.attribute, p.op)] = fam

@@ -1,23 +1,27 @@
 """Exhaustive refinement search, used both as a baseline engine and as the
 ground truth the optimizer is tested against.
 
-Numeric predicates have finitely many behaviours over a fixed database, and
-within one behaviour the distance-minimal constant is either the original
-constant or the tightest boundary of the behaviour's feasible interval, so a
-finite candidate grid (domain values, half-gap offsets around them, the
-original constant, and the two outside sentinels) is complete.  Categorical
-predicates enumerate every non-empty subset of the attribute's active domain;
-original values outside that domain never filter anything and are always
-kept.
+A numeric predicate's constant matters only through its selection, the set
+of domain values it lets through: within one selection the ranking, and so
+every outcome distance, is fixed, and the predicate distance is least at the
+original constant or at the tightest boundary of the selection's interval.
+A finite grid (domain values, half-gap offsets around them, the original
+constant, and the two outside sentinels) holds those, and :func:`selections`,
+which the MILP builder shares, maps each selection to its grid candidate
+closest to the original.  Categorical predicates enumerate every non-empty
+subset of the attribute's active domain; original values outside that
+domain never filter anything and are always kept.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .annotate import evaluate, filter_annotated, preparation
+from .annotate import Instance, evaluate, filter_annotated, preparation
 from .constraints import ConstraintSet, deviation
 from .data import Database
 from .distances import DistanceKind, check_request, distance
@@ -35,19 +39,42 @@ class OracleResult:
     candidates_checked: int
 
 
-def _half_gap(values: list) -> Fraction:  # exact on ints too
-    gaps = [b - a for a, b in zip(values, values[1:])]
-    return Fraction(min(gaps), 2) if gaps else Fraction(1, 2)
-
-
 def numeric_candidates(values: list[Fraction], original: Fraction) -> list[Fraction]:
     if not values:
         return [original]
-    delta = _half_gap(values)
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    delta = Fraction(min(gaps), 2) if gaps else Fraction(1, 2)  # exact on ints too
     cands = {original, values[0] - 1, values[-1] + 1}
     for v in values:
         cands.update((v - delta, v, v + delta))
     return sorted(cands)
+
+
+def _selection(op: str, domain: list[Fraction], c: Fraction) -> range:
+    """Positions of the ``domain`` values that satisfy ``value op c``."""
+    if op == ">=":
+        return range(bisect_left(domain, c), len(domain))
+    if op == ">":
+        return range(bisect_right(domain, c), len(domain))
+    if op == "<=":
+        return range(bisect_right(domain, c))
+    if op == "<":
+        return range(bisect_left(domain, c))
+    i = bisect_left(domain, c)
+    return range(i, i + 1) if domain[i:i + 1] == [c] else range(0)
+
+
+def selections(op: str, domain: list[Fraction], original: Fraction) -> dict[range, Fraction]:
+    """Each selection that ``value op c`` can make over the sorted ``domain``
+    (positions in it) -> the grid candidate closest to ``original`` among
+    those that make it; the smaller of two equally close candidates wins,
+    and ``original`` stands for its own selection."""
+    out: dict[range, Fraction] = {}
+    for c in numeric_candidates(domain, original):  # ascending, so the smaller wins a tie
+        sel = _selection(op, domain, c)
+        if sel not in out or abs(c - original) < abs(out[sel] - original):
+            out[sel] = c
+    return out
 
 
 def cat_candidates(values: list[str], original: frozenset[str]) -> list[frozenset[str]]:
@@ -68,29 +95,24 @@ class RefinementSpace:
 
     @property
     def size(self) -> int:
-        n = 1
-        for _, cands in self.numeric:
-            n *= len(cands)
-        for _, cands in self.categorical:
-            n *= len(cands)
-        return n
+        return math.prod(len(cands) for _, cands in self.numeric + self.categorical)
 
     def __iter__(self):
         num_keys = [key for key, _ in self.numeric]
         cat_keys = [attr for attr, _ in self.categorical]
-        pools = [c for _, c in self.numeric] + [c for _, c in self.categorical]
-        for combo in itertools.product(*pools):
-            yield Refinement(
-                numeric_constants=dict(zip(num_keys, combo[: len(num_keys)])),
-                cat_values=dict(zip(cat_keys, combo[len(num_keys):])),
-            )
+        for combo in itertools.product(*(c for _, c in self.numeric + self.categorical)):
+            yield Refinement(dict(zip(num_keys, combo)),
+                             dict(zip(cat_keys, combo[len(num_keys):])))
 
 
-def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP) -> RefinementSpace:
-    instance = preparation(q, d)
+def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP,
+                     instance: Instance | None = None) -> RefinementSpace:
+    """Each numeric selection's constant times each categorical value set,
+    over ``q``'s prepared instance in ``d`` (or the ``instance`` given)."""
+    instance = preparation(q, d) if instance is None else instance
     numeric = [
         ((p.attribute, p.op),
-         numeric_candidates(instance.domain(p.attribute), p.constant))
+         list(selections(p.op, instance.domain(p.attribute), p.constant).values()))
         for p in q.numeric_preds
     ]
     categorical = [
@@ -113,34 +135,34 @@ def exhaustive_solve(
     kind: DistanceKind,
     use_provenance: bool = True,
     cap: int = DEFAULT_CAP,
+    instance: Instance | None = None,
 ) -> OracleResult:
-    """Scan the whole refinement space; return the minimum-distance candidate
-    whose top-k prefixes deviate from the constraints by at most epsilon.
+    """Scan the whole refinement space, one candidate per numeric selection
+    and categorical value set; return the minimum-distance candidate whose
+    top-k prefixes deviate from the constraints by at most epsilon.
     Distance ties go to the original query, then to the lexicographically
     smallest refinement.
 
-    Candidates are filtered from ``q``'s prepared instance in ``d``, up to
-    the k* tuples that feasibility and distance read; without provenance
-    every candidate is still evaluated from ``d``."""
-    instance = preparation(q, d)
+    The space comes from ``q``'s prepared instance in ``d``, which a caller
+    that holds it passes as ``instance``.  Candidates are filtered from it,
+    up to the k* tuples that feasibility and distance read; without
+    provenance every candidate is still evaluated from ``d``."""
+    instance = preparation(q, d) if instance is None else instance
     k_star = constraints.k_star
     original_ranking = instance.original_ranking
     check_request(q, kind, epsilon, k_star, original_ranking)
-    space = refinement_space(q, d, cap)
+    space = refinement_space(q, d, cap, instance)
 
     unchanged = Refinement.unchanged(q).encoding_key(q)
     best = None  # ((distance, differs, encoding_key), refinement)
-    checked = 0
     for ref in space:
-        checked += 1
         q2 = apply_refinement(q, ref)
         if use_provenance:
             ranking = filter_annotated(instance, q2, limit=k_star)
         else:
             ranking = evaluate(q2, d)
-        if len(ranking) < k_star:
-            continue
-        if deviation(ranking, instance.tuples_by_id, constraints) > epsilon:
+        if (len(ranking) < k_star
+                or deviation(ranking, instance.tuples_by_id, constraints) > epsilon):
             continue
         dist = distance(kind, q, q2, original_ranking, ranking, k_star)
         ref_key = ref.encoding_key(q)
@@ -148,6 +170,6 @@ def exhaustive_solve(
         if best is None or key < best[0]:
             best = (key, ref)
     if best is None:
-        return OracleResult("no_refinement", None, None, checked)
+        return OracleResult("no_refinement", None, None, space.size)
     (dist, _, _), ref = best
-    return OracleResult("refined", ref, dist, checked)
+    return OracleResult("refined", ref, dist, space.size)

@@ -9,6 +9,7 @@ seeded many-class roster checks the pruning where it drops most tuples.
 """
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -16,14 +17,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rankrefine.annotate import preparation
-from rankrefine.constraints import CardinalityConstraint, ConstraintSet
+from rankrefine.constraints import CardinalityConstraint, ConstraintSet, deviation
 from rankrefine.data import Database, Schema
-from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
+from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, distance
 from rankrefine.engine import REFINED, RunConfig, run
 from rankrefine.errors import PreconditionError
-from rankrefine.query import NUM_OPS, CatPredicate, NumPredicate, Query, parse_query
+from rankrefine.oracle import cat_candidates, exhaustive_solve, numeric_candidates
+from rankrefine.query import (NUM_OPS, CatPredicate, NumPredicate, Query, Refinement,
+                              apply_refinement, parse_query)
 
-from conftest import relation
+from conftest import random_instance, relation
 
 TOL = 1e-6  # as in the acceptance suite
 
@@ -173,18 +176,23 @@ def _two_numeric_predicates(rng: Random) -> tuple[Database, Query]:
     return db, q
 
 
+def _two_numeric_request(rng: Random):
+    """A ``_two_numeric_predicates`` instance with seeded constraints and epsilon."""
+    db, q = _two_numeric_predicates(rng)
+    k = rng.randint(1, 4)
+    cs = ConstraintSet(tuple(CardinalityConstraint(
+        (("g", g),), k, rng.randint(1, k), rng.choice(["lower", "upper"]))
+        for g in rng.sample(GROUPS, rng.randint(1, 2))))
+    return q, db, cs, rng.choice([Fraction(0), Fraction(1, 2), Fraction(1)])
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_two_numeric_predicates_match_the_oracle(seed):
     """Both MILP engines against ``naive+prov`` where the dominance pruning
     falls back to equality on a second numeric attribute."""
     rng = Random(seed)
     for _ in range(16):
-        db, q = _two_numeric_predicates(rng)
-        k = rng.randint(1, 4)
-        cs = ConstraintSet(tuple(CardinalityConstraint(
-            (("g", g),), k, rng.randint(1, k), rng.choice(["lower", "upper"]))
-            for g in rng.sample(GROUPS, rng.randint(1, 2))))
-        eps = rng.choice([Fraction(0), Fraction(1, 2), Fraction(1)])
+        q, db, cs, eps = _two_numeric_request(rng)
         kind = rng.choice([PRED, JACCARD, KENDALL])
         oracle = _answer(db, q, cs, eps, kind, "naive+prov")
         for engine in ("milp+opt", "milp"):
@@ -192,3 +200,67 @@ def test_two_numeric_predicates_match_the_oracle(seed):
             assert milp[0] == oracle[0], (engine, q, cs, eps, kind, milp, oracle)
             if oracle[0] == REFINED:
                 assert abs(float(milp[1] - oracle[1])) <= TOL, (engine, q, cs, eps, kind)
+
+
+def _grid_scan(q, db, cs, eps, kind):
+    """The least ``kind`` distance over every refinement built from the
+    whole constant grid (``numeric_candidates``) and every value set, or
+    None when no refinement is feasible: the exhaustive search without the
+    map from selections to constants.
+
+    Each candidate's satisfying tuples are a bit mask over the instance in
+    base-rank order, and a refinement's ranking keeps the first tuple of each
+    key among those every mask selects."""
+    instance = preparation(q, db)
+    k_star, tuples = cs.k_star, list(instance.annotated)
+
+    def pool(pred, constants, refined):
+        return [(c, sum(1 << i for i, at in enumerate(tuples)
+                        if refined(pred, c).holds(at[pred.attribute])))
+                for c in constants]
+
+    pools = [pool(p, numeric_candidates(instance.domain(p.attribute), p.constant),
+                  lambda p, c: NumPredicate(p.attribute, p.op, c)) for p in q.numeric_preds]
+    pools += [pool(p, cat_candidates(instance.domain(p.attribute), p.values),
+                   lambda p, c: CatPredicate(p.attribute, c)) for p in q.cat_preds]
+    num_keys = [(p.attribute, p.op) for p in q.numeric_preds]
+    cat_keys = [p.attribute for p in q.cat_preds]
+    best = None
+    for combo in product(*pools):
+        mask = (1 << len(tuples)) - 1
+        for _, m in combo:
+            mask &= m
+        ranking, keys = [], set()
+        while mask and len(ranking) < k_star:
+            at = tuples[(mask & -mask).bit_length() - 1]
+            mask &= mask - 1
+            if at.key not in keys:
+                keys.add(at.key)
+                ranking.append(at.tid)
+        if len(ranking) < k_star or deviation(ranking, instance.tuples_by_id, cs) > eps:
+            continue
+        constants = [c for c, _ in combo]
+        q2 = apply_refinement(q, Refinement(dict(zip(num_keys, constants)),
+                                            dict(zip(cat_keys, constants[len(num_keys):]))))
+        dist = distance(kind, q, q2, instance.original_ranking, ranking, k_star)
+        if best is None or dist < best:
+            best = dist
+    return best
+
+
+@pytest.mark.parametrize("seed", range(100, 150))
+def test_selections_find_the_optimum_of_the_constant_grid(seed):
+    """The exhaustive search tries one constant per numeric selection; the
+    whole grid it was drawn from finds the same status and exact distance,
+    on a one-numeric and a two-numeric instance."""
+    rng = Random(seed)
+    one_numeric = random_instance(rng)
+    for q, db, cs, eps in (one_numeric, _two_numeric_request(rng)):
+        kind = rng.choice([PRED, JACCARD, KENDALL])
+        if len(preparation(q, db).original_ranking) < cs.k_star:
+            kind = PRED  # the outcome distances need k* original tuples
+        kind = DistanceKind(kind)
+        got = exhaustive_solve(q, db, cs, eps, kind)
+        reference = _grid_scan(q, db, cs, eps, kind)
+        assert (got.status == REFINED) == (reference is not None), (q, cs, eps, kind)
+        assert got.distance == reference, (q, cs, eps, kind)

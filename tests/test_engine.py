@@ -679,14 +679,9 @@ def test_a_settled_request_reports_the_sql_the_instance_holds(monkeypatch, stude
                                                              solved.refinement))
 
 
-@pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
-def test_one_preparation_and_one_request_check_per_request(monkeypatch, scholarship_query,
-                                                          scholarship_constraints,
-                                                          engine_name):
-    """``run`` hands its instance to the model lookup: a request that builds
-    its model and one served the kept model each prepare (or look up) the
-    instance once and check the request once."""
-    build = importlib.import_module("rankrefine.milp.build")
+def _count_calls(monkeypatch, modules) -> dict:
+    """Counts of the ``preparation`` and ``check_request`` calls that
+    ``modules`` make, from now on."""
     calls = {"preparation": 0, "check_request": 0}
 
     def counted(name, fn):
@@ -695,10 +690,21 @@ def test_one_preparation_and_one_request_check_per_request(monkeypatch, scholars
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (engine, build):
+    for module in modules:
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+@pytest.mark.parametrize("engine_name", ["milp", "milp+opt"])
+def test_one_preparation_and_one_request_check_per_request(monkeypatch, scholarship_query,
+                                                          scholarship_constraints,
+                                                          engine_name):
+    """``run`` hands its instance to the model lookup: a request that builds
+    its model and one served the kept model each prepare (or look up) the
+    instance once and check the request once."""
+    calls = _count_calls(monkeypatch, (engine, importlib.import_module("rankrefine.milp.build")))
     db = _students_db()
     eps = _original_deviation(db, scholarship_query, scholarship_constraints)
     for epsilon, builds in ((eps, True), (eps, False), (Fraction(0), True), (Fraction(0), False)):
@@ -708,6 +714,24 @@ def test_one_preparation_and_one_request_check_per_request(monkeypatch, scholars
         assert result.status == REFINED
         assert len(db.last_prepared.models) == kept + builds
         assert calls == {"preparation": 1, "check_request": 1}, (epsilon, builds)
+        calls.update(preparation=0, check_request=0)
+
+
+@pytest.mark.parametrize("engine_name", ["naive", "naive+prov"])
+def test_one_preparation_and_one_request_check_per_exhaustive_request(
+        monkeypatch, scholarship_query, scholarship_constraints, engine_name):
+    """``run`` hands its instance to the exhaustive search, which builds its
+    space from it: a request prepares (or looks up) the instance once and
+    checks the request once, whether the original query settles it or not."""
+    calls = _count_calls(monkeypatch, (engine, importlib.import_module("rankrefine.oracle")))
+    db = _students_db()
+    eps = _original_deviation(db, scholarship_query, scholarship_constraints)
+    for epsilon in (eps, Fraction(0), Fraction(0)):
+        result = run(_config(db, scholarship_query, scholarship_constraints,
+                             engine=engine_name, epsilon=epsilon))
+        assert result.status == REFINED
+        assert result.model_stats == {"candidates_checked": 186}
+        assert calls == {"preparation": 1, "check_request": 1}, epsilon
         calls.update(preparation=0, check_request=0)
 
 

@@ -81,3 +81,15 @@ def test_select_star_is_rendered_bare(capsys):
     assert main(_args("astronauts", "pred", "1/2")) == EXIT_REFINED
     sql = json.loads(capsys.readouterr().out)["refined_sql"]
     assert sql.startswith("SELECT * FROM Astronauts WHERE ")
+
+
+@pytest.mark.parametrize("scenario, checked", [("scholarship", 186), ("astronauts", 56),
+                                               ("no_perfect", 9)])
+def test_exhaustive_search_checks_each_selection_once(scenario, checked, capsys):
+    """One candidate per numeric selection and categorical value set: on
+    ``scholarship``, the 6 selections of ``GPA >=`` times 31 value sets of
+    ``Activity``; the constant grid held 403 candidates there."""
+    for engine in ("naive", "naive+prov"):
+        main(_args(scenario, "pred", "0") + ["--engine", engine])
+        assert json.loads(capsys.readouterr().out)["model_stats"] == {
+            "candidates_checked": checked}

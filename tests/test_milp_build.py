@@ -540,8 +540,8 @@ def test_kendall_objective_is_the_distance_at_every_refinement(engine):
             for attr, fam in result.cat_families.items():
                 pattern += [(col, v in ref.cat_values[attr])
                             for v, col in fam.indicators.items()]
-            if tuple(pattern) in seen:
-                continue
+            # the space holds one refinement per indicator pattern
+            assert tuple(pattern) not in seen, ref
             seen.add(tuple(pattern))
             for col, on in pattern:  # a binary's bounds must stay [0, 1]
                 model.col_kinds[col] = CONTINUOUS

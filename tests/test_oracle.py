@@ -7,10 +7,12 @@ from rankrefine.annotate import annotate, filter_annotated
 from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
 from rankrefine.errors import PreconditionError
 from rankrefine.oracle import (
+    _selection,
     cat_candidates,
     exhaustive_solve,
     numeric_candidates,
     refinement_space,
+    selections,
 )
 
 
@@ -39,6 +41,50 @@ def test_numeric_candidates_over_an_int_domain_are_exact():
     assert all(type(c) in (int, Fraction) for c in cands)
 
 
+# over the domain [1, 3, 4] with the original 2, whose grid is 0, 1/2, 1, ..., 9/2, 5
+_SELECTIONS = {
+    ">=": {range(0, 3): 1, range(1, 3): 2, range(2, 3): Fraction(7, 2), range(3, 3): Fraction(9, 2)},
+    ">": {range(0, 3): Fraction(1, 2), range(1, 3): 2, range(2, 3): 3, range(3, 3): 4},
+    "<=": {range(0): Fraction(1, 2), range(1): 2, range(2): 3, range(3): 4},
+    "<": {range(0): 1, range(1): 2, range(2): Fraction(7, 2), range(3): Fraction(9, 2)},
+    "=": {range(0, 1): 1, range(1, 2): 3, range(2, 3): 4, range(0): 2},
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SELECTIONS))
+def test_selections_map_each_selection_to_its_closest_grid_candidate(op):
+    domain = [1, 3, 4]
+    got = selections(op, domain, Fraction(2))
+    assert got == _SELECTIONS[op]
+    assert all(type(c) in (int, Fraction) for c in got.values())  # exact, never float
+    grid = numeric_candidates(domain, Fraction(2))
+    for sel, c in got.items():
+        # the constant makes its selection, and no grid candidate that makes
+        # it is closer to the original
+        assert _selection(op, domain, c) == sel
+        assert all(abs(x - 2) >= abs(c - 2) for x in grid if _selection(op, domain, x) == sel)
+    # every selection the grid makes has its constant
+    assert {_selection(op, domain, x) for x in grid} == set(got)
+
+
+@pytest.mark.parametrize("op", sorted(_SELECTIONS))
+def test_selections_over_an_empty_domain(op):
+    assert selections(op, [], Fraction(7)) == {range(0): Fraction(7)}
+
+
+def test_selections_break_a_tie_towards_the_smaller_candidate():
+    # 3/2 and 5/2 both select no value of the domain, and lie 1/2 from 2
+    assert selections("=", [1, 2, 3], Fraction(2))[range(0)] == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("op", sorted(_SELECTIONS))
+def test_the_original_constant_stands_for_its_own_selection(op):
+    domain = [Fraction(1), Fraction(3), Fraction(4)]
+    for original in (Fraction(0), Fraction(1), Fraction(7, 3), Fraction(3), Fraction(9)):
+        got = selections(op, domain, original)
+        assert got[_selection(op, domain, original)] == original, original
+
+
 def test_cat_candidates_keep_out_of_domain_originals():
     cands = cat_candidates(["a", "b"], frozenset({"b", "z"}))
     assert all("z" in c for c in cands)
@@ -57,10 +103,10 @@ def test_space_size_formula(students_db, scholarship_query):
     space = refinement_space(scholarship_query, students_db)
     ann = annotate(scholarship_query, students_db)
     gpa_n = len(ann.domain("GPA"))
-    # 3 per distinct value plus original plus 2 sentinels, minus overlaps
-    (_, num_cands), = space.numeric
+    # one constant per upper set of the GPA domain, the empty one included
+    ((_, op), num_cands), = space.numeric
     (_, cat_cands), = space.categorical
-    assert len(num_cands) <= 3 * gpa_n + 3
+    assert op == ">=" and len(num_cands) == gpa_n + 1
     assert space.size == len(num_cands) * len(cat_cands)
     assert sum(1 for _ in space) == space.size
 
