@@ -32,7 +32,7 @@ from operator import is_
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .data import Database, Relation, Schema, Value, NUMERICAL, natural_join
+from .data import CATEGORICAL, NUMERICAL, Database, Relation, Schema, Value, natural_join
 from .errors import KindMismatchError, PreconditionError
 from .query import Query, Refinement, render_sql, satisfies
 
@@ -111,19 +111,28 @@ def distinct_key_attrs(rel: Relation, q: Query) -> tuple[str, ...]:
 def _ranked(rel: Relation, q: Query) -> list[int]:
     """``rel``'s row indices in ``q``'s order, ties broken by ascending tuple
     id, everywhere, so that ranks, positions and deviations agree across
-    evaluator, oracle and MILP.
+    evaluator, oracle and MILP.  It first checks that ``q``'s attributes are in
+    ``rel``'s schema, of their predicates' kinds, whether or not ``rel`` has rows.
 
     The sort key is exact and integral: every value scaled to the lcm of
     the column's denominators.
     """
     attr, direction = q.order_by
-    if not rel.schema.has(attr):
+    schema = rel.schema
+    if not schema.has(attr):
         raise PreconditionError(f"ORDER BY attribute {attr!r} not in joined schema")
-    if rel.schema.kind_of(attr) != NUMERICAL:
+    if schema.kind_of(attr) != NUMERICAL:
         raise KindMismatchError(f"ORDER BY attribute {attr!r} is not numerical")
     for p in q.numeric_preds + q.cat_preds:
-        if not rel.schema.has(p.attribute):
+        if not schema.has(p.attribute):
             raise PreconditionError(f"predicate attribute {p.attribute!r} not in joined schema")
+    for p in q.numeric_preds:
+        if schema.kind_of(p.attribute) != NUMERICAL:
+            raise KindMismatchError(f"attribute {p.attribute!r} is not numeric")
+    for p in q.cat_preds:
+        if schema.kind_of(p.attribute) != CATEGORICAL:
+            raise KindMismatchError(
+                f"categorical predicate on {p.attribute!r} applied to a number")
     values = rel.column(attr)
     scale = math.lcm(*{v.denominator for v in values})
     sign = -1 if direction == "DESC" else 1

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .constraints import ConstraintSet, read_constraint, read_count
+from .constraints import ConstraintSet, read_constraint, read_constraints, read_count
 from .data import Database, Relation, load_database, parse_number
 from .distances import DistanceKind
 from .engine import RunConfig, run
@@ -99,9 +99,9 @@ def _load_constraint_entries(path: Path) -> list[dict]:
 def materialize_constraints(entries: list[dict], k_override: int | None = None) -> ConstraintSet:
     """Turn raw constraint JSON entries into a ConstraintSet, resolving the
     k-sweep template: with a k override, every entry's prefix length becomes
-    the override and a relative bound "n_ratio" becomes max(1, floor(k*ratio))."""
-    out = []
-    for e in entries:
+    the override and a relative bound "n_ratio" becomes max(1, floor(k*ratio)).
+    A malformed entry is an error that names it, as in ``parse_constraints``."""
+    def read(e: dict):
         k = k_override if k_override is not None else read_count(e["k"], "k")
         if "n" in e and k_override is None:
             n = read_count(e["n"], "n")
@@ -110,9 +110,9 @@ def materialize_constraints(entries: list[dict], k_override: int | None = None) 
         elif "n" in e:
             n = min(read_count(e["n"], "n"), k)
         else:
-            raise PreconditionError("constraint entry needs 'n' or 'n_ratio'")
-        out.append(read_constraint(e, k, n))
-    return ConstraintSet(tuple(out))
+            raise ConstraintValidationError("constraint entry needs 'n' or 'n_ratio'")
+        return read_constraint(e, k, n)
+    return read_constraints(entries, read)
 
 
 def _read_ratio(value) -> Fraction:
@@ -176,28 +176,20 @@ class Scenario:
         query = parse_query(self._resolve(self.raw["query"]).read_text(encoding="utf-8-sig"))
         entries = _load_constraint_entries(self._resolve(self.raw["constraints"]))
         epsilon = parse_number(str(self.raw.get("epsilon", "0.5")))
-        scale = None
-
-        if axis == "k":
-            constraints = materialize_constraints(entries, k_override=int(value))
-        elif axis == "constraint_count":
-            constraints = materialize_constraints(entries[: int(value)])
-        elif axis == "constraint_type":
-            if value == "both":
-                kept = entries
-            else:
-                kept = [e for e in entries if e["sense"] == value]
+        if axis in ("k", "constraint_count", "scale"):
+            value = read_count(value, f"a {axis} sweep value")
+        if axis == "constraint_count":
+            entries = entries[:value]
+        constraints = materialize_constraints(entries, value if axis == "k" else None)
+        if axis == "constraint_type":
+            kept = tuple(c for c in constraints if value in ("both", c.sense))
             if not kept:
                 raise PreconditionError(f"no {value} constraints in scenario")
-            constraints = materialize_constraints(kept)
-        else:
-            constraints = materialize_constraints(entries)
-            if axis == "epsilon":
-                epsilon = parse_number(str(value))
-            elif axis == "scale":
-                scale = int(value)
+            constraints = ConstraintSet(kept)
+        elif axis == "epsilon":
+            epsilon = parse_number(str(value))
 
-        db = self.database(scale)
+        db = self.database(value if axis == "scale" else None)
         configs = []
         for engine in self.raw.get("engines", ["milp+opt"]):
             for dist in self.raw.get("distances", ["pred"]):

@@ -163,6 +163,19 @@ def read_constraint(entry: dict, k: int | None = None, n: int | None = None
     )
 
 
+def read_constraints(entries: list, read=read_constraint) -> ConstraintSet:
+    """The set of ``read(entry)`` over constraint file entries; an entry's
+    error, whatever its shape, is invalid input that names the entry."""
+    out = []
+    for i, entry in enumerate(entries):
+        try:
+            out.append(read(entry))
+        except (KeyError, TypeError, AttributeError, ValueError,
+                ConstraintValidationError) as exc:
+            raise ConstraintValidationError(f"constraint #{i}: {exc}") from exc
+    return ConstraintSet(tuple(out))
+
+
 def parse_constraints(text: str) -> ConstraintSet:
     """Constraint file: a non-empty JSON array of entries (see
     ``read_constraint``)."""
@@ -172,11 +185,4 @@ def parse_constraints(text: str) -> ConstraintSet:
         raise ConstraintValidationError(f"constraints are not valid JSON: {exc}") from exc
     if not isinstance(spec, list) or not spec:
         raise ConstraintValidationError("constraint file must hold a non-empty JSON array")
-    out = []
-    for i, entry in enumerate(spec):
-        try:
-            out.append(read_constraint(entry))
-        except (KeyError, TypeError, AttributeError, ValueError,
-                ConstraintValidationError) as exc:
-            raise ConstraintValidationError(f"constraint #{i}: {exc}") from exc
-    return ConstraintSet(tuple(out))
+    return read_constraints(spec)

@@ -8,6 +8,9 @@ reads it, and is then held exactly: an ``int`` when integral however it is
 spelled (``12``, ``12.``, ``1e3``), else a :class:`fractions.Fraction`.  So
 predicate comparisons (``GPA >= 3.7``) behave like decimal arithmetic, and
 floats only appear once values are handed to the LP solver.
+
+Every cell matches its attribute's kind in the :class:`Schema`, as ``load_csv``
+and ``natural_join`` guarantee, so ``annotate`` checks predicates against kinds once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
-from .errors import JoinError, KindMismatchError, LoadError
+from .errors import JoinError, LoadError
 
 if TYPE_CHECKING:
     from .annotate import Instance
@@ -58,37 +61,31 @@ def format_number(x: Fraction) -> str:
     return f"{sign}{digits[:-shift]}.{digits[-shift:]}"
 
 
-def compare_kinds(a: Value, b: Value) -> None:
-    if isinstance(a, str) != isinstance(b, str):
-        raise KindMismatchError(f"cannot compare {a!r} with {b!r}")
-
-
 @dataclass(frozen=True)
 class Schema:
     """Ordered attribute list with kinds; names must be unique."""
 
     attributes: tuple[tuple[str, str], ...]
+    # each set once here and left out of ``==``, hashing and ``repr``
+    names: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    _kinds: dict[str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        names = [n for n, _ in self.attributes]
-        if len(set(names)) != len(names):
-            raise LoadError(f"duplicate attribute names in schema: {names}")
+        kinds = dict(self.attributes)
+        if len(kinds) != len(self.attributes):
+            raise LoadError("duplicate attribute names in schema: "
+                            f"{[n for n, _ in self.attributes]}")
         for name, kind in self.attributes:
             if kind not in (CATEGORICAL, NUMERICAL):
                 raise LoadError(f"unknown kind {kind!r} for attribute {name!r}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.attributes)
+        object.__setattr__(self, "names", tuple(kinds))
+        object.__setattr__(self, "_kinds", kinds)
 
     def kind_of(self, name: str) -> str:
-        for n, kind in self.attributes:
-            if n == name:
-                return kind
-        raise KeyError(name)
+        return self._kinds[name]
 
     def has(self, name: str) -> bool:
-        return any(n == name for n, _ in self.attributes)
+        return name in self._kinds
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[str, str]]) -> "Schema":
@@ -98,7 +95,9 @@ class Schema:
 @dataclass(frozen=True)
 class Relation:
     """``columns[j]`` holds every row's value of the schema's j-th
-    attribute, and row i has tuple id i + 1."""
+    attribute, and row i has tuple id i + 1.  Each cell must be of its
+    attribute's kind (a ``str`` if categorical, else an ``int`` or ``Fraction``):
+    ``load_csv`` and ``natural_join`` guarantee it, and nothing checks it per cell."""
 
     name: str
     schema: Schema

@@ -17,8 +17,8 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .data import compare_kinds, format_number, parse_number
-from .errors import KindMismatchError, QuerySyntaxError, UnsupportedQueryError
+from .data import format_number, parse_number
+from .errors import QuerySyntaxError, UnsupportedQueryError
 
 NUM_OPS = ("<", "<=", "=", ">", ">=")
 _COMPARE = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
@@ -36,7 +36,6 @@ class NumPredicate:
             raise QuerySyntaxError(f"unknown operator {self.op!r}")
 
     def holds(self, value: Fraction) -> bool:
-        compare_kinds(value, self.constant)
         return _COMPARE[self.op](value, self.constant)
 
 
@@ -52,10 +51,6 @@ class CatPredicate:
             )
 
     def holds(self, value: str) -> bool:
-        if not isinstance(value, str):
-            raise KindMismatchError(
-                f"categorical predicate on {self.attribute!r} applied to a number"
-            )
         return value in self.values
 
 
@@ -144,14 +139,9 @@ def apply_refinement(q: Query, r: Refinement) -> Query:
 
 
 def satisfies(row, q: Query) -> bool:
-    """True iff ``row`` (any whose ``row[attr]`` is its cell) satisfies every predicate."""
-    for p in q.numeric_preds:
-        v = row[p.attribute]
-        if isinstance(v, str):
-            raise KindMismatchError(f"attribute {p.attribute!r} is not numeric")
-        if not p.holds(v):
-            return False
-    for p in q.cat_preds:
+    """True iff ``row`` (any whose ``row[attr]`` is its cell) satisfies every
+    predicate.  It compares values only: ``annotate`` checks kinds, once."""
+    for p in q.numeric_preds + q.cat_preds:
         if not p.holds(row[p.attribute]):
             return False
     return True

@@ -11,7 +11,9 @@ from rankrefine.annotate import (
     evaluate,
     filter_annotated,
 )
-from rankrefine.data import Database, Schema, load_csv
+from rankrefine.cli import EXIT_INVALID, main
+from rankrefine.data import Database, Schema, load_csv, read_sidecar
+from rankrefine.engine import ENGINES
 from rankrefine.errors import KindMismatchError
 from rankrefine.query import (
     NUM_OPS,
@@ -202,14 +204,30 @@ def test_filter_matches_evaluate_on_hard_magnitudes(family, distinct):
 
 
 @pytest.mark.parametrize("where", ["x = 'a'", "c >= 1"])
-def test_a_predicate_on_a_column_of_the_other_kind_is_an_error(tmp_path, where):
-    """``x`` holds ints and ``c`` strings."""
-    p = tmp_path / "T.csv"
-    p.write_text("x,c,s\n1,a,1\n2,b,2\n")
-    db = Database()
-    db.add(load_csv(p))
-    q = parse_query(f"SELECT * FROM T WHERE {where} ORDER BY s DESC")
-    with pytest.raises(KindMismatchError):
-        evaluate(q, db)
-    with pytest.raises(KindMismatchError):
-        annotate(q, db)
+def test_a_predicate_on_a_column_of_the_other_kind_is_an_error(tmp_path, where, capsys):
+    """``x`` is numerical and ``c`` categorical.  The check is made against
+    the schema, so a relation of no rows fails alike, and the CLI reports
+    invalid input under every engine."""
+    message = {"x = 'a'": "categorical predicate on 'x' applied to a number",
+               "c >= 1": "attribute 'c' is not numeric"}[where]
+    side = tmp_path / "T.schema.json"
+    side.write_text('{"c": "categorical"}')
+    (tmp_path / "q.sql").write_text(f"SELECT * FROM T WHERE {where} ORDER BY s DESC")
+    (tmp_path / "cs.json").write_text(
+        '[{"group": {"c": "a"}, "k": 1, "sense": "lower", "n": 1}]')
+    for body in ("1,a,1\n2,b,2\n", ""):
+        p = tmp_path / "T.csv"
+        p.write_text("x,c,s\n" + body)
+        db = Database()
+        db.add(load_csv(p, read_sidecar(side)))
+        q = parse_query((tmp_path / "q.sql").read_text())
+        with pytest.raises(KindMismatchError, match=f"^{message}$"):
+            evaluate(q, db)
+        with pytest.raises(KindMismatchError, match=f"^{message}$"):
+            annotate(q, db)
+        for engine in ENGINES:
+            assert main(["run", "--data", f"T={p}", "--schema", f"T={side}",
+                         "--query", str(tmp_path / "q.sql"),
+                         "--constraints", str(tmp_path / "cs.json"),
+                         "--engine", engine]) == EXIT_INVALID, (body, engine)
+            assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -15,7 +15,7 @@ from rankrefine.bench import (
 from rankrefine.cli import EXIT_REFINED, main
 from rankrefine.constraints import parse_constraints
 from rankrefine.data import natural_join
-from rankrefine.errors import PreconditionError
+from rankrefine.errors import ConstraintValidationError, PreconditionError
 
 SUITE = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -70,7 +70,7 @@ def test_a_ratio_that_is_no_finite_number_is_an_error_row(tmp_path, ratio):
     assert main(["bench", "--suite", str(tmp_path), "--repeats", "1", "--out", str(out)]) == 0
     [row] = csv.DictReader(out.open(encoding="utf-8"))
     assert (row["status"], row["error"]) == (
-        "error", f"n_ratio must be a finite number, got {ratio!r}")
+        "error", f"constraint #0: n_ratio must be a finite number, got {ratio!r}")
 
 
 def test_materialize_k_override_clamps_fixed_n():
@@ -80,7 +80,8 @@ def test_materialize_k_override_clamps_fixed_n():
 
 
 def test_materialize_requires_bound():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConstraintValidationError,
+                       match="^constraint #0: constraint entry needs 'n' or 'n_ratio'$"):
         materialize_constraints(
             [{"group": {"Gender": "F"}, "k": 6, "sense": "lower"}])
 
@@ -252,21 +253,36 @@ def test_suite_runner_and_csv(tmp_path):
 
 def test_malformed_scenario_files_are_error_rows_of_a_suite_that_goes_on(tmp_path, capsys):
     good = json.loads(_write_mini_scenario(tmp_path).read_text())
+    entry = {"group": {"Gender": "F"}, "k": 6, "sense": "lower", "n": 3}
+    for name, entries in (("entry", ["oops"]), ("group", [{**entry, "group": ["Gender"]}])):
+        (tmp_path / f"{name}.json").write_text(json.dumps(entries))
     bad = {"list": [], "data": {**good, "data": [good["data"]]},
            "sweep": {**good, "sweep": {"axis": "k", "values": 5}},
-           "engines": {**good, "engines": "milp"}}
+           "engines": {**good, "engines": "milp"},
+           "entry": {**good, "name": "entry", "constraints": str(tmp_path / "entry.json")},
+           "group": {**good, "name": "group", "constraints": str(tmp_path / "group.json")},
+           "null": {**good, "name": "null", "sweep": {"axis": "k", "values": [None, 3]}}}
     for name, raw in bad.items():
         (tmp_path / f"{name}.scenario.json").write_text(json.dumps(raw))
     out = tmp_path / "report.csv"
     assert main(["bench", "--suite", str(tmp_path), "--repeats", "1",
                  "--out", str(out)]) == EXIT_REFINED
     with open(out, newline="") as fh:
-        rows = {row["scenario"].removesuffix(".scenario"): row for row in csv.DictReader(fh)}
-    assert len(rows) == 5 and rows["mini"]["status"] == "refined"
-    assert {name: rows[name]["status"] for name in bad} == dict.fromkeys(bad, "error")
-    assert "a JSON object" in rows["list"]["error"]
+        rows = {}
+        for row in csv.DictReader(fh):
+            rows.setdefault(row["scenario"].removesuffix(".scenario"), []).append(row)
+    assert len(rows) == 8 and [r["status"] for r in rows["mini"]] == ["refined"]
+    null, three = rows.pop("null")
+    assert (null["status"], null["error"]) == (
+        "error", "a k sweep value must be a whole number, got None")
+    assert three["status"] != "error"
+    errors = {name: row["error"] for name, [row] in rows.items() if name != "mini"}
+    assert errors.keys() == bad.keys() - {"null"}
+    assert "a JSON object" in errors["list"]
     for field in ("data", "sweep", "engines"):
-        assert f"field {field!r}" in rows[field]["error"]
+        assert f"field {field!r}" in errors[field]
+    assert errors["entry"].startswith("constraint #0: ")
+    assert errors["group"] == "constraint #0: 'list' object has no attribute 'values'"
 
 
 def test_a_scenario_file_may_start_with_a_byte_order_mark(tmp_path):

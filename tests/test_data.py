@@ -293,9 +293,31 @@ def test_a_sidecar_may_start_with_a_byte_order_mark(tmp_path):
 
 
 def test_cross_kind_comparison_is_an_error():
-    with pytest.raises(KindMismatchError):
-        from rankrefine.data import compare_kinds
-        compare_kinds(Fraction(1), "one")
+    """A predicate of the other kind than its attribute is caught when the
+    query is prepared, against the schema: no cell need be read."""
+    schema = Schema.from_pairs([("x", "numerical"), ("c", "categorical")])
+    db = Database()
+    db.add(relation("T", schema, []))
+    for where, message in (("x = 'one'", "categorical predicate on 'x' applied to a number"),
+                           ("c >= 1", "attribute 'c' is not numeric")):
+        with pytest.raises(KindMismatchError, match=f"^{message}$"):
+            annotate(parse_query(f"SELECT * FROM T WHERE {where} ORDER BY x"), db)
+
+
+def test_a_schema_looks_names_up_in_a_map_it_sets_once():
+    pairs = (("b", "numerical"), ("a", "categorical"))
+    schema = Schema(pairs)
+    assert schema.names == ("b", "a")
+    assert (schema.has("a"), schema.has("z")) == (True, False)
+    assert (schema.kind_of("b"), schema.kind_of("a")) == ("numerical", "categorical")
+    with pytest.raises(KeyError):
+        schema.kind_of("z")
+    with pytest.raises(LoadError, match=r"^duplicate attribute names in schema: \['a', 'a'\]$"):
+        Schema((("a", "numerical"), ("a", "categorical")))
+    same = Schema.from_pairs(pairs)
+    assert same == schema and hash(same) == hash(schema)
+    assert same != Schema(pairs[::-1])
+    assert repr(schema) == f"Schema(attributes={pairs!r})"
 
 
 @given(st.fractions())

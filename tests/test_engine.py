@@ -36,6 +36,7 @@ from rankrefine.milp import Solution, build_model, solve
 from rankrefine.errors import (
     ConstraintValidationError,
     InternalConsistencyError,
+    KindMismatchError,
     PreconditionError,
     RankRefineError,
 )
@@ -117,6 +118,13 @@ def test_an_empty_join_has_no_refinement_under_every_engine(engine):
     assert (result.status, result.refinement, result.distance) == (NO_REFINEMENT, None, None)
     with pytest.raises(PreconditionError, match="at least k[*]=1 tuples, got 0"):
         run(_config(db, q, cs, engine=engine, kind=DistanceKind(JACCARD)))
+    # a predicate of the wrong kind is invalid although no row is read
+    for where, message in (("GPA = 'a'", "categorical predicate on 'GPA' applied to a number"),
+                           ("Activity >= 1", "attribute 'Activity' is not numeric")):
+        wrong = parse_query(f"SELECT * FROM Students NATURAL JOIN Activities "
+                            f"WHERE {where} ORDER BY SAT DESC")
+        with pytest.raises(KindMismatchError, match=f"^{message}$"):
+            run(_config(db, wrong, cs, engine=engine))
 
 
 def test_unknown_engine_rejected(students_db, scholarship_query,
