@@ -178,6 +178,8 @@ class Scenario:
         epsilon = parse_number(str(self.raw.get("epsilon", "0.5")))
         if axis in ("k", "constraint_count", "scale"):
             value = read_count(value, f"a {axis} sweep value")
+        if axis in ("constraint_count", "scale") and value < 0:  # a slice would drop the tail
+            raise PreconditionError(f"a {axis} sweep value must not be negative, got {value}")
         if axis == "constraint_count":
             entries = entries[:value]
         constraints = materialize_constraints(entries, value if axis == "k" else None)

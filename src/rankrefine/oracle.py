@@ -11,6 +11,11 @@ which the MILP builder shares, maps each selection to its grid candidate
 closest to the original.  Categorical predicates enumerate every non-empty
 subset of the attribute's active domain; original values outside that
 domain never filter anything and are always kept.
+
+The space yields refined queries, and its order is the tie rule: constants
+ascending in predicate order, then value sets in order of their sorted
+values.  Among candidates of equal distance the search keeps the original
+query, and otherwise the first one it meets.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .annotate import Instance, evaluate, filter_annotated, preparation
@@ -26,7 +31,7 @@ from .constraints import ConstraintSet, deviation
 from .data import Database
 from .distances import DistanceKind, check_request, distance
 from .errors import PreconditionError
-from .query import Query, Refinement, apply_refinement
+from .query import Query, Refinement
 
 DEFAULT_CAP = 2_000_000
 
@@ -90,6 +95,9 @@ def cat_candidates(values: list[str], original: frozenset[str]) -> list[frozense
 
 @dataclass
 class RefinementSpace:
+    """``q``'s refined queries in the tie rule's order: the product of its
+    pools, constants ascending, then value sets by their sorted values."""
+    q: Query
     numeric: list[tuple[tuple[str, str], list[Fraction]]]
     categorical: list[tuple[str, list[frozenset[str]]]]
 
@@ -98,32 +106,35 @@ class RefinementSpace:
         return math.prod(len(cands) for _, cands in self.numeric + self.categorical)
 
     def __iter__(self):
-        num_keys = [key for key, _ in self.numeric]
-        cat_keys = [attr for attr, _ in self.categorical]
-        for combo in itertools.product(*(c for _, c in self.numeric + self.categorical)):
-            yield Refinement(dict(zip(num_keys, combo)),
-                             dict(zip(cat_keys, combo[len(num_keys):])))
+        q = self.q
+        pools = [[replace(p, constant=c) for c in cands]
+                 for p, (_, cands) in zip(q.numeric_preds, self.numeric)]
+        pools += [[replace(p, values=v) for v in cands]
+                  for p, (_, cands) in zip(q.cat_preds, self.categorical)]
+        n = len(self.numeric)
+        for preds in itertools.product(*pools):
+            yield replace(q, numeric_preds=preds[:n], cat_preds=preds[n:])
 
 
-def refinement_space(q: Query, d: Database, cap: int = DEFAULT_CAP,
-                     instance: Instance | None = None) -> RefinementSpace:
+def refinement_space(q: Query, d: Database, instance: Instance | None = None) -> RefinementSpace:
     """Each numeric selection's constant times each categorical value set,
-    over ``q``'s prepared instance in ``d`` (or the ``instance`` given)."""
+    over ``q``'s prepared instance in ``d`` (or the ``instance`` given).
+    A space above ``DEFAULT_CAP`` candidates is refused."""
     instance = preparation(q, d) if instance is None else instance
     numeric = [
         ((p.attribute, p.op),
-         list(selections(p.op, instance.domain(p.attribute), p.constant).values()))
+         sorted(selections(p.op, instance.domain(p.attribute), p.constant).values()))
         for p in q.numeric_preds
     ]
     categorical = [
-        (p.attribute, cat_candidates(instance.domain(p.attribute), p.values))
+        (p.attribute, sorted(cat_candidates(instance.domain(p.attribute), p.values), key=sorted))
         for p in q.cat_preds
     ]
-    space = RefinementSpace(numeric, categorical)
-    if space.size > cap:
+    space = RefinementSpace(q, numeric, categorical)
+    if space.size > DEFAULT_CAP:
         raise PreconditionError(
             f"refinement space has {space.size} candidates, above the "
-            f"exhaustive-search cap of {cap}")
+            f"exhaustive-search cap of {DEFAULT_CAP}")
     return space
 
 
@@ -134,14 +145,13 @@ def exhaustive_solve(
     epsilon: Fraction,
     kind: DistanceKind,
     use_provenance: bool = True,
-    cap: int = DEFAULT_CAP,
     instance: Instance | None = None,
 ) -> OracleResult:
-    """Scan the whole refinement space, one candidate per numeric selection
-    and categorical value set; return the minimum-distance candidate whose
-    top-k prefixes deviate from the constraints by at most epsilon.
-    Distance ties go to the original query, then to the lexicographically
-    smallest refinement.
+    """Scan the whole refinement space, one refined query per numeric
+    selection and categorical value set; return the minimum-distance one
+    whose top-k prefixes deviate from the constraints by at most epsilon.
+    Distance ties go to the original query, then to the first in the
+    space's order.
 
     The space comes from ``q``'s prepared instance in ``d``, which a caller
     that holds it passes as ``instance``.  Candidates are filtered from it,
@@ -151,12 +161,10 @@ def exhaustive_solve(
     k_star = constraints.k_star
     original_ranking = instance.original_ranking
     check_request(q, kind, epsilon, k_star, original_ranking)
-    space = refinement_space(q, d, cap, instance)
+    space = refinement_space(q, d, instance)
 
-    unchanged = Refinement.unchanged(q).encoding_key(q)
-    best = None  # ((distance, differs, encoding_key), refinement)
-    for ref in space:
-        q2 = apply_refinement(q, ref)
+    best = None  # ((distance, differs from q), refined query)
+    for q2 in space:
         if use_provenance:
             ranking = filter_annotated(instance, q2, limit=k_star)
         else:
@@ -164,12 +172,10 @@ def exhaustive_solve(
         if (len(ranking) < k_star
                 or deviation(ranking, instance.tuples_by_id, constraints) > epsilon):
             continue
-        dist = distance(kind, q, q2, original_ranking, ranking, k_star)
-        ref_key = ref.encoding_key(q)
-        key = (dist, ref_key != unchanged, ref_key)
+        key = (distance(kind, q, q2, original_ranking, ranking, k_star), q2 != q)
         if best is None or key < best[0]:
-            best = (key, ref)
+            best = (key, q2)
     if best is None:
         return OracleResult("no_refinement", None, None, space.size)
-    (dist, _, _), ref = best
-    return OracleResult("refined", ref, dist, space.size)
+    (dist, _), q2 = best
+    return OracleResult("refined", Refinement.unchanged(q2), dist, space.size)

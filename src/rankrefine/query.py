@@ -98,18 +98,6 @@ class Refinement:
             cat_values={p.attribute: p.values for p in q.cat_preds},
         )
 
-    def encoding_key(self, q: Query):
-        """Deterministic total order over refinements of ``q`` (tie-breaks)."""
-        nums = tuple(
-            self.numeric_constants.get((p.attribute, p.op), p.constant)
-            for p in q.numeric_preds
-        )
-        cats = tuple(
-            tuple(sorted(self.cat_values.get(p.attribute, p.values)))
-            for p in q.cat_preds
-        )
-        return (nums, cats)
-
 
 def apply_refinement(q: Query, r: Refinement) -> Query:
     """``q`` with ``r``'s constants and value sets; ``q`` itself if none changes."""

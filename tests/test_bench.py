@@ -261,7 +261,10 @@ def test_malformed_scenario_files_are_error_rows_of_a_suite_that_goes_on(tmp_pat
            "engines": {**good, "engines": "milp"},
            "entry": {**good, "name": "entry", "constraints": str(tmp_path / "entry.json")},
            "group": {**good, "name": "group", "constraints": str(tmp_path / "group.json")},
-           "null": {**good, "name": "null", "sweep": {"axis": "k", "values": [None, 3]}}}
+           "null": {**good, "name": "null", "sweep": {"axis": "k", "values": [None, 3]}},
+           "count": {**good, "name": "count",
+                     "sweep": {"axis": "constraint_count", "values": [-1, 1]}},
+           "scale": {**good, "name": "scale", "sweep": {"axis": "scale", "values": [-100, 14]}}}
     for name, raw in bad.items():
         (tmp_path / f"{name}.scenario.json").write_text(json.dumps(raw))
     out = tmp_path / "report.csv"
@@ -271,13 +274,17 @@ def test_malformed_scenario_files_are_error_rows_of_a_suite_that_goes_on(tmp_pat
         rows = {}
         for row in csv.DictReader(fh):
             rows.setdefault(row["scenario"].removesuffix(".scenario"), []).append(row)
-    assert len(rows) == 8 and [r["status"] for r in rows["mini"]] == ["refined"]
-    null, three = rows.pop("null")
-    assert (null["status"], null["error"]) == (
-        "error", "a k sweep value must be a whole number, got None")
-    assert three["status"] != "error"
+    assert len(rows) == 10 and [r["status"] for r in rows["mini"]] == ["refined"]
+    # a bad sweep value is an error row, and the scenario's next point runs
+    for name, message in (
+            ("null", "a k sweep value must be a whole number, got None"),
+            ("count", "a constraint_count sweep value must not be negative, got -1"),
+            ("scale", "a scale sweep value must not be negative, got -100")):
+        bad_point, next_point = rows.pop(name)
+        assert (bad_point["status"], bad_point["error"]) == ("error", message)
+        assert next_point["status"] != "error"
     errors = {name: row["error"] for name, [row] in rows.items() if name != "mini"}
-    assert errors.keys() == bad.keys() - {"null"}
+    assert errors.keys() == bad.keys() - {"null", "count", "scale"}
     assert "a JSON object" in errors["list"]
     for field in ("data", "sweep", "engines"):
         assert f"field {field!r}" in errors[field]

@@ -2,8 +2,10 @@
 
 Status, exact distance and exit code are the ones the package gave before
 the solver moved to HiGHS.  Among several optima of equal distance the
-solver may pick a different refinement, so the refinement itself is not
-pinned here; the exact re-verification in the engine vouches for it.
+solver may pick a different refinement, so the MILP engines' refinement is
+not pinned here; the exact re-verification in the engine vouches for it.
+The exhaustive engines' pick among equal optima is fixed by their tie rule,
+so their refined SQL is pinned too.
 """
 
 import json
@@ -46,6 +48,35 @@ GOLDEN = {
     ("no_perfect", "kendall", "1/2"): (EXIT_INVALID, None, None),
 }
 
+_ASTRONAUTS = "SELECT * FROM Astronauts WHERE {} ORDER BY Flight_Hours DESC"
+_SCHOLARSHIP = ("SELECT DISTINCT ID, Gender, Income FROM Students NATURAL JOIN Activities "
+                "WHERE GPA >= {} ORDER BY SAT DESC")
+_RB_SO = _SCHOLARSHIP.format("3.7 AND (Activity = 'RB' OR Activity = 'SO')")
+_GD_RB = _SCHOLARSHIP.format("3.6 AND (Activity = 'GD' OR Activity = 'RB')")
+_MO_RB = _SCHOLARSHIP.format("3.6 AND (Activity = 'MO' OR Activity = 'RB')")
+_ACTIVE = _ASTRONAUTS.format("Space_Flights >= 2.5 AND Status = 'Active'")
+_RETIRED = _ASTRONAUTS.format("Space_Flights >= 0 AND Status = 'Retired'")
+
+# (scenario, distance, epsilon) -> the refined SQL of ``naive`` and ``naive+prov``
+NAIVE_SQL = {
+    ("astronauts", "pred", "0"): _ASTRONAUTS.format(
+        "Space_Flights >= 2 AND (Status = 'Management' OR Status = 'Retired')"),
+    ("astronauts", "pred", "1/2"): _ACTIVE,
+    ("astronauts", "jaccard", "0"): _RETIRED,
+    ("astronauts", "jaccard", "1/2"): _ACTIVE,
+    ("astronauts", "kendall", "0"): _RETIRED,
+    ("astronauts", "kendall", "1/2"): _ACTIVE,
+    ("scholarship", "pred", "0"): _RB_SO,
+    ("scholarship", "pred", "1/2"): _RB_SO,
+    ("scholarship", "jaccard", "0"): _GD_RB,
+    ("scholarship", "jaccard", "1/2"): _GD_RB,
+    ("scholarship", "kendall", "0"): _MO_RB,
+    ("scholarship", "kendall", "1/2"): _MO_RB,
+    ("no_perfect", "pred", "0"): None,
+    ("no_perfect", "pred", "1/2"):
+        "SELECT * FROM Jobs WHERE (X = 'A' OR X = 'B') AND Y = 'C' ORDER BY Score DESC",
+}
+
 
 def _args(scenario, distance, epsilon):
     args = ["run"]
@@ -75,6 +106,14 @@ def test_golden_scenario(case, capsys):
         payload.pop("timing_ms")
         reports.append(json.dumps(payload, sort_keys=True))
     assert reports[0] == reports[1], "two runs must agree apart from timing"
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (_, status, _) in GOLDEN.items() if status),
+                         ids="/".join)
+def test_exhaustive_engines_pick_the_pinned_optimum(case, capsys):
+    for engine in ("naive", "naive+prov"):
+        assert main(_args(*case) + ["--engine", engine]) == GOLDEN[case][0]
+        assert json.loads(capsys.readouterr().out)["refined_sql"] == NAIVE_SQL[case], engine
 
 
 def test_select_star_is_rendered_bare(capsys):

@@ -532,22 +532,24 @@ def test_kendall_objective_is_the_distance_at_every_refinement(engine):
             continue
         instance, k_star, model = preparation(q, db), cs.k_star, result.model
         seen = set()
-        for ref in refinement_space(q, db):
+        for q2 in refinement_space(q, db):
+            constants = {(p.attribute, p.op): p.constant for p in q2.numeric_preds}
+            value_sets = {p.attribute: p.values for p in q2.cat_preds}
             pattern = []
             for (attr, op), fam in result.num_families.items():
-                c = ref.numeric_constants[(attr, op)]
+                c = constants[(attr, op)]
                 pattern += [(col, _SATISFIES[op](v, c)) for v, col in fam.indicators.items()]
             for attr, fam in result.cat_families.items():
-                pattern += [(col, v in ref.cat_values[attr])
+                pattern += [(col, v in value_sets[attr])
                             for v, col in fam.indicators.items()]
-            # the space holds one refinement per indicator pattern
-            assert tuple(pattern) not in seen, ref
+            # the space holds one refined query per indicator pattern
+            assert tuple(pattern) not in seen, q2
             seen.add(tuple(pattern))
             for col, on in pattern:  # a binary's bounds must stay [0, 1]
                 model.col_kinds[col] = CONTINUOUS
                 model.col_lower[col] = model.col_upper[col] = float(on)
             solution = solve(model)
-            ranking = filter_annotated(instance, apply_refinement(q, ref))
+            ranking = filter_annotated(instance, q2)
             if len(ranking) < k_star or deviation(ranking, instance.tuples_by_id, cs) > 1:
                 assert solution.status == "infeasible"
                 continue

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
+from conftest import random_instance
+from test_differential import _two_numeric_request
 
 from rankrefine import oracle
-from rankrefine.annotate import annotate, filter_annotated
-from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind
+from rankrefine.annotate import annotate, filter_annotated, preparation
+from rankrefine.constraints import deviation
+from rankrefine.distances import JACCARD, KENDALL, PRED, DistanceKind, distance
 from rankrefine.errors import PreconditionError
 from rankrefine.oracle import (
     _selection,
@@ -14,6 +18,7 @@ from rankrefine.oracle import (
     refinement_space,
     selections,
 )
+from rankrefine.query import Refinement
 
 
 def test_numeric_candidates_cover_boundaries():
@@ -111,9 +116,53 @@ def test_space_size_formula(students_db, scholarship_query):
     assert sum(1 for _ in space) == space.size
 
 
-def test_space_cap_enforced(students_db, scholarship_query):
+def test_space_cap_enforced(monkeypatch, students_db, scholarship_query):
+    monkeypatch.setattr(oracle, "DEFAULT_CAP", 3)
     with pytest.raises(PreconditionError):
-        refinement_space(scholarship_query, students_db, cap=3)
+        refinement_space(scholarship_query, students_db)
+
+
+def _constants_then_value_sets(q):
+    return (tuple(p.constant for p in q.numeric_preds),
+            tuple(tuple(sorted(p.values)) for p in q.cat_preds))
+
+
+def test_the_space_yields_refined_queries_in_tie_order():
+    rng = Random(3)
+    for _ in range(20):
+        q, db, _, _ = rng.choice([random_instance, _two_numeric_request])(rng)
+        keys = [_constants_then_value_sets(q2) for q2 in refinement_space(q, db)]
+        assert keys == sorted(set(keys)), q
+
+
+def test_the_search_returns_the_least_candidate_under_the_tie_rule():
+    """Each feasible candidate keyed explicitly: distance, then whether it
+    differs from the original query, then its constants in predicate order,
+    then its sorted value sets; the search returns the least one."""
+    rng = Random(14)
+    broken = 0  # optima tied between candidates that both differ from the original
+    for _ in range(60):
+        q, db, cs, eps = rng.choice([random_instance, _two_numeric_request])(rng)
+        kind = DistanceKind(rng.choice([PRED, JACCARD, KENDALL]))
+        try:
+            got = exhaustive_solve(q, db, cs, eps, kind)
+        except PreconditionError:
+            continue
+        instance, k = preparation(q, db), cs.k_star
+        keyed = []
+        for q2 in refinement_space(q, db):
+            ranking = filter_annotated(instance, q2, limit=k)
+            if len(ranking) < k or deviation(ranking, instance.tuples_by_id, cs) > eps:
+                continue
+            keyed.append(((distance(kind, q, q2, instance.original_ranking, ranking, k),
+                           q2 != q, _constants_then_value_sets(q2)), q2))
+        if not keyed:
+            assert got.status == "no_refinement"
+            continue
+        key, best = min(keyed, key=lambda item: item[0])
+        assert (got.distance, got.refinement) == (key[0], Refinement.unchanged(best)), q
+        broken += sum(other[:2] == key[:2] for other, _ in keyed) > 1
+    assert broken >= 5
 
 
 def test_running_example_pred(students_db, scholarship_query,
